@@ -115,7 +115,6 @@ def build_parser():
     p.add_argument("checkpoint")
     p.add_argument("input", help="word<TAB>pos lines, blank line between sentences")
     p.add_argument("output")
-    p.add_argument("--batch-size", type=int, default=128)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="bracketing score of predicted trees")
@@ -218,7 +217,10 @@ def cmd_train(args):
         distance_cap=args.distance_cap,
     )
     dev = [(enc.sentence, encodings.decode(enc)) for enc in dev_corpus]
-    model = tagging.train_mtl(_seq_to_training(train_corpus, train_aux), config, dev=dev)
+    try:
+        model = tagging.train_mtl(_seq_to_training(train_corpus, train_aux), config, dev=dev)
+    except RuntimeError as e:
+        raise ValueError("%s: training failed: %s" % (args.train_seq, e)) from e
     tagging.save_model(args.output, model)
     best = max((h.get("dev_f1", 0.0) for h in model.history), default=0.0)
     print("trained %d epochs; best dev F1 %.4f; saved %s"
@@ -244,7 +246,10 @@ def cmd_finetune(args):
     )
     train = [(trees.Sentence.from_tree(t), t) for t in train_forest]
     dev = [(trees.Sentence.from_tree(t), t) for t in dev_forest]
-    model, rows = pg.finetune_pg(model, train, config, dev=dev, log_path=args.log)
+    try:
+        model, rows = pg.finetune_pg(model, train, config, dev=dev, log_path=args.log)
+    except RuntimeError as e:
+        raise ValueError("%s: fine-tuning failed: %s" % (args.checkpoint, e)) from e
     tagging.save_model(args.output, model)
     last = rows[-1]
     print("fine-tuned %d epochs; dev F1 %.4f; saved %s"
@@ -255,7 +260,7 @@ def cmd_finetune(args):
 def cmd_predict(args):
     model = tagging.load_model(args.checkpoint)
     sentences = seqfile.read_tagged(args.input)
-    predicted = tagging.predict_corpus(model, sentences, batch_size=args.batch_size)
+    predicted = tagging.predict_corpus(model, sentences)
     trees.save_trees(args.output, [encodings.decode(encoded) for encoded in predicted])
     print("predicted %d sentences to %s" % (len(sentences), args.output))
     return 0

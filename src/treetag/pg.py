@@ -20,9 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encodings import EncodedSentence, NComponent, TagLabel, decode
-from .metrics import bracket_score, corpus_bracket_score
-from .tagger import MAIN_TASKS, predict_greedy
+from .encodings import decode
+from .metrics import bracket_score
+from .tagger import (
+    MAIN_TASKS,
+    _dev_f1,
+    _softmax,
+    encoded_from_ids,
+    predict_corpus,
+    predict_greedy,
+)
 
 
 @dataclass
@@ -92,55 +99,45 @@ class NoiseState:
         return cls(config.noise_std, config.noise_target, config.noise_adapt)
 
 
-def _sample_with_cache(policy, sentence, rng, noise_std=0.0):
-    """Sample one label sequence; keeps the forward cache for gradients.
+def _sample(cache, n_samples, rng, noise_std=0.0):
+    """Draw `n_samples` label-id sequences from a forward cache's main heads.
 
-    Every head is sampled per token except the final token's n and c,
-    which are forced to the dummy and contribute no log-probability (its u
-    is still a real decision).  Returns (encoded, logprob, cache, picks)
-    where picks maps task -> (T,) sampled ids.
+    Every head is sampled per token, from one draw of (sample, head, token)
+    uniforms.  With noise, each sample perturbs the logits of the shared
+    hidden layer with its own noise.  Returns (probs, picks): probs maps
+    task -> (K, T, k) sampling distributions and picks task -> (K, T) ids.
     """
-    cache = policy.forward(sentence, noise_std=noise_std, noise_rng=rng)
-    T = len(sentence)
-    picks = {}
-    logprob = 0.0
+    K = n_samples
+    probs = {}
     for name in MAIN_TASKS:
-        p = cache["probs"][name]
-        cum = p.cumsum(axis=1)
-        draws = rng.random((T, 1))
-        ids = (draws > cum).sum(axis=1)
-        np.clip(ids, 0, p.shape[1] - 1, out=ids)
-        picks[name] = ids
-    rows = np.arange(T)
-    for name in MAIN_TASKS:
-        p = cache["probs"][name][rows, picks[name]]
-        if name == "u":
-            logprob += float(np.log(p).sum())
+        if noise_std > 0:
+            z = cache["logits"][name]
+            probs[name] = _softmax(z + rng.normal(0.0, noise_std, size=(K,) + z.shape))
         else:
-            logprob += float(np.log(p[:-1]).sum()) if T > 1 else 0.0
-
-    labels = []
-    id2lab = policy.vocab.task_labels
-    for t in range(T):
-        u = id2lab["u"][picks["u"][t]]
-        u = "" if u == "NONE" else u
-        if t == T - 1:
-            labels.append(TagLabel.dummy(u))
-            continue
-        n = NComponent.from_token(id2lab["n"][picks["n"][t]])
-        labels.append(TagLabel(n, id2lab["c"][picks["c"][t]], u))
-    encoded = EncodedSentence(sentence, labels, policy.scheme)
-    return encoded, logprob, cache, picks
+            probs[name] = np.broadcast_to(cache["probs"][name], (K,) + cache["probs"][name].shape)
+    draws = rng.random((K, len(MAIN_TASKS), len(cache["h"])))
+    picks = {}
+    for j, name in enumerate(MAIN_TASKS):
+        ids = (draws[:, j, :, None] > probs[name].cumsum(axis=-1)).sum(axis=-1)
+        picks[name] = np.minimum(ids, probs[name].shape[-1] - 1)
+    return probs, picks
 
 
 def sample_sequence(policy, sentence, rng, noise_std=0.0):
     """Sample a label sequence from the policy.
 
-    Returns (EncodedSentence, total log-probability of the sampled
-    decisions).
+    Every head is sampled per token except the final token's n and c,
+    which are forced to the dummy and contribute no log-probability (its u
+    is still a real decision).  Returns (EncodedSentence, total
+    log-probability of the sampled decisions).
     """
-    encoded, logprob, _, _ = _sample_with_cache(policy, sentence, rng, noise_std)
-    return encoded, logprob
+    probs, picks = _sample(policy.forward(sentence, heads=MAIN_TASKS), 1, rng, noise_std)
+    logprob = 0.0
+    for name in MAIN_TASKS:
+        chosen = np.take_along_axis(probs[name][0], picks[name][0][:, None], axis=1)
+        logprob += float(np.log(chosen if name == "u" else chosen[:-1]).sum())
+    ids = {name: picks[name][0] for name in MAIN_TASKS}
+    return encoded_from_ids(policy, sentence, ids), logprob
 
 
 def tree_reward(sampled, gold_tree):
@@ -148,11 +145,11 @@ def tree_reward(sampled, gold_tree):
     return bracket_score(gold_tree, decode(sampled)).f1
 
 
-def _entropy_dlogits(p):
-    """Gradient of the per-row entropy H = -sum p log p wrt the logits."""
+def _entropy_terms(p):
+    """Per-row entropy H = -sum p log p and its gradient wrt the logits."""
     logp = np.log(np.clip(p, 1e-300, None))
-    H = -(p * logp).sum(axis=1, keepdims=True)
-    return -p * (logp + H)
+    H = -(p * logp).sum(axis=-1)
+    return H, -p * (logp + H[..., None])
 
 
 def estimate_policy_gradient(
@@ -165,6 +162,7 @@ def estimate_policy_gradient(
     baseline_reward=0.0,
     tracker=None,
     noise_std=0.0,
+    frozen=(),
 ):
     """Ascent-direction parameter gradients from sampled sequences.
 
@@ -173,16 +171,19 @@ def estimate_policy_gradient(
     advantage * grad log-prob of the sampled decisions plus entropy_coef *
     grad entropy of the (possibly noise-perturbed) policy.  The final
     token's n and c decisions are forced and therefore excluded from both
-    terms.  Gradients and stats are averaged over samples.
+    terms.  Gradients and stats are averaged over samples.  One forward
+    pass serves all samples and the summed logit gradients take one
+    backward pass; parameters named in `frozen` get no gradient.
     """
-    grads = None
+    cache = policy.forward(sentence, heads=MAIN_TASKS)
+    probs, picks = _sample(cache, n_samples, rng, noise_std)
     rewards = []
     advantages = []
     standardized = []
-    entropies = []
-    for _ in range(n_samples):
-        encoded, _, cache, picks = _sample_with_cache(policy, sentence, rng, noise_std)
-        reward = reward_fn(encoded)
+    for k in range(n_samples):
+        reward = reward_fn(
+            encoded_from_ids(policy, sentence, {name: picks[name][k] for name in MAIN_TASKS})
+        )
         adv = reward - baseline_reward
         if tracker is not None:
             tracker.update(adv)
@@ -193,34 +194,20 @@ def estimate_policy_gradient(
         advantages.append(adv)
         standardized.append(adv_hat)
 
-        dlogits = {}
-        total_entropy = 0.0
-        T = len(sentence)
-        rows = np.arange(T)
-        for name in MAIN_TASKS:
-            p = cache["probs"][name]
-            d = -p.copy()
-            d[rows, picks[name]] += 1.0
-            d *= adv_hat
-            ent_d = _entropy_dlogits(p)
-            logp = np.log(np.clip(p, 1e-300, None))
-            ent_rows = -(p * logp).sum(axis=1)
-            if name != "u":
-                d[-1, :] = 0.0
-                ent_d[-1, :] = 0.0
-                ent_rows = ent_rows[:-1]
-            total_entropy += float(ent_rows.sum())
-            dlogits[name] = d + entropy_coef * ent_d
-        entropies.append(total_entropy)
-
-        sample_grads = policy.backward(cache, dlogits)
-        if grads is None:
-            grads = sample_grads
-        else:
-            for k in grads:
-                grads[k] += sample_grads[k]
-    for k in grads:
-        grads[k] /= n_samples
+    weights = np.array(standardized, dtype=float)[:, None, None]
+    dlogits = {}
+    entropies = np.zeros(n_samples)
+    for name in MAIN_TASKS:
+        p = probs[name]
+        ent_rows, ent_d = _entropy_terms(p)
+        onehot = np.eye(p.shape[-1])[picks[name]]
+        d = (weights * (onehot - p) + entropy_coef * ent_d).sum(axis=0)
+        if name != "u":
+            d[-1, :] = 0.0
+            ent_rows = ent_rows[:, :-1]
+        entropies += ent_rows.sum(axis=1)
+        dlogits[name] = d / n_samples
+    grads = policy.backward(cache, dlogits, frozen)
     stats = {
         "reward": float(np.mean(rewards)),
         "advantage": float(np.mean(advantages)),
@@ -230,14 +217,16 @@ def estimate_policy_gradient(
     return grads, stats
 
 
-def pg_update(policy, baseline, sentence, gold_tree, config, tracker, rng, noise_std=0.0):
+def pg_update(policy, baseline, sentence, gold_tree, config, tracker, rng, noise_std=0.0,
+              baseline_reward=None):
     """One fine-tuning step on a single sentence.
 
-    The baseline reward is the frozen model's greedy tree score, computed
-    once per sentence.  Parameters named in config.frozen are left
-    untouched.  Returns per-sentence stats.
+    The baseline reward is the frozen model's greedy tree score; it is
+    computed here unless `baseline_reward` passes it in.  Parameters named
+    in config.frozen are left untouched.  Returns per-sentence stats.
     """
-    baseline_reward = tree_reward(predict_greedy(baseline, sentence), gold_tree)
+    if baseline_reward is None:
+        baseline_reward = tree_reward(predict_greedy(baseline, sentence), gold_tree)
     grads, stats = estimate_policy_gradient(
         policy,
         sentence,
@@ -248,10 +237,9 @@ def pg_update(policy, baseline, sentence, gold_tree, config, tracker, rng, noise
         baseline_reward=baseline_reward,
         tracker=tracker,
         noise_std=noise_std,
+        frozen=config.frozen,
     )
     for name, g in grads.items():
-        if name in config.frozen:
-            continue
         if not np.isfinite(g).all():
             raise RuntimeError("non-finite policy gradient for %r" % name)
         policy.params[name] += config.learning_rate * g
@@ -264,10 +252,11 @@ def action_divergence(policy, sentences, noise_std, rng):
     vectors over all tokens and heads of `sentences`."""
     diffs = []
     for sentence in sentences:
-        clean = policy.forward(sentence)
-        noisy = policy.forward(sentence, noise_std=noise_std, noise_rng=rng)
+        cache = policy.forward(sentence)
         for name in policy.tasks:
-            diffs.append(np.abs(noisy["probs"][name] - clean["probs"][name]).mean())
+            z, clean = cache["logits"][name], cache["probs"][name]
+            noisy = _softmax(z + rng.normal(0.0, noise_std, size=z.shape)) if noise_std > 0 else clean
+            diffs.append(np.abs(noisy - clean).mean())
     return float(np.mean(diffs))
 
 
@@ -303,6 +292,8 @@ def finetune_pg(policy, train, config, dev=None, log_path=None, baseline=None):
     tracker = AdvantageTracker(config.burn_in)
     rng = np.random.default_rng(config.seed)
     noise = NoiseState.from_config(config) if config.noise_enabled else None
+    greedy = predict_corpus(baseline, [sentence for sentence, _ in train])
+    baseline_rewards = [tree_reward(encoded, tree) for encoded, (_, tree) in zip(greedy, train)]
     order = np.arange(len(train))
     rows = []
     for epoch in range(config.epochs):
@@ -312,7 +303,8 @@ def finetune_pg(policy, train, config, dev=None, log_path=None, baseline=None):
         for i in order:
             sentence, gold_tree = train[i]
             std = noise.std if noise is not None else 0.0
-            stats = pg_update(policy, baseline, sentence, gold_tree, config, tracker, rng, std)
+            stats = pg_update(policy, baseline, sentence, gold_tree, config, tracker, rng, std,
+                              baseline_rewards[i])
             for key in stats_acc:
                 stats_acc[key].append(stats[key])
             if noise is not None:
@@ -332,9 +324,7 @@ def finetune_pg(policy, train, config, dev=None, log_path=None, baseline=None):
             "noise_std": noise.std if noise is not None else 0.0,
         }
         if dev is not None:
-            gold = [tree for _, tree in dev]
-            predicted = [decode(predict_greedy(policy, s)) for s, _ in dev]
-            row["dev_f1"] = corpus_bracket_score(gold, predicted).f1
+            row["dev_f1"] = _dev_f1(policy, dev)
         rows.append(row)
     if log_path:
         with open(log_path, "w", encoding="utf-8", newline="") as fh:

@@ -13,6 +13,7 @@ hand, which keeps the whole model checkable against finite differences.
 
 import copy
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ BOS = "<bos>"
 EOS = "<eos>"
 
 _CHECKPOINT_VERSION = 1
+
+# Tokens per prediction batch: large enough to amortise the per-call
+# overhead, small enough to keep peak memory flat.
+TOKEN_BUDGET = 256
 
 
 class Vocabularies:
@@ -96,30 +101,20 @@ def featurize(sentence, vocab, r):
     the ids of positions t-r..t+r with BOS/EOS ids outside the sentence.
     """
     T = len(sentence)
-    wids = vocab.word_ids(sentence.words)
-    pids = vocab.pos_ids(sentence.pos)
-    word_win = np.empty((T, 2 * r + 1), dtype=np.int64)
-    pos_win = np.empty((T, 2 * r + 1), dtype=np.int64)
-    for off in range(-r, r + 1):
-        col = off + r
-        for t in range(T):
-            s = t + off
-            if s < 0:
-                word_win[t, col] = vocab.word2id[BOS]
-                pos_win[t, col] = vocab.pos2id[BOS]
-            elif s >= T:
-                word_win[t, col] = vocab.word2id[EOS]
-                pos_win[t, col] = vocab.pos2id[EOS]
-            else:
-                word_win[t, col] = wids[s]
-                pos_win[t, col] = pids[s]
+    padded = np.empty((2, T + 2 * r), dtype=np.int64)
+    padded[:, :r] = [[vocab.word2id[BOS]], [vocab.pos2id[BOS]]]
+    padded[:, r + T :] = [[vocab.word2id[EOS]], [vocab.pos2id[EOS]]]
+    padded[0, r : r + T] = vocab.word_ids(sentence.words)
+    padded[1, r : r + T] = vocab.pos_ids(sentence.pos)
+    word_win, pos_win = padded[:, np.arange(T)[:, None] + np.arange(2 * r + 1)]
     return word_win, pos_win
 
 
 def _softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 class TaggerModel:
@@ -164,51 +159,47 @@ class TaggerModel:
         other.history = list(self.history)
         return other
 
-    def windows(self, sentence):
-        return featurize(sentence, self.vocab, self.config.window)
+    def windows(self, sentences):
+        """Window ids of `sentences`, stacked one row per token: the word
+        ids of the window, then its POS ids."""
+        r = self.config.window
+        return np.concatenate([np.hstack(featurize(s, self.vocab, r)) for s in sentences])
 
-    def input_vectors(self, sentence):
-        """Per-token encoder input: concatenated window embeddings."""
-        word_win, pos_win = self.windows(sentence)
-        T = len(sentence)
-        xw = self.params["E_word"][word_win].reshape(T, -1)
-        xp = self.params["E_pos"][pos_win].reshape(T, -1)
-        return np.concatenate([xw, xp], axis=1)
+    def forward(self, windows, heads=None, dropout_rng=None):
+        """Run the network on stacked windows (or one Sentence); returns a
+        cache used for backward().
 
-    def forward(self, sentence, train=False, dropout_rng=None, noise_std=0.0, noise_rng=None):
-        """Run the network; returns a cache used for backward().
-
-        With train=True, inverted dropout is applied to the hidden layer.
-        noise_std > 0 perturbs every head's logits with Gaussian noise
-        before the softmax (one draw per forward pass).
+        Only the tasks in `heads` (default: all) get logits and
+        probabilities.  With `dropout_rng`, inverted dropout is applied to
+        the hidden layer, one draw over all rows.
         """
-        word_win, pos_win = self.windows(sentence)
-        T = len(sentence)
-        xw = self.params["E_word"][word_win].reshape(T, -1)
-        xp = self.params["E_pos"][pos_win].reshape(T, -1)
-        X = np.concatenate([xw, xp], axis=1)
-        h_raw = np.tanh(X @ self.params["W1"] + self.params["b1"])
+        if not isinstance(windows, np.ndarray):
+            windows = self.windows([windows])
+        P = self.params
+        T, W = windows.shape[0], windows.shape[1] // 2
+        X = np.concatenate(
+            [P["E_word"][windows[:, :W]].reshape(T, -1), P["E_pos"][windows[:, W:]].reshape(T, -1)],
+            axis=1,
+        )
+        h_raw = np.tanh(X @ P["W1"] + P["b1"])
         if not np.isfinite(h_raw).all():
             raise RuntimeError("non-finite hidden activations: check W1/b1/embeddings")
         mask = None
         h = h_raw
-        if train and self.config.dropout > 0:
+        if dropout_rng is not None and self.config.dropout > 0:
             keep = 1.0 - self.config.dropout
             mask = (dropout_rng.random(h_raw.shape) < keep) / keep
             h = h_raw * mask
         logits = {}
         probs = {}
-        for name in self.tasks:
-            z = h @ self.params["W_" + name] + self.params["b_" + name]
-            if noise_std > 0:
-                z = z + noise_rng.normal(0.0, noise_std, size=z.shape)
+        for name in self.tasks if heads is None else heads:
+            z = h @ P["W_" + name] + P["b_" + name]
             if not np.isfinite(z).all():
                 raise RuntimeError("non-finite logits in head %r" % name)
             logits[name] = z
             probs[name] = _softmax(z)
         return {
-            "word_win": word_win,
-            "pos_win": pos_win,
+            "windows": windows,
             "X": X,
             "h_raw": h_raw,
             "h": h,
@@ -217,31 +208,40 @@ class TaggerModel:
             "probs": probs,
         }
 
-    def backward(self, cache, dlogits):
-        """Propagate per-head logit gradients back to every parameter.
+    def backward(self, cache, dlogits, frozen=()):
+        """Propagate per-head logit gradients back to the parameters.
 
-        dlogits maps task name -> (T, k) array; missing heads contribute
-        nothing.  Returns a gradient dict keyed like self.params.
+        dlogits maps task name -> (T, k) array.  Returns a gradient dict
+        keyed like self.params, without the heads missing from dlogits and
+        without the parameters named in `frozen`, which are never computed.
         """
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        dh = np.zeros_like(cache["h"])
+        P = self.params
+        h = cache["h"]
+        grads = {}
+        dh = np.zeros_like(h)
         for name, dz in dlogits.items():
-            grads["W_" + name] += cache["h"].T @ dz
-            grads["b_" + name] += dz.sum(axis=0)
-            dh += dz @ self.params["W_" + name].T
+            grads["W_" + name] = h.T @ dz
+            grads["b_" + name] = dz.sum(axis=0)
+            dh += dz @ P["W_" + name].T
         if cache["mask"] is not None:
-            dh = dh * cache["mask"]
+            dh *= cache["mask"]
         dpre = dh * (1.0 - cache["h_raw"] ** 2)
-        grads["W1"] += cache["X"].T @ dpre
-        grads["b1"] += dpre.sum(axis=0)
-        dX = dpre @ self.params["W1"].T
-        W = cache["word_win"].shape[1]
-        wd = self.config.word_dim
-        dxw = dX[:, : W * wd].reshape(-1, W, wd)
-        dxp = dX[:, W * wd :].reshape(-1, W, self.config.pos_dim)
-        np.add.at(grads["E_word"], cache["word_win"], dxw)
-        np.add.at(grads["E_pos"], cache["pos_win"], dxp)
-        return grads
+        grads["W1"] = cache["X"].T @ dpre
+        grads["b1"] = dpre.sum(axis=0)
+        if "E_word" not in frozen or "E_pos" not in frozen:
+            windows = cache["windows"]
+            W = windows.shape[1] // 2
+            dX = dpre @ P["W1"].T
+            split = W * self.config.word_dim
+            for name, win, dx in (
+                ("E_word", windows[:, :W], dX[:, :split]),
+                ("E_pos", windows[:, W:], dX[:, split:]),
+            ):
+                if name not in frozen:
+                    g = np.zeros_like(P[name])
+                    np.add.at(g, win, dx.reshape(win.shape + (-1,)))
+                    grads[name] = g
+        return {k: g for k, g in grads.items() if k not in frozen}
 
 
 @dataclass
@@ -280,14 +280,16 @@ def _cap_distances(aux, cap):
     return capped
 
 
-def _gold_ids(vocab, encoded, aux):
+def _gold_ids(vocab, corpus):
+    """Gold label ids per task over the stacked tokens of a corpus."""
+    labels = [lab for _, encoded, _ in corpus for lab in encoded.labels]
     gold = {
-        "n": vocab.label_ids("n", encoded.n_tokens()),
-        "c": vocab.label_ids("c", [lab.c for lab in encoded.labels]),
-        "u": vocab.label_ids("u", [lab.u if lab.u else "NONE" for lab in encoded.labels]),
+        "n": vocab.label_ids("n", [lab.n.token() for lab in labels]),
+        "c": vocab.label_ids("c", [lab.c for lab in labels]),
+        "u": vocab.label_ids("u", [lab.u if lab.u else "NONE" for lab in labels]),
     }
     for name in vocab.aux_tasks:
-        gold[name] = vocab.label_ids(name, aux[name].values)
+        gold[name] = vocab.label_ids(name, [v for _, _, aux in corpus for v in aux[name].values])
     return gold
 
 
@@ -306,6 +308,19 @@ def task_losses(model, cache, gold):
     return losses, dlogits
 
 
+def _chunks(lengths):
+    """Consecutive (start, stop) index runs whose lengths sum to at most
+    TOKEN_BUDGET; a longer item forms a run of its own."""
+    start = tokens = 0
+    for i, n in enumerate(lengths):
+        if tokens and tokens + n > TOKEN_BUDGET:
+            yield start, i
+            start, tokens = i, 0
+        tokens += n
+    if tokens:
+        yield start, len(lengths)
+
+
 def mtl_loss(model, corpus, beta=None):
     """Mean per-token loss over a corpus, split into components.
 
@@ -317,12 +332,13 @@ def mtl_loss(model, corpus, beta=None):
         beta = model.config.aux_weight
     sums = {name: 0.0 for name in model.tasks}
     tokens = 0
-    for sentence, encoded, aux in corpus:
-        cache = model.forward(sentence)
-        losses, _ = task_losses(model, cache, _gold_ids(model.vocab, encoded, aux))
+    for start, stop in _chunks([len(s) for s, _, _ in corpus]):
+        part = corpus[start:stop]
+        cache = model.forward(model.windows([s for s, _, _ in part]))
+        losses, _ = task_losses(model, cache, _gold_ids(model.vocab, part))
         for name, value in losses.items():
             sums[name] += value
-        tokens += len(sentence)
+        tokens += len(cache["h"])
     components = {name: value / tokens for name, value in sums.items()}
     total = sum(components[name] for name in MAIN_TASKS)
     total += beta * sum(components[name] for name in model.vocab.aux_tasks)
@@ -334,10 +350,11 @@ def train_mtl(corpus, config, dev=None):
 
     Mini-batch SGD with momentum on the summed cross-entropy of all heads
     (auxiliary heads weighted by config.aux_weight), normalised per token,
-    with the learning rate decayed linearly in the epoch count.  When
-    `dev` (a list of (Sentence, gold Tree) pairs) is given, each epoch's
-    greedy predictions are decoded and scored, and the parameters with the
-    best dev bracketing F1 are returned.
+    with the learning rate decayed linearly in the epoch count.  Each
+    mini-batch is one forward and one backward over the stacked tokens of
+    its sentences.  When `dev` (a list of (Sentence, gold Tree) pairs) is
+    given, each epoch's greedy predictions are decoded and scored, and the
+    parameters with the best dev bracketing F1 are returned.
     """
     if not corpus:
         raise ValueError("empty training corpus")
@@ -350,7 +367,9 @@ def train_mtl(corpus, config, dev=None):
     shuffle_rng = np.random.default_rng(seeds[1])
     dropout_rng = np.random.default_rng(seeds[2])
 
-    gold = [_gold_ids(vocab, encoded, aux) for _, encoded, aux in corpus]
+    windows = model.windows([sentence for sentence, _, _ in corpus])
+    gold = _gold_ids(vocab, corpus)
+    ends = np.cumsum([len(sentence) for sentence, _, _ in corpus])
     beta = config.aux_weight
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
     best_f1 = -1.0
@@ -361,26 +380,27 @@ def train_mtl(corpus, config, dev=None):
         lr = config.learning_rate / (1.0 + config.decay * epoch)
         shuffle_rng.shuffle(order)
         epoch_loss = 0.0
-        epoch_tokens = 0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-            batch_tokens = sum(len(corpus[i][0]) for i in batch)
-            for i in batch:
-                sentence = corpus[i][0]
-                cache = model.forward(sentence, train=True, dropout_rng=dropout_rng)
-                losses, dlogits = task_losses(model, cache, gold[i])
-                for name in dlogits:
-                    w = 1.0 if name in MAIN_TASKS else beta
-                    dlogits[name] *= w / batch_tokens
-                    epoch_loss += w * losses[name]
-                for k, g in model.backward(cache, dlogits).items():
-                    grads[k] += g
-            for k in model.params:
-                velocity[k] = config.momentum * velocity[k] - lr * grads[k]
-                model.params[k] += velocity[k]
-            epoch_tokens += batch_tokens
-        mean_loss = epoch_loss / epoch_tokens
+            rows = np.concatenate([
+                np.arange(ends[i] - len(corpus[i][0]), ends[i])
+                for i in order[start : start + config.batch_size]
+            ])
+            cache = model.forward(windows[rows], dropout_rng=dropout_rng)
+            losses, dlogits = task_losses(
+                model, cache, {name: ids[rows] for name, ids in gold.items()}
+            )
+            for name in dlogits:
+                w = 1.0 if name in MAIN_TASKS else beta
+                dlogits[name] *= w / len(rows)
+                epoch_loss += w * losses[name]
+            for k, g in model.backward(cache, dlogits).items():
+                v = velocity[k]
+                v *= config.momentum
+                g *= lr
+                v -= g
+                model.params[k] += v
+            del cache, dlogits  # free this batch's activations before the next forward
+        mean_loss = epoch_loss / len(windows)
         if not np.isfinite(mean_loss):
             raise RuntimeError("training diverged at epoch %d (loss=%r)" % (epoch, mean_loss))
         record = {"epoch": epoch, "loss": mean_loss, "lr": lr}
@@ -398,44 +418,49 @@ def train_mtl(corpus, config, dev=None):
 
 
 def _dev_f1(model, dev):
-    score = metrics.BracketScore(0, 0, 0)
-    for sentence, gold_tree in dev:
-        predicted = decode(predict_greedy(model, sentence))
-        score = score + metrics.bracket_score(gold_tree, predicted)
-    return score.f1
+    predicted = predict_corpus(model, [sentence for sentence, _ in dev])
+    return metrics.corpus_bracket_score(
+        [gold_tree for _, gold_tree in dev], [decode(encoded) for encoded in predicted]
+    ).f1
+
+
+def encoded_from_ids(model, sentence, ids):
+    """EncodedSentence from per-token (n, c, u) label ids; the last
+    token's n and c are forced to the dummy so the output always decodes
+    (interior dummies are legal input to decode() and kept as-is)."""
+    id2lab = model.vocab.task_labels
+    n_lab, c_lab, u_lab = id2lab["n"], id2lab["c"], id2lab["u"]
+    labels = []
+    for n, c, u in zip(ids["n"][:-1].tolist(), ids["c"][:-1].tolist(), ids["u"][:-1].tolist()):
+        u = u_lab[u]
+        labels.append(TagLabel(NComponent.from_token(n_lab[n]), c_lab[c], "" if u == "NONE" else u))
+    u = u_lab[int(ids["u"][-1])]
+    labels.append(TagLabel.dummy("" if u == "NONE" else u))
+    return EncodedSentence(sentence, labels, model.scheme if model.scheme else DYNAMIC)
 
 
 def predict_greedy(model, sentence):
     """Argmax labels per token and task; the last token's n and c are
     forced to the dummy so the output always decodes."""
-    cache = model.forward(sentence)
-    T = len(sentence)
-    picks = {
-        name: [model.vocab.task_labels[name][i] for i in cache["probs"][name].argmax(axis=1)]
-        for name in MAIN_TASKS
-    }
-    labels = []
-    for t in range(T):
-        u = picks["u"][t]
-        u = "" if u == "NONE" else u
-        if t == T - 1:
-            labels.append(TagLabel.dummy(u))
-            continue
-        # interior dummies are legal input to decode(), keep them as-is
-        n = NComponent.from_token(picks["n"][t])
-        labels.append(TagLabel(n, picks["c"][t], u))
-    return EncodedSentence(sentence, labels, model.scheme if model.scheme else DYNAMIC)
+    return predict_corpus(model, [sentence])[0]
 
 
-def predict_corpus(model, sentences, batch_size=128):
+def predict_corpus(model, sentences):
     """Greedy predictions for many sentences, in input order.
 
-    batch_size only controls chunking; results are independent of it.
+    Sentences are stacked into batches of at most TOKEN_BUDGET tokens (a
+    longer sentence is a batch of its own), which bounds peak memory;
+    results are those of predict_greedy on each sentence.
     """
     out = []
-    for start in range(0, len(sentences), batch_size):
-        for sentence in sentences[start : start + batch_size]:
-            out.append(predict_greedy(model, sentence))
+    for start, stop in _chunks([len(s) for s in sentences]):
+        chunk = sentences[start:stop]
+        probs = model.forward(model.windows(chunk), heads=MAIN_TASKS)["probs"]
+        ids = {name: probs[name].argmax(axis=1) for name in MAIN_TASKS}
+        end = 0
+        for sentence in chunk:
+            first, end = end, end + len(sentence)
+            out.append(encoded_from_ids(model, sentence, {k: v[first:end] for k, v in ids.items()}))
     return out
 
 
@@ -461,13 +486,16 @@ def save_model(path, model):
 
 
 def load_model(path):
-    with np.load(path) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta["version"] != _CHECKPOINT_VERSION:
-            raise ValueError("unsupported checkpoint version %r" % meta["version"])
-        params = {
-            name: data["param_%d" % i] for i, name in enumerate(meta["param_names"])
-        }
+    try:
+        with np.load(path) as data:
+            meta = json.loads(str(data["meta"]))
+            if meta["version"] != _CHECKPOINT_VERSION:
+                raise ValueError("unsupported checkpoint version %r" % meta["version"])
+            params = {
+                name: data["param_%d" % i] for i, name in enumerate(meta["param_names"])
+            }
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as e:
+        raise ValueError("%s: not a readable checkpoint: %s" % (path, e)) from e
     vocab = Vocabularies(meta["word2id"], meta["pos2id"], meta["tasks"])
     config = TrainConfig(**meta["config"])
     model = TaggerModel.__new__(TaggerModel)

@@ -126,3 +126,56 @@ def test_full_pipeline(tmp_path, capsys):
                 "--log", str(log)]) == 0
     assert tuned.exists()
     assert log.read_text().startswith("epoch\t")
+
+
+@pytest.fixture
+def small_model(tmp_path):
+    """(train.seq, train.trees, checkpoint) of a tiny 2-epoch model."""
+    trees_path = tmp_path / "small.trees"
+    save_trees(trees_path, sample_corpus(3, 12))
+    seq = tmp_path / "small.seq"
+    assert run(["encode", str(trees_path), str(seq)]) == 0
+    ckpt = tmp_path / "small.npz"
+    assert run(["train", str(seq), str(seq), str(ckpt), "--epochs", "2",
+                "--hidden-dim", "8", "--word-dim", "4", "--pos-dim", "4"]) == 0
+    return seq, trees_path, ckpt
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_training_divergence_exit_code(tmp_path, small_model, capsys):
+    seq, _, _ = small_model
+    capsys.readouterr()
+    assert run(["train", str(seq), str(seq), str(tmp_path / "bad.npz"),
+                "--epochs", "3", "--lr", "1e30"]) == 2
+    assert "error: %s: training failed" % seq in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_policy_gradient_overflow_exit_code(tmp_path, small_model, capsys):
+    _, trees_path, ckpt = small_model
+    capsys.readouterr()
+    assert run(["finetune", str(ckpt), str(trees_path), str(trees_path),
+                str(tmp_path / "bad.npz"), "--epochs", "1", "--entropy", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert "error: %s: fine-tuning failed: non-finite policy gradient" % ckpt in err
+
+
+def test_truncated_checkpoint_exit_code(tmp_path, small_model, capsys):
+    _, trees_path, ckpt = small_model
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(data[: len(data) // 2])
+    capsys.readouterr()
+    assert run(["finetune", str(ckpt), str(trees_path), str(trees_path),
+                str(tmp_path / "out.npz")]) == 2
+    assert "error: %s: not a readable checkpoint" % ckpt in capsys.readouterr().err
+
+
+def test_checkpoint_without_meta_exit_code(tmp_path, capsys):
+    import numpy as np
+
+    ckpt = tmp_path / "nometa.npz"
+    np.savez(ckpt, param_0=np.zeros(3))
+    tagged = tmp_path / "in.tagged"
+    tagged.write_text("the\tDT\ndog\tNN\n\n", encoding="utf-8")
+    assert run(["predict", str(ckpt), str(tagged), str(tmp_path / "out.trees")]) == 2
+    assert "error: %s: not a readable checkpoint" % ckpt in capsys.readouterr().err

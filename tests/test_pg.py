@@ -353,3 +353,103 @@ def test_finetune_runs_and_logs(tmp_path):
         "epoch", "reward", "baseline", "standardized", "entropy", "dev_f1", "noise_std",
     ]
     assert len(lines) == 3
+
+
+# ---------------------------------------------------------------------------
+# one forward, K samples, one backward
+
+def small_trained_policy():
+    forest = sample_corpus(21, 10)
+    corpus = []
+    for t in forest:
+        enc = encode_relative(t)
+        corpus.append((enc.sentence, enc, {}))
+    model = train_mtl(corpus, TrainConfig(word_dim=8, pos_dim=4, hidden_dim=12,
+                                          window=1, dropout=0.0, epochs=3, seed=2))
+    sentence, gold = max(zip([c[0] for c in corpus], forest), key=lambda p: len(p[0]))
+    return model, sentence, gold
+
+
+def recording_reward(gold, seen):
+    def fn(encoded):
+        seen.append(encoded.labels)
+        return tree_reward(encoded, gold)
+
+    return fn
+
+
+def test_vectorised_sampler_matches_sequential_samples():
+    model, sentence, gold = small_trained_policy()
+    seen = []
+    estimate_policy_gradient(model, sentence, recording_reward(gold, seen), 8,
+                             np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    assert seen == [sample_sequence(model, sentence, rng)[0].labels for _ in range(8)]
+    assert len(set(seen)) > 1
+
+
+def test_single_backward_equals_mean_of_sample_gradients():
+    model, sentence, gold = small_trained_policy()
+    reward = lambda encoded: tree_reward(encoded, gold)
+    kwargs = dict(entropy_coef=0.05, baseline_reward=0.4)
+    joint, stats = estimate_policy_gradient(
+        model, sentence, reward, 8, np.random.default_rng(6),
+        tracker=AdvantageTracker(burn_in=3), **kwargs)
+    rng = np.random.default_rng(6)
+    tracker = AdvantageTracker(burn_in=3)
+    singles = [
+        estimate_policy_gradient(model, sentence, reward, 1, rng, tracker=tracker, **kwargs)
+        for _ in range(8)
+    ]
+    assert joint.keys() == singles[0][0].keys()
+    for name in joint:
+        mean = sum(g[name] for g, _ in singles) / 8
+        np.testing.assert_allclose(joint[name], mean, rtol=0, atol=1e-12)
+    for key in stats:
+        assert stats[key] == pytest.approx(np.mean([s[key] for _, s in singles]), abs=1e-12)
+
+
+def test_noisy_samples_share_one_hidden_layer():
+    model, sentence, gold = small_trained_policy()
+    forward = model.forward
+    calls = []
+    model.forward = lambda *a, **kw: calls.append(a) or forward(*a, **kw)
+    seen = []
+    K, std = 4, 0.5
+    estimate_policy_gradient(model, sentence, recording_reward(gold, seen), K,
+                             np.random.default_rng(7), noise_std=std)
+    assert len(calls) == 1
+
+    # replay: K noise draws per head on the clean logits, then the uniforms
+    rng = np.random.default_rng(7)
+    logits = forward(sentence)["logits"]
+    probs = {}
+    for name in ("n", "c", "u"):
+        z = logits[name] + rng.normal(0.0, std, size=(K,) + logits[name].shape)
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        probs[name] = e / e.sum(axis=-1, keepdims=True)
+    draws = rng.random((K, 3, len(sentence)))
+    vocab = model.vocab
+    for k, labels in enumerate(seen):
+        got = {
+            "n": [vocab.tasks["n"][lab.n.token()] for lab in labels[:-1]],
+            "c": [vocab.tasks["c"][lab.c] for lab in labels[:-1]],
+            "u": [vocab.tasks["u"][lab.u if lab.u else "NONE"] for lab in labels],
+        }
+        for j, name in enumerate(("n", "c", "u")):
+            p = probs[name][k]
+            ids = np.minimum((draws[k, j, :, None] > p.cumsum(axis=1)).sum(axis=1), p.shape[1] - 1)
+            assert got[name] == list(ids[: len(got[name])])
+
+
+def test_finetune_scores_baseline_once(monkeypatch):
+    from treetag import pg
+
+    model, _, _ = small_trained_policy()
+    forest = sample_corpus(21, 10)
+    train = [(encode_relative(t).sentence, t) for t in forest]
+    expected = [tree_reward(predict_greedy(model, s), t) for s, t in train]
+    monkeypatch.setattr(pg, "predict_greedy", lambda *a: pytest.fail("baseline re-scored"))
+    _, rows = finetune_pg(model, train, PGConfig(samples=2, epochs=2, seed=3))
+    for row in rows:
+        assert row["baseline"] == pytest.approx(np.mean(expected), abs=1e-12)

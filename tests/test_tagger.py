@@ -4,6 +4,7 @@ gradient check, loss composition, and desk-scale memorization."""
 import numpy as np
 import pytest
 
+from treetag import tagger
 from treetag.trees import Sentence, parse_bracketed, sample_corpus
 from treetag.encodings import decode, encode_dynamic, encode_relative
 from treetag.auxtracks import make_track
@@ -95,7 +96,7 @@ def test_input_dim_r0():
     vocab = Vocabularies.build(corpus)
     cfg = tiny_config(window=0)
     model = TaggerModel(vocab, cfg, "dynamic")
-    X = model.input_vectors(corpus[0][0])
+    X = model.forward(corpus[0][0])["X"]
     assert X.shape == (len(corpus[0][0]), cfg.word_dim + cfg.pos_dim)
 
 
@@ -104,7 +105,7 @@ def test_input_dim_windowed():
     vocab = Vocabularies.build(corpus)
     cfg = tiny_config(window=2)
     model = TaggerModel(vocab, cfg, "dynamic")
-    X = model.input_vectors(corpus[0][0])
+    X = model.forward(corpus[0][0])["X"]
     assert X.shape[1] == 5 * (cfg.word_dim + cfg.pos_dim)
 
 
@@ -179,11 +180,10 @@ def test_argmax_invariant_under_logit_shift():
 # ---------------------------------------------------------------------------
 # gradient check
 
-def analytic_grads(model, instance):
-    sentence, encoded, aux = instance
-    gold = _gold_ids(model.vocab, encoded, aux)
-    cache = model.forward(sentence)
-    _, dlogits = task_losses(model, cache, gold)
+def analytic_grads(model, *instances, dropout_rng=None):
+    # one forward/backward over the stacked tokens of all instances
+    cache = model.forward(model.windows([s for s, _, _ in instances]), dropout_rng=dropout_rng)
+    _, dlogits = task_losses(model, cache, _gold_ids(model.vocab, instances))
     beta = model.config.aux_weight
     for name in dlogits:
         if name not in MAIN_TASKS:
@@ -191,16 +191,34 @@ def analytic_grads(model, instance):
     return model.backward(cache, dlogits)
 
 
-def summed_loss(model, instance):
-    # un-normalised loss of a single instance (matches analytic_grads)
-    sentence, encoded, aux = instance
-    gold = _gold_ids(model.vocab, encoded, aux)
-    cache = model.forward(sentence)
-    losses, _ = task_losses(model, cache, gold)
+def summed_loss(model, *instances):
+    # un-normalised loss of the instances (matches analytic_grads)
+    cache = model.forward(model.windows([s for s, _, _ in instances]))
+    losses, _ = task_losses(model, cache, _gold_ids(model.vocab, instances))
     beta = model.config.aux_weight
     total = sum(losses[n] for n in MAIN_TASKS)
     total += beta * sum(v for n, v in losses.items() if n not in MAIN_TASKS)
     return total
+
+
+def assert_gradients_match_finite_differences(model, instances):
+    grads = analytic_grads(model, *instances)
+    eps = 1e-4
+    for name, tensor in model.params.items():
+        flat = tensor.reshape(-1)
+        gflat = grads[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi = summed_loss(model, *instances)
+            flat[i] = orig - eps
+            lo = summed_loss(model, *instances)
+            flat[i] = orig
+            fd = (hi - lo) / (2 * eps)
+            denom = max(abs(fd), abs(gflat[i]), 1e-8)
+            assert abs(fd - gflat[i]) / denom < 1e-4, (
+                "%s[%d]: analytic %g vs fd %g" % (name, i, gflat[i], fd)
+            )
 
 
 def test_gradients_match_finite_differences():
@@ -210,24 +228,51 @@ def test_gradients_match_finite_differences():
     instance = (enc.sentence, enc, aux)
     vocab = Vocabularies.build([instance])
     model = TaggerModel(vocab, tiny_config(), "dynamic")
-    grads = analytic_grads(model, instance)
+    assert_gradients_match_finite_differences(model, [instance])
 
-    eps = 1e-4
-    for name, tensor in model.params.items():
-        flat = tensor.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = summed_loss(model, instance)
-            flat[i] = orig - eps
-            lo = summed_loss(model, instance)
-            flat[i] = orig
-            fd = (hi - lo) / (2 * eps)
-            denom = max(abs(fd), abs(gflat[i]), 1e-8)
-            assert abs(fd - gflat[i]) / denom < 1e-4, (
-                "%s[%d]: analytic %g vs fd %g" % (name, i, gflat[i], fd)
-            )
+
+def test_batched_gradients_match_finite_differences():
+    instances = []
+    for text in ("(S (NP (DT the) (NN dog)) (VB runs))", "(S (NN cats) (VP (VB sleep) (RB now)))"):
+        (t,) = parse_bracketed(text)
+        enc = encode_dynamic(t)
+        instances.append((enc.sentence, enc, {name: make_track(name, t, enc) for name in ("n+1", "dist")}))
+    vocab = Vocabularies.build(instances)
+    model = TaggerModel(vocab, tiny_config(hidden_dim=5), "dynamic")
+    assert_gradients_match_finite_differences(model, instances)
+
+
+def test_batch_gradient_is_sum_of_sentence_gradients():
+    # with dropout on: one (sum T, H) mask draw is the per-sentence draws in order
+    _, corpus = tiny_corpus(n=5)
+    vocab = Vocabularies.build(corpus)
+    model = TaggerModel(vocab, tiny_config(dropout=0.5), "dynamic")
+    batched = analytic_grads(model, *corpus, dropout_rng=np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    per_sentence = [analytic_grads(model, instance, dropout_rng=rng) for instance in corpus]
+    assert batched.keys() == model.params.keys()
+    for name in model.params:
+        np.testing.assert_allclose(
+            batched[name], sum(g[name] for g in per_sentence), rtol=0, atol=1e-12
+        )
+
+
+def test_backward_skips_frozen_and_missing_heads():
+    _, corpus = tiny_corpus()
+    vocab = Vocabularies.build(corpus)
+    model = TaggerModel(vocab, tiny_config(), "dynamic")
+    cache = model.forward(corpus[0][0], heads=("n",))
+    assert set(cache["probs"]) == {"n"}
+    grads = model.backward(cache, {"n": cache["probs"]["n"]}, frozen=("E_word", "E_pos"))
+    assert set(grads) == {"W_n", "b_n", "W1", "b1"}
+    full = model.backward(cache, {"n": cache["probs"]["n"]})
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], full[name])
+    for frozen in ("E_word", "E_pos"):
+        partial = model.backward(cache, {"n": cache["probs"]["n"]}, frozen=(frozen,))
+        assert frozen not in partial
+        for name in partial:
+            np.testing.assert_array_equal(partial[name], full[name])
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +348,20 @@ def test_predict_deterministic_and_decodable():
         decode(predict_greedy(fresh, sentence))
 
 
-def test_predict_corpus_order_and_batching():
+def test_predict_corpus_order_and_batching(monkeypatch):
     _, corpus = tiny_corpus(n=7)
     model = train_mtl(corpus, tiny_config(epochs=2))
     sentences = [c[0] for c in corpus]
-    a = predict_corpus(model, sentences, batch_size=2)
-    b = predict_corpus(model, sentences, batch_size=128)
-    assert [x.labels for x in a] == [y.labels for y in b]
+    words = [w for s in sentences for w in s.words] * 8
+    pos = [p for s in sentences for p in s.pos] * 8
+    long = Sentence(tuple(words), tuple(pos))
+    assert len(long) > tagger.TOKEN_BUDGET
+    sentences = sentences[:3] + [long] + sentences[3:]
+    expected = [predict_greedy(model, s).labels for s in sentences]
+    for budget in (1, 10, tagger.TOKEN_BUDGET):
+        monkeypatch.setattr(tagger, "TOKEN_BUDGET", budget)
+        assert [x.labels for x in predict_corpus(model, sentences)] == expected
+    assert predict_corpus(model, []) == []
 
 
 def test_dev_selection_keeps_best():
