@@ -9,8 +9,7 @@ value carry PAD.
 
 from dataclasses import dataclass
 
-from .trees import Leaf, Sentence
-from .encodings import collapse_unary_chains, _leaf_paths
+from .encodings import boundaries
 
 PAD = "PAD"
 
@@ -42,48 +41,15 @@ def shifted_n(encoded, k):
     return AuxTrack(shifted_name(k), values)
 
 
-def split_priorities(tree):
-    """Bottom-up split priorities on the unary-collapsed tree.
-
-    Leaves and preterminals count zero; a phrase node counts the maximum
-    of its children plus one.  Returns {node id: priority} plus the
-    collapsed skeleton, so priorities can be read off LCA nodes.
-    """
-    skeleton, _ = collapse_unary_chains(tree)
-    prio = {}
-
-    def walk(node):
-        if isinstance(node, Leaf):
-            return 0
-        p = max(walk(child) for child in node.children) + 1
-        prio[id(node)] = p
-        return p
-
-    walk(skeleton)
-    return prio, skeleton
-
-
 def syntactic_distances(tree, cap=None):
     """Distance track: each word gets the split priority of its LCA with
-    the next word; the last word gets PAD.  `cap` optionally clips values
-    from above (deep corpora can otherwise grow the label set without
-    bound)."""
-    prio, skeleton = split_priorities(tree)
-    sentence = Sentence.from_tree(tree)
-    if isinstance(skeleton, Leaf):
-        return AuxTrack(DISTANCE, [PAD] * len(sentence))
-    paths = _leaf_paths(skeleton)
-    values = []
-    for left, right in zip(paths, paths[1:]):
-        k = 0
-        for a, b in zip(left, right):
-            if a is not b:
-                break
-            k += 1
-        d = prio[id(left[k - 1])]
-        if cap is not None and d > cap:
-            d = cap
-        values.append(str(d))
+    the next word; the last word gets PAD.  `cap` (>= 1) optionally clips
+    values from above (deep corpora can otherwise grow the label set
+    without bound)."""
+    if cap is not None and cap < 1:
+        raise ValueError("distance cap must be >= 1, got %r" % (cap,))
+    _, pairs = boundaries(tree)
+    values = [str(p if cap is None else min(p, cap)) for _, _, p in pairs]
     values.append(PAD)
     return AuxTrack(DISTANCE, values)
 

@@ -59,7 +59,8 @@ def build_parser():
                    help="auxiliary track column (repeatable)")
     p.add_argument("--strip-functions", action="store_true",
                    help="drop -FUNC/=INDEX decorations from nonterminals")
-    p.add_argument("--distance-cap", type=int, default=None)
+    p.add_argument("--distance-cap", type=int, default=None,
+                   help="clip distance aux labels from above (>= 1)")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help=".seq labels -> trees")
@@ -89,8 +90,6 @@ def build_parser():
     p.add_argument("--pos-dim", type=int, default=20)
     p.add_argument("--hidden-dim", type=int, default=128)
     p.add_argument("--seed", type=int, default=13)
-    p.add_argument("--distance-cap", type=int, default=None,
-                   help="clip distance aux labels from above")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("finetune", help="policy-gradient fine-tuning")
@@ -143,26 +142,23 @@ def cmd_synth(args):
     return 0
 
 
-def _encode_corpus(forest, scheme, aux_names, distance_cap=None):
+def cmd_encode(args):
+    forest = trees.load_trees(args.input, strip_functions=args.strip_functions)
+    aux_names = sorted(set(args.aux))
     encoded_corpus = []
     aux_corpus = []
-    for tree in forest:
-        encoded = encodings.encode(tree, scheme)
+    for i, tree in enumerate(forest, start=1):
+        try:
+            encoded = encodings.encode(tree, args.scheme)
+        except ValueError as e:
+            raise ValueError("%s: tree %d: %s" % (args.input, i, e)) from e
         encoded_corpus.append(encoded)
         aux_corpus.append(
             {
-                name: auxtracks.make_track(name, tree, encoded, cap=distance_cap)
+                name: auxtracks.make_track(name, tree, encoded, cap=args.distance_cap)
                 for name in aux_names
             }
         )
-    return encoded_corpus, aux_corpus
-
-
-def cmd_encode(args):
-    forest = trees.load_trees(args.input, strip_functions=args.strip_functions)
-    encoded_corpus, aux_corpus = _encode_corpus(
-        forest, args.scheme, sorted(set(args.aux)), args.distance_cap
-    )
     seqfile.write_seq(args.output, encoded_corpus, aux_corpus)
     print("encoded %d sentences (%s) to %s" % (len(forest), args.scheme, args.output))
     return 0
@@ -214,7 +210,6 @@ def cmd_train(args):
         pos_dim=args.pos_dim,
         hidden_dim=args.hidden_dim,
         seed=args.seed,
-        distance_cap=args.distance_cap,
     )
     dev = [(enc.sentence, encodings.decode(enc)) for enc in dev_corpus]
     try:

@@ -17,16 +17,23 @@ Three schemes are provided:
   dropped by 2 or more, i.e. exactly when a long constituent closes.  The
   scale is part of the label, so decoding needs no side channel.
 
-Unary chains between nonterminals are collapsed into single ``+``-joined
-nodes before counting ancestors, and chains hanging over a single
-preterminal move into ``u``; both are restored on decoding.
+Ancestors are counted on the unary-collapsed tree: a chain of
+single-child nonterminals counts as one ``+``-joined node, and a chain
+hanging over a single preterminal moves into ``u``; both are restored on
+decoding.  One walk over the original tree (``boundaries``) follows such
+chains inline and yields, per adjacent word pair, the shared count, the
+label of the node whose consecutive children the pair straddles (the LCA)
+and that node's split priority; the encoders, ``common_ancestors`` and the
+distance track all read from it.  Nonterminals that would not survive the
+round trip (empty, containing ``+`` or ``~``, or equal to ``DUMMY`` or
+``NONE``) are rejected there with a ValueError.
 
 Everything here is pure and operates on immutable inputs.
 """
 
 from dataclasses import dataclass
 
-from .trees import Internal, Leaf, Sentence, leaves
+from .trees import Internal, Leaf, Sentence
 
 RELATIVE = "relative"
 ABSOLUTE = "absolute"
@@ -36,6 +43,7 @@ SCHEMES = (RELATIVE, ABSOLUTE, DYNAMIC)
 DUMMY = "DUMMY"
 NO_CHAIN = "NONE"
 CHAIN_SEP = "+"
+FIELD_SEP = "~"
 PLACEHOLDER = "X"
 
 # dynamic switch thresholds: shared depth at most this...
@@ -105,11 +113,11 @@ class TagLabel:
     u: str = ""
 
     def token(self):
-        return "%s~%s~%s" % (self.n.token(), self.c, self.u if self.u else NO_CHAIN)
+        return FIELD_SEP.join((self.n.token(), self.c, self.u if self.u else NO_CHAIN))
 
     @classmethod
     def from_token(cls, tok):
-        parts = tok.split("~")
+        parts = tok.split(FIELD_SEP)
         if len(parts) != 3:
             raise ValueError("bad label token %r" % tok)
         n, c, u = parts
@@ -148,92 +156,56 @@ class EncodedSentence:
 
 
 # ---------------------------------------------------------------------------
-# Unary-chain collapsing.
+# The tree walk.
 
-def collapse_unary_chains(tree):
-    """Collapse the tree for ancestor counting.
+def _check_label(label):
+    if not label or label in (DUMMY, NO_CHAIN) or CHAIN_SEP in label or FIELD_SEP in label:
+        raise ValueError(
+            "nonterminal %r cannot be encoded: labels must be non-empty, must not "
+            "contain %r or %r and must not be %s or %s"
+            % (label, CHAIN_SEP, FIELD_SEP, DUMMY, NO_CHAIN)
+        )
 
-    Returns (skeleton, u_chains): the skeleton has every nonterminal unary
-    chain merged into a ``+``-joined node, and chains that dominate a
-    single preterminal removed entirely; u_chains lists one (possibly
-    empty) chain string per leaf.  The skeleton is a bare Leaf for
-    one-word trees.  In a skeleton every phrase node has >= 2 children.
+
+def boundaries(tree):
+    """Everything the encoders and the distance track read off a tree.
+
+    Returns (u_chains, pairs): one leaf unary chain per leaf (``+``-joined
+    top-down, empty when absent), and for each adjacent leaf pair a triple
+    (shared-ancestor count, LCA label, LCA split priority), all counted on
+    the unary-collapsed tree.  Raises ValueError on a reserved or empty
+    nonterminal label.
     """
-    u_out = []
-    skeleton = _collapse(tree, u_out)
-    return skeleton, u_out
-
-
-def _collapse(node, u_out):
-    if isinstance(node, Leaf):
-        u_out.append("")
-        return node
-    chain = []
-    cur = node
-    while isinstance(cur, Internal) and len(cur.children) == 1:
-        chain.append(cur.label)
-        cur = cur.children[0]
-    if isinstance(cur, Leaf):
-        u_out.append(CHAIN_SEP.join(chain))
-        return cur
-    label = CHAIN_SEP.join(chain + [cur.label]) if chain else cur.label
-    return Internal(label, [_collapse(child, u_out) for child in cur.children])
-
-
-def _wrap_chain(node, chain):
-    """Re-apply a ``+``-joined chain (top-down order) above `node`."""
-    if not chain:
-        return node
-    for part in reversed(chain.split(CHAIN_SEP)):
-        node = Internal(part, [node])
-    return node
-
-
-def _expand_label(label, children):
-    """Build the node for a possibly ``+``-joined label."""
-    parts = label.split(CHAIN_SEP)
-    node = Internal(parts[-1], children)
-    for part in reversed(parts[:-1]):
-        node = Internal(part, [node])
-    return node
-
-
-# ---------------------------------------------------------------------------
-# Shared-ancestor counting.
-
-def _leaf_paths(skeleton):
-    """Root-to-leaf ancestor stacks (phrase nodes only), one per leaf."""
-    paths = []
-
-    def walk(node, stack):
-        if isinstance(node, Leaf):
-            paths.append(tuple(stack))
-            return
-        stack.append(node)
-        for child in node.children:
-            walk(child, stack)
-        stack.pop()
-
-    walk(skeleton, [])
-    return paths
-
-
-def _shared_counts(tree):
-    """For each adjacent leaf pair: (shared-ancestor count, LCA label).
-
-    Also returns the per-leaf unary chains of the collapsed tree.
-    """
-    skeleton, u_chains = collapse_unary_chains(tree)
-    paths = _leaf_paths(skeleton)
+    u_chains = []
     pairs = []
-    for left, right in zip(paths, paths[1:]):
-        k = 0
-        for a, b in zip(left, right):
-            if a is not b:
-                break
-            k += 1
-        pairs.append((k, left[k - 1].label))
-    return pairs, u_chains
+
+    def walk(node, depth):
+        chain = []
+        while isinstance(node, Internal) and len(node.children) == 1:
+            _check_label(node.label)
+            chain.append(node.label)
+            node = node.children[0]
+        if isinstance(node, Leaf):
+            u_chains.append(CHAIN_SEP.join(chain))
+            return 0
+        _check_label(node.label)
+        chain.append(node.label)
+        # this node is the LCA of the pairs straddling its children; their
+        # priority is known once all children have returned
+        splits = []
+        priority = walk(node.children[0], depth + 1)
+        for child in node.children[1:]:
+            splits.append(len(pairs))
+            pairs.append(None)
+            priority = max(priority, walk(child, depth + 1))
+        priority += 1
+        label = CHAIN_SEP.join(chain)
+        for i in splits:
+            pairs[i] = (depth, label, priority)
+        return priority
+
+    walk(tree, 1)
+    return u_chains, pairs
 
 
 def common_ancestors(tree, t):
@@ -243,10 +215,11 @@ def common_ancestors(tree, t):
     runs over the unary-collapsed tree, excludes preterminals and counts
     the root as level 1, so the count is always >= 1.
     """
-    pairs, _ = _shared_counts(tree)
+    _, pairs = boundaries(tree)
     if not 1 <= t <= len(pairs):
         raise IndexError("pair index %d out of range 1..%d" % (t, len(pairs)))
-    return pairs[t - 1]
+    count, lca, _ = pairs[t - 1]
+    return count, lca
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +227,10 @@ def common_ancestors(tree, t):
 
 def _encode(tree, pick_n):
     sentence = Sentence.from_tree(tree)
-    pairs, u_chains = _shared_counts(tree)
+    u_chains, pairs = boundaries(tree)
     labels = []
     prev = 0
-    for (count, lca), u in zip(pairs, u_chains):
+    for (count, lca, _), u in zip(pairs, u_chains):
         labels.append(TagLabel(pick_n(count, prev), lca, u))
         prev = count
     labels.append(TagLabel.dummy(u_chains[-1]))
@@ -364,7 +337,7 @@ def decode_with_repairs(encoded):
     log = RepairLog()
     T = len(sentence)
     wrapped = [
-        _wrap_chain(Leaf(pos, word), lab.u)
+        _wrap_chain(lab.u, [Leaf(pos, word)])
         for word, pos, lab in zip(sentence.words, sentence.pos, labels)
     ]
     if T == 1:
@@ -422,4 +395,14 @@ def _finalize(node, log):
             return kids[0]
         log.placeholders += 1
         return Internal(PLACEHOLDER, kids)
-    return _expand_label(node.label, kids)
+    return _wrap_chain(node.label, kids)
+
+
+def _wrap_chain(chain, children):
+    """The nodes of a ``+``-joined chain (top-down order) over `children`;
+    an empty chain stands for the single child itself."""
+    if not chain:
+        return children[0]
+    for part in reversed(chain.split(CHAIN_SEP)):
+        children = [Internal(part, children)]
+    return children[0]

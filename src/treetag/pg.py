@@ -50,6 +50,8 @@ class PGConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("need at least one sample per sentence")
+        if self.epochs < 1:
+            raise ValueError("need at least one epoch")
         if self.entropy_coef < 0 or self.learning_rate < 0:
             raise ValueError("coefficients must be >= 0")
 

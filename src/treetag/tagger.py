@@ -258,26 +258,10 @@ class TrainConfig:
     word_dim: int = 100
     pos_dim: int = 20
     hidden_dim: int = 128
-    distance_cap: int = None     # optional clip for distance aux labels
 
     def __post_init__(self):
         if self.aux_weight < 0:
             raise ValueError("aux_weight must be >= 0")
-
-
-def _cap_distances(aux, cap):
-    from .auxtracks import DISTANCE, PAD, AuxTrack
-
-    capped = {}
-    for name, track in aux.items():
-        if name == DISTANCE:
-            values = [
-                v if v == PAD or int(v) <= cap else str(cap) for v in track.values
-            ]
-            capped[name] = AuxTrack(name, values)
-        else:
-            capped[name] = track
-    return capped
 
 
 def _gold_ids(vocab, corpus):
@@ -358,8 +342,6 @@ def train_mtl(corpus, config, dev=None):
     """
     if not corpus:
         raise ValueError("empty training corpus")
-    if config.distance_cap is not None:
-        corpus = [(s, e, _cap_distances(aux, config.distance_cap)) for s, e, aux in corpus]
     vocab = Vocabularies.build(corpus)
     scheme = corpus[0][1].scheme
     seeds = np.random.SeedSequence(config.seed).spawn(3)
@@ -494,14 +476,24 @@ def load_model(path):
             params = {
                 name: data["param_%d" % i] for i, name in enumerate(meta["param_names"])
             }
-    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as e:
+        vocab = Vocabularies(meta["word2id"], meta["pos2id"], meta["tasks"])
+        settings = dict(meta["config"])
+        # written by older versions, where it only re-capped training labels
+        settings.pop("distance_cap", None)
+        config = TrainConfig(**settings)
+        heads = {prefix + name for name in vocab.tasks for prefix in ("W_", "b_")}
+        if set(params) != {"E_word", "E_pos", "W1", "b1"} | heads:
+            raise ValueError(
+                "parameters %s do not match the heads of tasks %s"
+                % (sorted(params), sorted(vocab.tasks))
+            )
+        scheme = meta["scheme"]
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as e:
         raise ValueError("%s: not a readable checkpoint: %s" % (path, e)) from e
-    vocab = Vocabularies(meta["word2id"], meta["pos2id"], meta["tasks"])
-    config = TrainConfig(**meta["config"])
     model = TaggerModel.__new__(TaggerModel)
     model.vocab = vocab
     model.config = config
-    model.scheme = meta["scheme"]
+    model.scheme = scheme
     model.params = params
     model.history = []
     return model

@@ -12,23 +12,22 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from treetag.trees import Leaf, leaf_count, load_trees, random_tree, sample_corpus
+from treetag.trees import leaf_count, load_trees, random_tree, sample_corpus
 from treetag.encodings import (
     ABSOLUTE,
     SCHEMES,
-    collapse_unary_chains,
     decode,
     decode_with_repairs,
     encode,
     encode_dynamic,
     encode_relative,
 )
-from treetag.auxtracks import make_track, split_priorities, syntactic_distances
+from treetag.auxtracks import PAD, make_track, syntactic_distances
 from treetag.metrics import bracket_score, corpus_bracket_score, label_space_stats
 from treetag.tagger import TrainConfig, mtl_loss, predict_greedy, train_mtl
 from treetag.pg import PGConfig, estimate_policy_gradient, finetune_pg
 
-from test_encodings import oracle_pairs
+from test_encodings import oracle_pairs, oracle_paths
 from test_metrics import make_pair, oracle_score
 from test_auxtracks import oracle_distances
 from test_tagger import analytic_grads, summed_loss, tiny_config
@@ -79,13 +78,12 @@ def test_round_trip_identity(corpus_10k):
         failures = 0
         chains = 0
         for t in corpus_10k:
-            _, u = collapse_unary_chains(t)
-            chains += sum(1 for x in u if x)
             for scheme in SCHEMES:
                 encoded = encode(t, scheme)
                 rebuilt, log = decode_with_repairs(encoded)
                 if rebuilt != t or not log.clean():
                     failures += 1
+            chains += sum(1 for lab in encoded.labels if lab.u)
         elapsed = time.time() - start
         print("  %d trees x %d schemes in %.1fs, %d leaf chains present"
               % (len(corpus_10k), len(SCHEMES), elapsed, chains), flush=True)
@@ -138,17 +136,11 @@ def test_syntactic_distances_oracle():
             t = random_tree(seed, 20, 10, ALPHABET)
             track = syntactic_distances(t)
             assert list(track.values) == oracle_distances(t)
-            skeleton, _ = collapse_unary_chains(t)
-            if isinstance(skeleton, Leaf):
+            paths = oracle_paths(t)
+            if len(paths) == 1:
                 continue
-            prio, skel = split_priorities(t)
-
-            def internal_depth(node):
-                if isinstance(node, Leaf):
-                    return 0
-                return 1 + max(internal_depth(c) for c in node.children)
-
-            assert prio[id(skel)] == internal_depth(skeleton)
+            root = max(int(v) for v in track.values if v != PAD)
+            assert root == max(len(p) for p in paths)
 
 
 def test_gradient_check():

@@ -118,25 +118,19 @@ def test_distance_values_positive(seed):
 def test_distance_cap():
     (t,) = parse_bracketed("(S (A a) (VP (V saw) (NP (D the) (N dog))))")
     assert list(syntactic_distances(t, cap=2).values) == ["2", "2", "1", PAD]
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="distance cap must be >= 1"):
+            syntactic_distances(t, cap=cap)
 
 
 def test_root_priority_equals_collapsed_depth():
-    from treetag.encodings import collapse_unary_chains
-    from treetag.auxtracks import split_priorities
-
     for seed in range(30):
         t = random_tree(seed, 15, 9, ALPHABET)
-        skeleton, _ = collapse_unary_chains(t)
-        if isinstance(skeleton, Leaf):
+        paths = oracle_paths(t)
+        if len(paths) == 1:
             continue
-        prio, skel = split_priorities(t)
-
-        def internal_depth(node):
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + max(internal_depth(c) for c in node.children)
-
-        assert prio[id(skel)] == internal_depth(skeleton)
+        values = syntactic_distances(t).values
+        assert max(int(v) for v in values if v != PAD) == max(len(p) for p in paths)
 
 
 def test_make_track_dispatch():

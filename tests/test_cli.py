@@ -179,3 +179,25 @@ def test_checkpoint_without_meta_exit_code(tmp_path, capsys):
     tagged.write_text("the\tDT\ndog\tNN\n\n", encoding="utf-8")
     assert run(["predict", str(ckpt), str(tagged), str(tmp_path / "out.trees")]) == 2
     assert "error: %s: not a readable checkpoint" % ckpt in capsys.readouterr().err
+
+
+def test_finetune_zero_epochs_exit_code(tmp_path, small_model, capsys):
+    _, trees_path, ckpt = small_model
+    capsys.readouterr()
+    assert run(["finetune", str(ckpt), str(trees_path), str(trees_path),
+                str(tmp_path / "out.npz"), "--epochs", "0",
+                "--log", str(tmp_path / "pg.tsv")]) == 2
+    assert "error: need at least one epoch" in capsys.readouterr().err
+
+
+def test_encode_reserved_label_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.trees"
+    bad.write_text("(S (A a) (B b))\n\n(S (NP+X (A a) (B b)) (C c))\n", encoding="utf-8")
+    assert run(["encode", str(bad), str(tmp_path / "out.seq")]) == 2
+    assert "error: %s: tree 2: nonterminal 'NP+X'" % bad in capsys.readouterr().err
+
+
+def test_encode_distance_cap_below_one_exit_code(tmp_path, forest_file, capsys):
+    assert run(["encode", str(forest_file), str(tmp_path / "out.seq"),
+                "--aux", "dist", "--distance-cap", "0"]) == 2
+    assert "distance cap must be >= 1" in capsys.readouterr().err

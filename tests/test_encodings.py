@@ -5,10 +5,13 @@ root-to-leaf label paths by hand (including its own unary-chain handling)
 and intersects them, rather than reusing the library's counting code.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treetag.trees import Internal, Leaf, Sentence, parse_bracketed, random_tree
+from treetag.seqfile import read_seq, write_seq
 from treetag.encodings import (
     ABSOLUTE,
     DUMMY,
@@ -18,7 +21,6 @@ from treetag.encodings import (
     EncodedSentence,
     NComponent,
     TagLabel,
-    collapse_unary_chains,
     common_ancestors,
     decode,
     decode_with_repairs,
@@ -247,10 +249,43 @@ def test_round_trip_internal_chains():
 
 def test_collapse_unary_chains_shapes():
     (t,) = parse_bracketed("(S (X (Y (Z (A a) (B b)))) (NP (NN c)))")
-    skeleton, u = collapse_unary_chains(t)
-    assert u == ["", "", "NP"]
-    assert skeleton.label == "S"
-    assert skeleton.children[0].label == "X+Y+Z"
+    labels = encode(t, RELATIVE).labels
+    assert [lab.u for lab in labels] == ["", "", "NP"]
+    assert [lab.c for lab in labels] == ["X+Y+Z", "S", DUMMY]
+
+
+@pytest.mark.parametrize("text, label", [
+    ("(S (NP+X (A a) (B b)) (C c))", "NP+X"),
+    ("(DUMMY (A a) (B b))", "DUMMY"),
+    ("(S (N~P (A a) (B b)) (C c))", "N~P"),
+    ("(S (NONE (A a)) (B b))", "NONE"),
+])
+def test_reserved_nonterminals_rejected(text, label):
+    (t,) = parse_bracketed(text)
+    for scheme in SCHEMES:
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            encode(t, scheme)
+
+
+RESERVED_ALPHABET = ["S", "NP", "NP+X", DUMMY, "N~P", "NONE", ""]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.lists(st.sampled_from(RESERVED_ALPHABET), min_size=1, max_size=4),
+)
+def test_encode_rejects_or_round_trips_through_seq(tmp_path_factory, seed, alphabet):
+    t = random_tree(seed, 8, 6, alphabet)
+    path = tmp_path_factory.mktemp("seq") / "t.seq"
+    for scheme in SCHEMES:
+        try:
+            encoded = encode(t, scheme)
+        except ValueError:
+            continue
+        write_seq(path, [encoded])
+        (back,), _, _ = read_seq(path)
+        assert decode(back) == t
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Tagger tests: featurization, forward contracts, a full finite-difference
 gradient check, loss composition, and desk-scale memorization."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -45,12 +48,12 @@ def tiny_config(**kw):
     return TrainConfig(**base)
 
 
-def tiny_corpus(n=6, aux_names=("n+1", "dist")):
+def tiny_corpus(n=6, aux_names=("n+1", "dist"), cap=None):
     forest = sample_corpus(17, n)
     corpus = []
     for t in forest:
         enc = encode_dynamic(t)
-        aux = {name: make_track(name, t, enc) for name in aux_names}
+        aux = {name: make_track(name, t, enc, cap=cap) for name in aux_names}
         corpus.append((enc.sentence, enc, aux))
     return forest, corpus
 
@@ -378,7 +381,8 @@ def test_distance_cap_limits_aux_vocab():
     _, corpus = tiny_corpus(n=20, aux_names=("dist",))
     raw = {v for _, _, aux in corpus for v in aux["dist"].values if v != "PAD"}
     assert any(int(v) > 2 for v in raw)
-    model = train_mtl(corpus, tiny_config(epochs=1, distance_cap=2))
+    _, corpus = tiny_corpus(n=20, aux_names=("dist",), cap=2)
+    model = train_mtl(corpus, tiny_config(epochs=1))
     capped = set(model.vocab.tasks["dist"])
     assert all(v == "PAD" or int(v) <= 2 for v in capped)
 
@@ -395,5 +399,44 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.scheme == model.scheme
     for name in model.params:
         np.testing.assert_array_equal(loaded.params[name], model.params[name])
+    for sentence, _, _ in corpus:
+        assert predict_greedy(loaded, sentence).labels == predict_greedy(model, sentence).labels
+
+
+def _rewrite_meta(path, edit):
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays["meta"]))
+    edit(meta)
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
+@pytest.fixture
+def saved_model(tmp_path):
+    _, corpus = tiny_corpus()
+    model = train_mtl(corpus, tiny_config(epochs=2))
+    path = tmp_path / "model.npz"
+    save_model(path, model)
+    return path, model, corpus
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta.pop("word2id"),
+    lambda meta: meta["config"].update(bogus=1),
+    lambda meta: meta["param_names"].remove("b_u"),
+], ids=["no_word2id", "unknown_config_key", "missing_head"])
+def test_malformed_checkpoint_meta_rejected(saved_model, edit):
+    path, _, _ = saved_model
+    _rewrite_meta(path, edit)
+    with pytest.raises(ValueError, match=re.escape("%s: not a readable checkpoint" % path)):
+        load_model(path)
+
+
+def test_checkpoint_with_distance_cap_key_loads(saved_model):
+    """Older checkpoints carry a `distance_cap` config key; it is ignored."""
+    path, model, corpus = saved_model
+    _rewrite_meta(path, lambda meta: meta["config"].update(distance_cap=None))
+    loaded = load_model(path)
     for sentence, _, _ in corpus:
         assert predict_greedy(loaded, sentence).labels == predict_greedy(model, sentence).labels
