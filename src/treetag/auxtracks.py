@@ -16,10 +16,6 @@ PAD = "PAD"
 DISTANCE = "dist"
 
 
-def shifted_name(k):
-    return "n%+d" % k
-
-
 @dataclass(frozen=True)
 class AuxTrack:
     """One auxiliary label per word.  `name` doubles as the task id."""
@@ -38,26 +34,27 @@ def shifted_n(encoded, k):
     tokens = encoded.n_tokens()
     T = len(tokens)
     values = [tokens[t + k] if 0 <= t + k < T else PAD for t in range(T)]
-    return AuxTrack(shifted_name(k), values)
+    return AuxTrack("n%+d" % k, values)
 
 
-def syntactic_distances(tree, cap=None):
+def syntactic_distances(tree, cap=None, walk=None):
     """Distance track: each word gets the split priority of its LCA with
     the next word; the last word gets PAD.  `cap` (>= 1) optionally clips
     values from above (deep corpora can otherwise grow the label set
-    without bound)."""
+    without bound).  `walk` is ``boundaries(tree)`` when the caller
+    already has it."""
     if cap is not None and cap < 1:
         raise ValueError("distance cap must be >= 1, got %r" % (cap,))
-    _, pairs = boundaries(tree)
+    _, pairs = boundaries(tree) if walk is None else walk
     values = [str(p if cap is None else min(p, cap)) for _, _, p in pairs]
     values.append(PAD)
     return AuxTrack(DISTANCE, values)
 
 
-def make_track(name, tree, encoded, cap=None):
+def make_track(name, tree, encoded, cap=None, walk=None):
     """Build the aux track `name` ("n+1", "n-1" or "dist") for a sentence."""
     if name == DISTANCE:
-        return syntactic_distances(tree, cap=cap)
+        return syntactic_distances(tree, cap=cap, walk=walk)
     if name.startswith("n"):
         k = int(name[1:])
         return shifted_n(encoded, k)

@@ -143,19 +143,22 @@ def cmd_synth(args):
 
 
 def cmd_encode(args):
-    forest = trees.load_trees(args.input, strip_functions=args.strip_functions)
     aux_names = sorted(set(args.aux))
+    if args.distance_cap is not None and auxtracks.DISTANCE not in aux_names:
+        raise _UsageError("--distance-cap needs --aux %s" % auxtracks.DISTANCE)
+    forest = trees.load_trees(args.input, strip_functions=args.strip_functions)
     encoded_corpus = []
     aux_corpus = []
     for i, tree in enumerate(forest, start=1):
         try:
-            encoded = encodings.encode(tree, args.scheme)
+            walk = encodings.boundaries(tree)
+            encoded = encodings.encode(tree, args.scheme, walk)
         except ValueError as e:
             raise ValueError("%s: tree %d: %s" % (args.input, i, e)) from e
         encoded_corpus.append(encoded)
         aux_corpus.append(
             {
-                name: auxtracks.make_track(name, tree, encoded, cap=args.distance_cap)
+                name: auxtracks.make_track(name, tree, encoded, args.distance_cap, walk)
                 for name in aux_names
             }
         )
@@ -175,9 +178,9 @@ def cmd_stats(args):
     corpus, _, scheme = seqfile.read_seq(args.input)
     full = metrics.label_space_stats(corpus, decomposed=False)
     dec = metrics.label_space_stats(corpus, decomposed=True)
-    n_sub = len([k for k in dec.freq_histogram if k.startswith("n:")])
-    c_sub = len([k for k in dec.freq_histogram if k.startswith("c:")])
-    u_sub = len([k for k in dec.freq_histogram if k.startswith("u:")])
+    n_sub, c_sub, u_sub = (
+        sum(k.startswith(part) for k in dec.freq_histogram) for part in ("n:", "c:", "u:")
+    )
     print("scheme: %s" % scheme)
     print("sentences: %d" % len(corpus))
     print("full labels: %d distinct, rare_fraction(%d)=%.4f"
@@ -185,13 +188,6 @@ def cmd_stats(args):
     print("decomposed: |N|=%d |C|=%d |U|=%d total=%d"
           % (n_sub, c_sub, u_sub, dec.total_distinct))
     return 0
-
-
-def _seq_to_training(corpus, aux_corpus):
-    return [
-        (encoded.sentence, encoded, aux)
-        for encoded, aux in zip(corpus, aux_corpus)
-    ]
 
 
 def cmd_train(args):
@@ -211,9 +207,10 @@ def cmd_train(args):
         hidden_dim=args.hidden_dim,
         seed=args.seed,
     )
+    train = [(enc.sentence, enc, aux) for enc, aux in zip(train_corpus, train_aux)]
     dev = [(enc.sentence, encodings.decode(enc)) for enc in dev_corpus]
     try:
-        model = tagging.train_mtl(_seq_to_training(train_corpus, train_aux), config, dev=dev)
+        model = tagging.train_mtl(train, config, dev=dev)
     except RuntimeError as e:
         raise ValueError("%s: training failed: %s" % (args.train_seq, e)) from e
     tagging.save_model(args.output, model)
@@ -283,13 +280,12 @@ def run(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except _UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 1
     except SystemExit as e:  # --help
         return 0 if not e.code else int(e.code)
-    try:
-        return args.func(args)
     except (trees.ParseError, seqfile.SeqFormatError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

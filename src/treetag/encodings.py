@@ -96,10 +96,6 @@ class NComponent:
         raise ValueError("bad n token %r" % tok)
 
 
-def dummy_n():
-    return NComponent("dummy")
-
-
 @dataclass(frozen=True)
 class TagLabel:
     """One per-word label: (n, c, u).
@@ -125,7 +121,7 @@ class TagLabel:
 
     @classmethod
     def dummy(cls, u=""):
-        return cls(dummy_n(), DUMMY, u)
+        return cls(NComponent("dummy"), DUMMY, u)
 
 
 @dataclass(frozen=True)
@@ -225,31 +221,28 @@ def common_ancestors(tree, t):
 # ---------------------------------------------------------------------------
 # Encoders.
 
-def _encode(tree, pick_n):
-    sentence = Sentence.from_tree(tree)
-    u_chains, pairs = boundaries(tree)
+def _encode(tree, scheme, walk, pick_n):
+    u_chains, pairs = boundaries(tree) if walk is None else walk
     labels = []
     prev = 0
     for (count, lca, _), u in zip(pairs, u_chains):
         labels.append(TagLabel(pick_n(count, prev), lca, u))
         prev = count
     labels.append(TagLabel.dummy(u_chains[-1]))
-    return sentence, labels
+    return EncodedSentence(Sentence.from_tree(tree), labels, scheme)
 
 
-def encode_relative(tree):
+def encode_relative(tree, walk=None):
     """n = change in shared-ancestor count versus the previous pair."""
-    sentence, labels = _encode(tree, lambda count, prev: NComponent(RELATIVE, count - prev))
-    return EncodedSentence(sentence, labels, RELATIVE)
+    return _encode(tree, RELATIVE, walk, lambda count, prev: NComponent(RELATIVE, count - prev))
 
 
-def encode_absolute(tree):
+def encode_absolute(tree, walk=None):
     """n = raw shared-ancestor count on the top-down scale."""
-    sentence, labels = _encode(tree, lambda count, prev: NComponent(ABSOLUTE, count))
-    return EncodedSentence(sentence, labels, ABSOLUTE)
+    return _encode(tree, ABSOLUTE, walk, lambda count, prev: NComponent(ABSOLUTE, count))
 
 
-def encode_dynamic(tree):
+def encode_dynamic(tree, walk=None):
     """Relative scale with absolute-scale switches on long closings.
 
     A position is emitted on the absolute scale iff the pair shares at
@@ -262,17 +255,17 @@ def encode_dynamic(tree):
             return NComponent(ABSOLUTE, count)
         return NComponent(RELATIVE, count - prev)
 
-    sentence, labels = _encode(tree, pick)
-    return EncodedSentence(sentence, labels, DYNAMIC)
+    return _encode(tree, DYNAMIC, walk, pick)
 
 
-def encode(tree, scheme):
+def encode(tree, scheme, walk=None):
+    """Encode `tree` in `scheme`; `walk` is ``boundaries(tree)`` if already computed."""
     if scheme == RELATIVE:
-        return encode_relative(tree)
+        return encode_relative(tree, walk)
     if scheme == ABSOLUTE:
-        return encode_absolute(tree)
+        return encode_absolute(tree, walk)
     if scheme == DYNAMIC:
-        return encode_dynamic(tree)
+        return encode_dynamic(tree, walk)
     raise ValueError("unknown scheme %r" % scheme)
 
 

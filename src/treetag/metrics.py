@@ -3,7 +3,7 @@
 from collections import Counter
 from dataclasses import dataclass
 
-from .trees import Leaf, leaf_count
+from .trees import Leaf
 from .encodings import CHAIN_SEP
 
 # POS tags deleted by the optional punctuation-stripping mode
@@ -45,10 +45,18 @@ def labeled_spans(tree, strip_punctuation=False):
     whose POS is punctuation do not count towards extents and nodes that
     cover only punctuation disappear.
     """
-    spans = Counter()
+    return _spans_and_leaves(tree, strip_punctuation)[0]
+
+
+def _spans_and_leaves(tree, strip_punctuation):
+    """labeled_spans(tree) and the raw leaf count, from one walk."""
+    spans = []
+    leaves = 0
 
     def walk(node, i):
+        nonlocal leaves
         if isinstance(node, Leaf):
+            leaves += 1
             if strip_punctuation and node.pos in PUNCT_POS:
                 return i
             return i + 1
@@ -57,11 +65,11 @@ def labeled_spans(tree, strip_punctuation=False):
             j = walk(child, j)
         if j > i:
             for part in node.label.split(CHAIN_SEP):
-                spans[(part, i, j)] += 1
+                spans.append((part, i, j))
         return j
 
     walk(tree, 0)
-    return spans
+    return Counter(spans), leaves
 
 
 def bracket_score(gold, predicted, strip_punctuation=False):
@@ -70,14 +78,11 @@ def bracket_score(gold, predicted, strip_punctuation=False):
     Both trees must cover the same number of tokens.  Duplicate spans
     (from unary chains) match as multiset members.
     """
-    if leaf_count(gold) != leaf_count(predicted):
-        raise ValueError(
-            "gold has %d leaves, prediction has %d"
-            % (leaf_count(gold), leaf_count(predicted))
-        )
-    gold_spans = labeled_spans(gold, strip_punctuation)
-    pred_spans = labeled_spans(predicted, strip_punctuation)
-    matched = sum(min(n, gold_spans[span]) for span, n in pred_spans.items())
+    gold_spans, gold_leaves = _spans_and_leaves(gold, strip_punctuation)
+    pred_spans, pred_leaves = _spans_and_leaves(predicted, strip_punctuation)
+    if gold_leaves != pred_leaves:
+        raise ValueError("gold has %d leaves, prediction has %d" % (gold_leaves, pred_leaves))
+    matched = sum(min(n, gold_spans.get(span, 0)) for span, n in pred_spans.items())
     return BracketScore(matched, sum(gold_spans.values()), sum(pred_spans.values()))
 
 

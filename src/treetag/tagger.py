@@ -117,6 +117,21 @@ def _softmax(logits):
     return e
 
 
+def _param_shapes(vocab, config):
+    """Shape of every parameter, in initialisation order."""
+    H = config.hidden_dim
+    shapes = {
+        "E_word": (len(vocab.word2id), config.word_dim),
+        "E_pos": (len(vocab.pos2id), config.pos_dim),
+        "W1": ((2 * config.window + 1) * (config.word_dim + config.pos_dim), H),
+        "b1": (H,),
+    }
+    for name, table in vocab.tasks.items():
+        shapes["W_" + name] = (H, len(table))
+        shapes["b_" + name] = (len(table),)
+    return shapes
+
+
 class TaggerModel:
     """Shared encoder plus per-task affine heads.
 
@@ -131,23 +146,13 @@ class TaggerModel:
         self.history = []
         if rng is None:
             rng = np.random.default_rng(config.seed)
-        W = 2 * config.window + 1
-        d_in = W * (config.word_dim + config.pos_dim)
-        H = config.hidden_dim
-
-        def glorot(n_in, n_out):
-            bound = np.sqrt(6.0 / (n_in + n_out))
-            return rng.uniform(-bound, bound, size=(n_in, n_out))
-
-        self.params = {
-            "E_word": rng.uniform(-0.1, 0.1, size=(len(vocab.word2id), config.word_dim)),
-            "E_pos": rng.uniform(-0.1, 0.1, size=(len(vocab.pos2id), config.pos_dim)),
-            "W1": glorot(d_in, H),
-            "b1": np.zeros(H),
-        }
-        for name, table in vocab.tasks.items():
-            self.params["W_" + name] = glorot(H, len(table))
-            self.params["b_" + name] = np.zeros(len(table))
+        self.params = {}
+        for name, shape in _param_shapes(vocab, config).items():
+            if name[0] == "b":
+                self.params[name] = np.zeros(shape)
+            else:  # embeddings uniform in +-0.1, weights Glorot-uniform
+                bound = 0.1 if name[0] == "E" else np.sqrt(6.0 / sum(shape))
+                self.params[name] = rng.uniform(-bound, bound, size=shape)
 
     @property
     def tasks(self):
@@ -481,12 +486,17 @@ def load_model(path):
         # written by older versions, where it only re-capped training labels
         settings.pop("distance_cap", None)
         config = TrainConfig(**settings)
-        heads = {prefix + name for name in vocab.tasks for prefix in ("W_", "b_")}
-        if set(params) != {"E_word", "E_pos", "W1", "b1"} | heads:
+        shapes = _param_shapes(vocab, config)
+        if set(params) != set(shapes):
             raise ValueError(
                 "parameters %s do not match the heads of tasks %s"
                 % (sorted(params), sorted(vocab.tasks))
             )
+        for name, shape in shapes.items():
+            if params[name].shape != shape:
+                raise ValueError(
+                    "parameter %s has shape %s, expected %s" % (name, params[name].shape, shape)
+                )
         scheme = meta["scheme"]
     except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as e:
         raise ValueError("%s: not a readable checkpoint: %s" % (path, e)) from e

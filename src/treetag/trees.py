@@ -129,75 +129,74 @@ def strip_function(label):
     return m.group(1) if m else label
 
 
-def _byte_offset(text, char_pos):
-    return len(text[:char_pos].encode("utf-8"))
-
-
 def parse_bracketed(text, strip_functions=False):
     """Parse zero or more bracketed trees from `text`.
 
     Tolerates arbitrary whitespace between tokens.  A label-less wrapper
     group ``( (S ...) )`` (as in raw PTB .mrg files) is unwrapped when it
-    has a single child and labelled TOP otherwise.
+    has a single child and labelled TOP otherwise.  Iterative, so nesting
+    depth is not bounded by the recursion limit.
     """
-    tokens = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    tokens = _TOKEN_RE.findall(text)
+    n = len(tokens)
+    tokens += (None, None, None)  # lookahead past the end reads None
     trees = []
+    out = trees  # finished children of the innermost open group
+    stack = []  # (label or None, its parent's `out`) per open group
     i = 0
-    while i < len(tokens):
-        tree, i = _parse_group(text, tokens, i, strip_functions)
-        trees.append(tree)
+    while i < n:
+        tok = tokens[i]
+        if tok == "(":
+            label = tokens[i + 1]
+            if label == "(":  # a label-less wrapper group
+                stack.append((None, out))
+                out = []
+                i += 1
+                continue
+            if label == ")":
+                raise _error_at(text, i + 1, "empty constituent '()'")
+            word = tokens[i + 2]
+            if word == "(" or word == ")":
+                # a phrase: its children (or its closing bracket) follow
+                stack.append((label, out))
+                out = []
+                i += 2
+                continue
+            if tokens[i + 3] != ")":
+                message = "unbalanced '('" if word is None else "expected ')' after leaf"
+                raise _error_at(text, i + 3, message)
+            out.append(Leaf(label, word))
+            i += 4
+        elif tok == ")":
+            if not stack:
+                raise _error_at(text, i, "expected '(', found %r" % tok)
+            label, parent = stack.pop()
+            if not out:
+                raise _error_at(text, i, "constituent %r has no children" % label)
+            if label is None and len(out) == 1:
+                parent.append(out[0])
+            else:
+                if label is None:
+                    label = "TOP"
+                if strip_functions:
+                    label = strip_function(label)
+                parent.append(Internal(label, out))
+            out = parent
+            i += 1
+        else:
+            expected = "')'" if stack else "'('"
+            raise _error_at(text, i, "expected %s, found %r" % (expected, tok))
+    if stack:
+        raise _error_at(text, n, "unbalanced '('")
     return trees
 
 
-def _parse_group(text, tokens, i, strip_functions):
-    tok, pos = tokens[i]
-    if tok != "(":
-        raise ParseError("expected '(', found %r" % tok, _byte_offset(text, pos))
-    i += 1
-    if i >= len(tokens):
-        raise ParseError("unbalanced '('", _byte_offset(text, len(text)))
-
-    tok, pos = tokens[i]
-    if tok == ")":
-        raise ParseError("empty constituent '()'", _byte_offset(text, pos))
-
-    label = None
-    if tok not in ("(", ")"):
-        label = tok
-        i += 1
-        if i >= len(tokens):
-            raise ParseError("unbalanced '('", _byte_offset(text, len(text)))
-        tok, pos = tokens[i]
-
-    if tok not in ("(", ")") and label is not None:
-        # (POS word)
-        word = tok
-        i += 1
-        if i >= len(tokens) or tokens[i][0] != ")":
-            at = tokens[i][1] if i < len(tokens) else len(text)
-            raise ParseError("expected ')' after leaf", _byte_offset(text, at))
-        return Leaf(label, word), i + 1
-
-    children = []
-    while i < len(tokens) and tokens[i][0] == "(":
-        child, i = _parse_group(text, tokens, i, strip_functions)
-        children.append(child)
-    if i >= len(tokens):
-        raise ParseError("unbalanced '('", _byte_offset(text, len(text)))
-    tok, pos = tokens[i]
-    if tok != ")":
-        raise ParseError("expected ')', found %r" % tok, _byte_offset(text, pos))
-    i += 1
-
-    if not children:
-        raise ParseError("constituent %r has no children" % label, _byte_offset(text, pos))
-    if label is None:
-        if len(children) == 1:
-            return children[0], i
-        label = "TOP"
-    if strip_functions:
-        label = strip_function(label)
-    return Internal(label, children), i
+def _error_at(text, k, message):
+    """A ParseError at the k-th token of `text` (its end if there is none),
+    re-scanning the tokens: offsets are needed only on this path."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    at = starts[k] if k < len(starts) else len(text)
+    return ParseError(message, len(text[:at].encode("utf-8")))
 
 
 def serialize(tree):

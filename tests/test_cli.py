@@ -201,3 +201,69 @@ def test_encode_distance_cap_below_one_exit_code(tmp_path, forest_file, capsys):
     assert run(["encode", str(forest_file), str(tmp_path / "out.seq"),
                 "--aux", "dist", "--distance-cap", "0"]) == 2
     assert "distance cap must be >= 1" in capsys.readouterr().err
+
+
+def test_checkpoint_with_cut_head_exit_code(tmp_path, small_model, capsys):
+    import json
+
+    import numpy as np
+
+    _, trees_path, ckpt = small_model
+    with np.load(ckpt) as data:
+        arrays = dict(data)
+    names = json.loads(str(arrays["meta"]))["param_names"]
+    for i, name in enumerate(names):
+        if name in ("W_n", "b_n"):
+            arrays["param_%d" % i] = arrays["param_%d" % i][..., :1]
+    cut = tmp_path / "cut.npz"
+    np.savez(cut, **arrays)
+    tagged = tmp_path / "in.tagged"
+    tagged.write_text("the\tDT\ndog\tNN\n\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["predict", str(cut), str(tagged), str(tmp_path / "out.trees")]) == 2
+    err = capsys.readouterr().err
+    assert "error: %s: not a readable checkpoint: parameter W_n has shape" % cut in err
+
+
+@pytest.mark.parametrize("aux", [[], ["--aux", "n+1"]])
+@pytest.mark.parametrize("cap", ["0", "3"])
+def test_distance_cap_without_dist_track_is_usage_error(tmp_path, forest_file, capsys, aux, cap):
+    out = tmp_path / "out.seq"
+    assert run(["encode", str(forest_file), str(out), "--distance-cap", cap] + aux) == 1
+    err = capsys.readouterr().err
+    assert "usage error: --distance-cap needs --aux dist" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", ["relative", "absolute", "dynamic"])
+@pytest.mark.parametrize("cap", [None, 3])
+def test_encode_shares_one_walk_per_tree(tmp_path, monkeypatch, scheme, cap):
+    from treetag import auxtracks, encodings
+    from treetag.seqfile import write_seq
+    from treetag.trees import random_tree
+
+    forest = [random_tree(seed, 15, 8, ["S", "NP", "VP"]) for seed in range(40)]
+    path = tmp_path / "in.trees"
+    save_trees(path, forest)
+    # the per-tree library calls, each walking the tree on its own
+    encoded = [encodings.encode(t, scheme) for t in forest]
+    expected = tmp_path / "expected.seq"
+    write_seq(expected, encoded, [
+        {name: auxtracks.make_track(name, t, enc, cap) for name in ("dist", "n+1")}
+        for t, enc in zip(forest, encoded)
+    ])
+
+    calls = []
+    walk = encodings.boundaries
+
+    def counting(tree):
+        calls.append(tree)
+        return walk(tree)
+
+    monkeypatch.setattr(encodings, "boundaries", counting)
+    monkeypatch.setattr(auxtracks, "boundaries", counting)
+    out = tmp_path / "out.seq"
+    argv = ["encode", str(path), str(out), "--scheme", scheme, "--aux", "n+1", "--aux", "dist"]
+    assert run(argv + (["--distance-cap", str(cap)] if cap else [])) == 0
+    assert calls == forest
+    assert out.read_bytes() == expected.read_bytes()

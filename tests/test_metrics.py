@@ -91,6 +91,24 @@ def test_leaf_count_mismatch_rejected():
         bracket_score(a, b)
 
 
+@pytest.mark.parametrize("strip", [False, True])
+@pytest.mark.parametrize(
+    "gold, pred, counts",
+    [
+        ("(S (A a) (B b))", "(S (A a) (B b) (C c))", (2, 3)),
+        ("(S (NP (D the) (N dog)) (. .))", "(S (NP (D the) (N dog)))", (3, 2)),
+        ("(S (A a) (, ,) (B b))", "(S (A a) (, ,) (, ,) (B b) (. .))", (3, 5)),
+    ],
+)
+def test_leaf_count_mismatch_message_counts_raw_leaves(gold, pred, counts, strip):
+    """Punctuation leaves count towards the check even when stripped."""
+    (g,) = parse_bracketed(gold)
+    (p,) = parse_bracketed(pred)
+    message = "gold has %d leaves, prediction has %d" % counts
+    with pytest.raises(ValueError, match="^%s$" % message):
+        bracket_score(g, p, strip_punctuation=strip)
+
+
 def test_unary_chain_spans_expand():
     (gold,) = parse_bracketed("(S (X (Y (A a) (B b))) (C c))")
     spans = labeled_spans(gold)

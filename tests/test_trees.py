@@ -1,5 +1,9 @@
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from treetag import trees
 from treetag.trees import (
     Internal,
     Leaf,
@@ -165,3 +169,132 @@ def test_pcfg_sample_deterministic_and_parsable():
         assert depth(t) <= 9
         for leaf in leaves(t):
             assert leaf.word in grammar.lexicon[leaf.pos]
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the iterative parser against the recursive one it
+# replaced, kept here verbatim as the oracle.
+
+def _oracle_parse(text, strip_functions=False):
+    tokens = [(m.group(), m.start()) for m in trees._TOKEN_RE.finditer(text)]
+    out = []
+    i = 0
+    while i < len(tokens):
+        tree, i = _oracle_group(text, tokens, i, strip_functions)
+        out.append(tree)
+    return out
+
+
+def _byte_offset(text, char_pos):
+    return len(text[:char_pos].encode("utf-8"))
+
+
+def _oracle_group(text, tokens, i, strip_functions):
+    tok, pos = tokens[i]
+    if tok != "(":
+        raise ParseError("expected '(', found %r" % tok, _byte_offset(text, pos))
+    i += 1
+    if i >= len(tokens):
+        raise ParseError("unbalanced '('", _byte_offset(text, len(text)))
+
+    tok, pos = tokens[i]
+    if tok == ")":
+        raise ParseError("empty constituent '()'", _byte_offset(text, pos))
+
+    label = None
+    if tok not in ("(", ")"):
+        label = tok
+        i += 1
+        if i >= len(tokens):
+            raise ParseError("unbalanced '('", _byte_offset(text, len(text)))
+        tok, pos = tokens[i]
+
+    if tok not in ("(", ")") and label is not None:
+        # (POS word)
+        word = tok
+        i += 1
+        if i >= len(tokens) or tokens[i][0] != ")":
+            at = tokens[i][1] if i < len(tokens) else len(text)
+            raise ParseError("expected ')' after leaf", _byte_offset(text, at))
+        return Leaf(label, word), i + 1
+
+    children = []
+    while i < len(tokens) and tokens[i][0] == "(":
+        child, i = _oracle_group(text, tokens, i, strip_functions)
+        children.append(child)
+    if i >= len(tokens):
+        raise ParseError("unbalanced '('", _byte_offset(text, len(text)))
+    tok, pos = tokens[i]
+    if tok != ")":
+        raise ParseError("expected ')', found %r" % tok, _byte_offset(text, pos))
+    i += 1
+
+    if not children:
+        raise ParseError("constituent %r has no children" % label, _byte_offset(text, pos))
+    if label is None:
+        if len(children) == 1:
+            return children[0], i
+        label = "TOP"
+    if strip_functions:
+        label = strip_function(label)
+    return Internal(label, children), i
+
+
+def _outcome(call):
+    try:
+        return "trees", call()
+    except ParseError as e:
+        return "error", str(e), e.offset, e.line
+
+
+_PIECES = ["(", ")", " ", "\n", "\t", "S", "NP-SBJ", "a", "\u00e9", "-LRB-"]
+
+_FUNCTION_ALPHABET = ["S", "NP-SBJ", "VP=2", "PP", "-NONE-"]
+
+
+@st.composite
+def _bracketings(draw):
+    """Serialized random trees, sometimes wrapped PTB-style, sometimes
+    with one token dropped or inserted, or the text cut short."""
+    t = random_tree(draw(st.integers(0, 10**6)), 10, 7, _FUNCTION_ALPHABET)
+    text = serialize(t)
+    wrap = draw(st.sampled_from(["none", "single", "multi"]))
+    if wrap == "single":
+        text = "( %s )" % text
+    elif wrap == "multi":
+        text = "( %s\t%s )" % (text, serialize(random_tree(draw(st.integers(0, 99)), 4, 4, ["X"])))
+    edit = draw(st.sampled_from(["none", "drop", "insert", "cut"]))
+    tokens = trees._TOKEN_RE.findall(text)
+    k = draw(st.integers(0, len(tokens) - 1))
+    if edit == "drop":
+        text = " ".join(tokens[:k] + tokens[k + 1:])
+    elif edit == "insert":
+        text = " ".join(tokens[:k] + [draw(st.sampled_from(_PIECES))] + tokens[k:])
+    elif edit == "cut":
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join), _bracketings()),
+    st.booleans(),
+)
+def test_parser_matches_recursive_oracle(tmp_path_factory, text, strip):
+    expected = _outcome(lambda: _oracle_parse(text, strip))
+    assert _outcome(lambda: parse_bracketed(text, strip)) == expected
+    # through load_trees: the same trees, or the same error on the same line
+    path = tmp_path_factory.mktemp("parse") / "t.trees"
+    path.write_text("(S (A a))\n" + text + "\n", encoding="utf-8")
+    with mock.patch.object(trees, "parse_bracketed", _oracle_parse):
+        expected = _outcome(lambda: load_trees(path, strip))
+    assert _outcome(lambda: load_trees(path, strip)) == expected
+
+
+def test_parser_has_no_nesting_limit():
+    text = "(A " * 5000 + "(P w)" + ")" * 5000
+    (node,) = parse_bracketed(text)
+    for _ in range(5000):
+        assert node.label == "A"
+        (node,) = node.children
+    assert node == Leaf("P", "w")
