@@ -49,7 +49,7 @@ def build_parser():
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--alphabet", default=DEFAULT_ALPHABET,
                    help="comma-separated nonterminals (random mode)")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, files=("output",))
 
     p = sub.add_parser("encode", help="trees -> .seq labels")
     p.add_argument("input")
@@ -61,18 +61,18 @@ def build_parser():
                    help="drop -FUNC/=INDEX decorations from nonterminals")
     p.add_argument("--distance-cap", type=int, default=None,
                    help="clip distance aux labels from above (>= 1)")
-    p.set_defaults(func=cmd_encode)
+    p.set_defaults(func=cmd_encode, files=("input",))
 
     p = sub.add_parser("decode", help=".seq labels -> trees")
     p.add_argument("input")
     p.add_argument("output")
-    p.set_defaults(func=cmd_decode)
+    p.set_defaults(func=cmd_decode, files=("input",))
 
     p = sub.add_parser("stats", help="label-space statistics of a .seq file")
     p.add_argument("input")
     p.add_argument("--threshold", type=int, default=5,
                    help="frequency cutoff for the rare-label fraction")
-    p.set_defaults(func=cmd_stats)
+    p.set_defaults(func=cmd_stats, files=("input",))
 
     p = sub.add_parser("train", help="train the multi-task tagger")
     p.add_argument("train_seq")
@@ -90,7 +90,7 @@ def build_parser():
     p.add_argument("--pos-dim", type=int, default=20)
     p.add_argument("--hidden-dim", type=int, default=128)
     p.add_argument("--seed", type=int, default=13)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, files=("train_seq", "dev_seq"))
 
     p = sub.add_parser("finetune", help="policy-gradient fine-tuning")
     p.add_argument("checkpoint")
@@ -108,13 +108,13 @@ def build_parser():
     p.add_argument("--noise-adapt", type=float, default=1.05)
     p.add_argument("--seed", type=int, default=29)
     p.add_argument("--log", default=None, help="per-epoch TSV log path")
-    p.set_defaults(func=cmd_finetune)
+    p.set_defaults(func=cmd_finetune, files=("train_trees", "dev_trees"))
 
     p = sub.add_parser("predict", help="tag raw word/POS input into trees")
     p.add_argument("checkpoint")
     p.add_argument("input", help="word<TAB>pos lines, blank line between sentences")
     p.add_argument("output")
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict, files=("input",))
 
     p = sub.add_parser("eval", help="bracketing score of predicted trees")
     p.add_argument("gold")
@@ -124,7 +124,7 @@ def build_parser():
     p.add_argument("--scheme", choices=encodings.SCHEMES, default=encodings.RELATIVE,
                    help="scheme used for the per-n breakdown")
     p.add_argument("--strip-punctuation", action="store_true")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, files=("gold", "predicted"))
     return parser
 
 
@@ -288,6 +288,12 @@ def run(argv=None):
         return 0 if not e.code else int(e.code)
     except (trees.ParseError, seqfile.SeqFormatError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the tree walks recurse once per level of nesting; `files` lists
+        # the arguments naming each subcommand's data
+        files = ", ".join(dict.fromkeys(getattr(args, name) for name in args.files))
+        print("error: %s: a tree is nested too deeply to process" % files, file=sys.stderr)
         return 2
 
 

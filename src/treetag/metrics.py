@@ -4,7 +4,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .trees import Leaf
-from .encodings import CHAIN_SEP
+from .encodings import CHAIN_SEP, NO_CHAIN
 
 # POS tags deleted by the optional punctuation-stripping mode
 PUNCT_POS = {"''", "``", ".", ":", ","}
@@ -176,7 +176,7 @@ def label_space_stats(corpus, decomposed=False):
             if decomposed:
                 hist["n:" + lab.n.token()] += 1
                 hist["c:" + lab.c] += 1
-                hist["u:" + (lab.u if lab.u else "NONE")] += 1
+                hist["u:" + (lab.u if lab.u else NO_CHAIN)] += 1
             else:
                 hist[lab.token()] += 1
     return LabelSpaceStats(len(hist), dict(hist))

@@ -7,6 +7,13 @@ windowed feedforward layer (word and POS embeddings of the surrounding
 tokens, concatenated, through one tanh layer); anything producing a hidden
 vector per token could replace it without touching the heads.
 
+A batch with few distinct words and tags, such as a prediction chunk of
+many sentences, skips the concatenated input: each distinct embedding is
+multiplied by each window slot's block of the hidden weights once, and
+every token sums the rows of its window (Chen & Manning, 2014).  The
+batch's own size and distinct-id counts pick this path or the direct
+product, so single sentences keep the direct one.
+
 All tensors are float64 numpy arrays and every gradient is written out by
 hand, which keeps the whole model checkable against finite differences.
 """
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import DYNAMIC, EncodedSentence, NComponent, TagLabel, decode
+from .encodings import DYNAMIC, NO_CHAIN, EncodedSentence, NComponent, TagLabel, decode
 from . import metrics
 
 MAIN_TASKS = ("n", "c", "u")
@@ -33,6 +40,13 @@ _CHECKPOINT_VERSION = 1
 # overhead, small enough to keep peak memory flat.
 TOKEN_BUDGET = 256
 
+# The hidden layer projects distinct ids (see TaggerModel._pre_activation)
+# when their embedding rows are at most this share of the batch's input,
+# in a batch of at least this many rows: below it, counting the ids costs
+# a single sentence more than projecting could save.
+PROJECT_SHARE = 0.25
+PROJECT_MIN_ROWS = 64
+
 
 class Vocabularies:
     """Token/POS/label id maps shared between training and inference."""
@@ -45,6 +59,9 @@ class Vocabularies:
             name: [lab for lab, _ in sorted(table.items(), key=lambda kv: kv[1])]
             for name, table in tasks.items()
         }
+        # id -> label part, for building labels from predicted ids
+        self.n_components = [NComponent.from_token(tok) for tok in self.task_labels["n"]]
+        self.u_chains = ["" if tok == NO_CHAIN else tok for tok in self.task_labels["u"]]
 
     @classmethod
     def build(cls, corpus):
@@ -60,7 +77,7 @@ class Vocabularies:
             for lab in encoded.labels:
                 labels["n"].add(lab.n.token())
                 labels["c"].add(lab.c)
-                labels["u"].add(lab.u if lab.u else "NONE")
+                labels["u"].add(lab.u if lab.u else NO_CHAIN)
             if sorted(aux.keys()) != aux_names:
                 raise ValueError("inconsistent auxiliary tracks across corpus")
             for name in aux_names:
@@ -170,6 +187,55 @@ class TaggerModel:
         r = self.config.window
         return np.concatenate([np.hstack(featurize(s, self.vocab, r)) for s in sentences])
 
+    def _inputs(self, windows):
+        """The concatenated window embeddings X, one row per token."""
+        P = self.params
+        T, W = windows.shape[0], windows.shape[1] // 2
+        return np.concatenate(
+            [P["E_word"][windows[:, :W]].reshape(T, -1), P["E_pos"][windows[:, W:]].reshape(T, -1)],
+            axis=1,
+        )
+
+    def _pre_activation(self, windows):
+        """The hidden layer's input X @ W1 + b1, and X (None if not built).
+
+        A batch of at least PROJECT_MIN_ROWS rows whose distinct ids,
+        weighted by their embedding widths, come to at most PROJECT_SHARE
+        of its input rows never builds X: each distinct embedding is
+        multiplied by each window slot's block of W1 once, and every token
+        adds up the products of its window.  Single sentences take the
+        direct product without counting.
+        """
+        P = self.params
+        T, W = windows.shape[0], windows.shape[1] // 2
+        if T >= PROJECT_MIN_ROWS:
+            split = W * self.config.word_dim
+            budget = PROJECT_SHARE * T * (self.config.word_dim + self.config.pos_dim)
+            tables = []
+            for E, ids, block in (
+                (P["E_word"], windows[:, :W], P["W1"][:split]),
+                (P["E_pos"], windows[:, W:], P["W1"][split:]),
+            ):
+                seen = np.zeros(len(E), dtype=bool)
+                seen[ids] = True
+                budget -= np.count_nonzero(seen) * E.shape[1]
+                if budget < 0:
+                    break
+                tables.append((E, ids, block, np.flatnonzero(seen)))
+            else:
+                pre = np.tile(P["b1"], (T, 1))
+                for E, ids, block, distinct in tables:
+                    # products[k, i] = E[distinct[i]] @ (slot k's block of W1)
+                    products = E[distinct] @ block.reshape(W, E.shape[1], -1)
+                    row = np.empty(len(E), dtype=np.intp)
+                    row[distinct] = np.arange(len(distinct))
+                    rows = row[ids]
+                    for k in range(W):
+                        pre += products[k][rows[:, k]]
+                return pre, None
+        X = self._inputs(windows)
+        return X @ P["W1"] + P["b1"], X
+
     def forward(self, windows, heads=None, dropout_rng=None):
         """Run the network on stacked windows (or one Sentence); returns a
         cache used for backward().
@@ -181,12 +247,8 @@ class TaggerModel:
         if not isinstance(windows, np.ndarray):
             windows = self.windows([windows])
         P = self.params
-        T, W = windows.shape[0], windows.shape[1] // 2
-        X = np.concatenate(
-            [P["E_word"][windows[:, :W]].reshape(T, -1), P["E_pos"][windows[:, W:]].reshape(T, -1)],
-            axis=1,
-        )
-        h_raw = np.tanh(X @ P["W1"] + P["b1"])
+        pre, X = self._pre_activation(windows)
+        h_raw = np.tanh(pre)
         if not np.isfinite(h_raw).all():
             raise RuntimeError("non-finite hidden activations: check W1/b1/embeddings")
         mask = None
@@ -231,7 +293,8 @@ class TaggerModel:
         if cache["mask"] is not None:
             dh *= cache["mask"]
         dpre = dh * (1.0 - cache["h_raw"] ** 2)
-        grads["W1"] = cache["X"].T @ dpre
+        X = cache["X"] if cache["X"] is not None else self._inputs(cache["windows"])
+        grads["W1"] = X.T @ dpre
         grads["b1"] = dpre.sum(axis=0)
         if "E_word" not in frozen or "E_pos" not in frozen:
             windows = cache["windows"]
@@ -275,7 +338,7 @@ def _gold_ids(vocab, corpus):
     gold = {
         "n": vocab.label_ids("n", [lab.n.token() for lab in labels]),
         "c": vocab.label_ids("c", [lab.c for lab in labels]),
-        "u": vocab.label_ids("u", [lab.u if lab.u else "NONE" for lab in labels]),
+        "u": vocab.label_ids("u", [lab.u if lab.u else NO_CHAIN for lab in labels]),
     }
     for name in vocab.aux_tasks:
         gold[name] = vocab.label_ids(name, [v for _, _, aux in corpus for v in aux[name].values])
@@ -415,14 +478,13 @@ def encoded_from_ids(model, sentence, ids):
     """EncodedSentence from per-token (n, c, u) label ids; the last
     token's n and c are forced to the dummy so the output always decodes
     (interior dummies are legal input to decode() and kept as-is)."""
-    id2lab = model.vocab.task_labels
-    n_lab, c_lab, u_lab = id2lab["n"], id2lab["c"], id2lab["u"]
-    labels = []
-    for n, c, u in zip(ids["n"][:-1].tolist(), ids["c"][:-1].tolist(), ids["u"][:-1].tolist()):
-        u = u_lab[u]
-        labels.append(TagLabel(NComponent.from_token(n_lab[n]), c_lab[c], "" if u == "NONE" else u))
-    u = u_lab[int(ids["u"][-1])]
-    labels.append(TagLabel.dummy("" if u == "NONE" else u))
+    vocab = model.vocab
+    n_of, c_of, u_of = vocab.n_components, vocab.task_labels["c"], vocab.u_chains
+    labels = [
+        TagLabel(n_of[n], c_of[c], u_of[u])
+        for n, c, u in zip(ids["n"][:-1].tolist(), ids["c"][:-1].tolist(), ids["u"][:-1].tolist())
+    ]
+    labels.append(TagLabel.dummy(u_of[ids["u"][-1]]))
     return EncodedSentence(sentence, labels, model.scheme if model.scheme else DYNAMIC)
 
 

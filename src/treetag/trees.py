@@ -106,9 +106,11 @@ class Sentence:
 
 
 class ParseError(ValueError):
-    """Malformed bracketing.  `offset` is a byte offset into the input."""
+    """Malformed bracketing.  `offset` is a byte offset into the input and
+    `message` the text without the position."""
 
     def __init__(self, message, offset, line=None):
+        self.message = message
         self.offset = offset
         self.line = line
         where = "line %d, " % line if line is not None else ""
@@ -230,7 +232,7 @@ def load_trees(path, strip_functions=False):
             try:
                 parsed = parse_bracketed(line, strip_functions=strip_functions)
             except ParseError as e:
-                raise ParseError(str(e), e.offset, line=lineno) from None
+                raise ParseError(e.message, e.offset, line=lineno) from None
             if len(parsed) != 1:
                 raise ParseError("expected one tree per line, got %d" % len(parsed), 0, line=lineno)
             trees.append(parsed[0])

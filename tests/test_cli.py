@@ -267,3 +267,33 @@ def test_encode_shares_one_walk_per_tree(tmp_path, monkeypatch, scheme, cap):
     assert run(argv + (["--distance-cap", str(cap)] if cap else [])) == 0
     assert calls == forest
     assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.fixture
+def deep_chain(tmp_path):
+    # a 3,000-level unary chain: deeper than the recursive tree walks reach
+    path = tmp_path / "deep.trees"
+    path.write_text("(A " * 3000 + "(P w)" + ")" * 3000 + "\n", encoding="utf-8")
+    return path
+
+
+def test_eval_of_too_deep_tree_exit_code(deep_chain, capsys):
+    assert run(["eval", str(deep_chain), str(deep_chain)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: %s: a tree is nested too deeply to process\n" % deep_chain
+
+
+def test_decode_of_too_deep_tree_exit_code(tmp_path, deep_chain, capsys):
+    seq = tmp_path / "deep.seq"
+    assert run(["encode", str(deep_chain), str(seq)]) == 0
+    capsys.readouterr()
+    assert run(["decode", str(seq), str(tmp_path / "back.trees")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: %s: a tree is nested too deeply to process\n" % seq
+
+
+def test_parse_error_names_its_position_once(tmp_path, capsys):
+    bad = tmp_path / "bad.trees"
+    bad.write_text("(S (A a))\n(S (B b)\n", encoding="utf-8")
+    assert run(["eval", str(bad), str(bad)]) == 2
+    assert capsys.readouterr().err == "error: line 2, byte 9: unbalanced '('\n"

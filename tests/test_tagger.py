@@ -279,6 +279,80 @@ def test_backward_skips_frozen_and_missing_heads():
 
 
 # ---------------------------------------------------------------------------
+# projected hidden layer
+
+def repeated_instances(copies=22):
+    # one 3-word sentence stacked `copies` times: few distinct ids, and
+    # with the default 66 rows more than PROJECT_MIN_ROWS
+    (t,) = parse_bracketed("(S (NP (DT the) (NN dog)) (VB runs))")
+    enc = encode_dynamic(t)
+    instance = (enc.sentence, enc, {name: make_track(name, t, enc) for name in ("n+1", "dist")})
+    return [instance] * copies
+
+
+@pytest.mark.parametrize("batch", ["repeated", "distinct"])
+def test_projected_and_direct_pre_activations_agree(monkeypatch, batch):
+    _, corpus = tiny_corpus(n=12)
+    model = TaggerModel(Vocabularies.build(corpus), tiny_config(window=2), "dynamic")
+    if batch == "repeated":
+        windows = model.windows([s for s, _, _ in corpus])
+    else:
+        words = tuple(sorted(model.vocab.word2id)[3:])
+        windows = model.windows([Sentence(words, ("NN",) * len(words))])
+        assert len(np.unique(windows[:, 2])) == len(windows)
+    monkeypatch.setattr(tagger, "PROJECT_SHARE", 0.0)
+    direct, X = model._pre_activation(windows)
+    assert X is not None
+    monkeypatch.setattr(tagger, "PROJECT_SHARE", np.inf)
+    monkeypatch.setattr(tagger, "PROJECT_MIN_ROWS", 0)
+    projected, X = model._pre_activation(windows)
+    assert X is None
+    np.testing.assert_allclose(projected, direct, rtol=0, atol=1e-12)
+
+
+def test_projected_gradients_match_finite_differences():
+    instances = repeated_instances()
+    model = TaggerModel(Vocabularies.build(instances[:1]), tiny_config(hidden_dim=5), "dynamic")
+    windows = model.windows([s for s, _, _ in instances])
+    assert model._pre_activation(windows)[1] is None
+    assert_gradients_match_finite_differences(model, instances)
+
+
+def test_nonfinite_w1_faults_on_both_paths():
+    instances = repeated_instances()
+    model = TaggerModel(Vocabularies.build(instances[:1]), tiny_config(), "dynamic")
+    model.params["W1"][0, 0] = np.nan
+    single = model.windows([instances[0][0]])
+    batch = model.windows([s for s, _, _ in instances])
+    assert model._pre_activation(single)[1] is not None
+    assert model._pre_activation(batch)[1] is None
+    for windows in (single, batch):
+        with pytest.raises(RuntimeError):
+            model.forward(windows)
+
+
+def test_single_distinct_sentence_takes_direct_path():
+    # default dimensions; 100 distinct words under a single POS tag
+    words = tuple("w%d" % i for i in range(100))
+    sentence = Sentence(words, ("NN",) * len(words))
+    (t,) = parse_bracketed("(S %s)" % " ".join("(NN %s)" % w for w in words))
+    enc = encode_relative(t)
+    model = TaggerModel(Vocabularies.build([(enc.sentence, enc, {})]), TrainConfig(), "relative")
+    assert len(sentence) >= tagger.PROJECT_MIN_ROWS
+    assert model.forward(sentence)["X"] is not None
+
+
+def test_encoded_from_gold_ids_gives_the_gold_labels():
+    # the id -> label tables invert the vocabularies, empty u chains included
+    _, corpus = tiny_corpus(n=12)
+    model = TaggerModel(Vocabularies.build(corpus), tiny_config(), "dynamic")
+    assert "" in model.vocab.u_chains
+    for instance in corpus:
+        ids = _gold_ids(model.vocab, [instance])
+        assert tagger.encoded_from_ids(model, instance[0], ids) == instance[1]
+
+
+# ---------------------------------------------------------------------------
 # loss composition
 
 @pytest.mark.parametrize("beta", [0.0, 0.1])

@@ -128,6 +128,15 @@ def test_load_trees_error_carries_line(tmp_path):
     assert err.value.line == 2
 
 
+def test_load_trees_error_message(tmp_path):
+    path = tmp_path / "bad.trees"
+    path.write_text("(S (A a))\n(S (B b)\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_trees(path)
+    assert str(err.value) == "line 2, byte 9: unbalanced '('"
+    assert (err.value.message, err.value.offset) == ("unbalanced '('", 9)
+
+
 def test_random_tree_deterministic():
     a = random_tree(7, 20, 10, ["S", "NP"])
     b = random_tree(7, 20, 10, ["S", "NP"])
