@@ -66,7 +66,6 @@ from .pg import (
     adapt_noise,
     finetune_pg,
     pg_update,
-    sample_sequence,
     tree_reward,
 )
 

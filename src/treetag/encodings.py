@@ -31,6 +31,7 @@ round trip (empty, containing ``+`` or ``~``, or equal to ``DUMMY`` or
 Everything here is pure and operates on immutable inputs.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .trees import Internal, Leaf, Sentence
@@ -292,16 +293,6 @@ class RepairLog:
         )
 
 
-class _Draft:
-    """Mutable node used while rebuilding the skeleton."""
-
-    __slots__ = ("label", "children")
-
-    def __init__(self):
-        self.label = None
-        self.children = []
-
-
 def decode(encoded):
     """Rebuild a tree from a label sequence; exact inverse of the encoders.
 
@@ -328,67 +319,89 @@ def decode_with_repairs(encoded):
     if len(labels) != len(sentence):
         raise ValueError("%d labels for %d words" % (len(labels), len(sentence)))
     log = RepairLog()
-    T = len(sentence)
     wrapped = [
         _wrap_chain(lab.u, [Leaf(pos, word)])
         for word, pos, lab in zip(sentence.words, sentence.pos, labels)
     ]
-    if T == 1:
-        return wrapped[0], log
-
-    # shared counts from the n components, with repairs
-    counts = []
-    prev = 0
-    for lab in labels[:-1]:
-        n = lab.n
-        if n.is_dummy:
-            raw = prev if prev >= 1 else 1
-            log.interior_dummies += 1
-        elif n.scale == RELATIVE:
-            raw = prev + n.value
-        else:
-            raw = n.value
-        cur = max(1, raw)
-        if cur != raw:
-            log.clamped += 1
-        counts.append(cur)
-        prev = cur
-
-    # rebuild the skeleton along the rightmost spine
-    root = _Draft()
-    spine = [root]
-    for t in range(T):
-        share = counts[t - 1] if t > 0 else 0
-        if t > 0:
-            del spine[share:]
-            target = spine[share - 1]
-            c = labels[t - 1].c
-            if c and c != DUMMY:
-                if target.label is None:
-                    target.label = c
-                elif target.label != c:
-                    log.label_conflicts += 1
-        want = max(share, counts[t]) if t < T - 1 else max(share, 1)
-        while len(spine) < want:
-            node = _Draft()
-            spine[-1].children.append(node)
-            spine.append(node)
-        spine[-1].children.append(wrapped[t])
-
-    return _finalize(root, log), log
+    return _spine([lab.n for lab in labels], [lab.c for lab in labels], wrapped, log), log
 
 
-def _finalize(node, log):
-    if isinstance(node, (Leaf, Internal)):
-        return node
-    kids = [_finalize(child, log) for child in node.children]
-    if node.label is None:
-        if len(kids) == 1 and isinstance(kids[0], Internal):
+def decoded_spans(ns, cs, us):
+    """labeled_spans(decode(·)) of a label sequence given as its n
+    components, c labels and u chains, building neither labels nor tree."""
+    spans = []
+    _spine(ns, cs, us, RepairLog(), spans)
+    return Counter(spans)
+
+
+def _spine(ns, cs, leaves, log, spans=None):
+    """The decoder's one pass along the rightmost spine.  Position t
+    brings ns[t] and cs[t] (both ignored at the last position) and
+    leaves[t]: its wrapped leaf node or, when `spans` collects every
+    phrase's (label, start, end) instead of building the tree, its leaf
+    chain.  An open node is [label, start, children]; it is final, and
+    repaired, once it leaves the spine.  Returns the tree when building."""
+    last = len(leaves) - 1
+    spine = [[None, 0, []]]
+
+    def close(end):
+        label, start, kids = spine.pop()
+        # a lone child is never a leaf (the deepest node opened at word
+        # t < last gets a second child at t + 1): an overlong climb
+        if label is None and len(kids) == 1:
+            node = kids[0]
             log.spliced += 1
-            return kids[0]
-        log.placeholders += 1
-        return Internal(PLACEHOLDER, kids)
-    return _wrap_chain(node.label, kids)
+        else:
+            if label is None:
+                label = PLACEHOLDER
+                log.placeholders += 1
+            if spans is None:
+                node = _wrap_chain(label, kids)
+            else:
+                node = True
+                for part in label.split(CHAIN_SEP):
+                    spans.append((part, start, end))
+        if spine:
+            spine[-1][2].append(node)
+        return node
+
+    share = 0
+    for t, leaf in enumerate(leaves):
+        if t:
+            while len(spine) > share:
+                close(t)
+            c = cs[t - 1]
+            if c and c != DUMMY:
+                target = spine[-1]
+                if target[0] is None:
+                    target[0] = c
+                elif target[0] != c:
+                    log.label_conflicts += 1
+        count = 1  # the count shared with the next word, with repairs
+        if t < last:
+            n = ns[t]
+            if n.scale == RELATIVE:
+                raw = share + n.value
+            elif n.scale == ABSOLUTE:
+                raw = n.value
+            else:
+                raw = share if share > 0 else 1
+                log.interior_dummies += 1
+            count = raw if raw > 0 else 1
+            if count != raw:
+                log.clamped += 1
+        while len(spine) < count:
+            spine.append([None, t, []])
+        spine[-1][2].append(leaf)
+        if spans is not None and leaf:
+            for part in leaf.split(CHAIN_SEP):
+                spans.append((part, t, t + 1))
+        share = count
+    if not last:
+        return leaves[0]
+    while spine:
+        tree = close(last + 1)
+    return tree
 
 
 def _wrap_chain(chain, children):

@@ -82,6 +82,11 @@ def bracket_score(gold, predicted, strip_punctuation=False):
     pred_spans, pred_leaves = _spans_and_leaves(predicted, strip_punctuation)
     if gold_leaves != pred_leaves:
         raise ValueError("gold has %d leaves, prediction has %d" % (gold_leaves, pred_leaves))
+    return span_score(gold_spans, pred_spans)
+
+
+def span_score(gold_spans, pred_spans):
+    """BracketScore of two span multisets (Counters) over the same words."""
     matched = sum(min(n, gold_spans.get(span, 0)) for span, n in pred_spans.items())
     return BracketScore(matched, sum(gold_spans.values()), sum(pred_spans.values()))
 

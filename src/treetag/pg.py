@@ -2,12 +2,15 @@
 
 The tagger is treated as a policy over label sequences: per token it
 factorises into independent picks for the n, c and u heads.  Fine-tuning
-samples sequences, scores each decoded tree against the gold tree by
-bracketing F1, subtracts the reward of a frozen copy of the starting model
-(the baseline), standardises that advantage with running statistics, and
-takes small ascent steps on advantage-weighted log-likelihood plus an
-entropy bonus.  Embedding tables stay frozen so the fine-tuned model keeps
-the supervised lexical representations.
+samples sequences and scores each by the bracketing F1 of its tree against
+the gold tree: the decoder's one pass yields the tree's labeled spans
+straight from the sampled ids, and each gold tree's spans are taken once
+per run, so no tree is built or walked per sample.  It subtracts the reward
+of a frozen copy of the starting model (the baseline), standardises that
+advantage with running statistics, and takes small ascent steps on
+advantage-weighted log-likelihood plus an entropy bonus.  Embedding tables
+stay frozen so the fine-tuned model keeps the supervised lexical
+representations.
 
 Optionally, Gaussian noise is added to the logits during sampling; its
 scale adapts multiplicatively towards a target amount of induced
@@ -21,14 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import decode
-from .metrics import bracket_score
+from .metrics import bracket_score, labeled_spans, span_score
 from .tagger import (
     MAIN_TASKS,
     _dev_f1,
+    _predict_ids,
     _softmax,
-    encoded_from_ids,
-    predict_corpus,
     predict_greedy,
+    spans_from_ids,
 )
 
 
@@ -125,23 +128,6 @@ def _sample(cache, n_samples, rng, noise_std=0.0):
     return probs, picks
 
 
-def sample_sequence(policy, sentence, rng, noise_std=0.0):
-    """Sample a label sequence from the policy.
-
-    Every head is sampled per token except the final token's n and c,
-    which are forced to the dummy and contribute no log-probability (its u
-    is still a real decision).  Returns (EncodedSentence, total
-    log-probability of the sampled decisions).
-    """
-    probs, picks = _sample(policy.forward(sentence, heads=MAIN_TASKS), 1, rng, noise_std)
-    logprob = 0.0
-    for name in MAIN_TASKS:
-        chosen = np.take_along_axis(probs[name][0], picks[name][0][:, None], axis=1)
-        logprob += float(np.log(chosen if name == "u" else chosen[:-1]).sum())
-    ids = {name: picks[name][0] for name in MAIN_TASKS}
-    return encoded_from_ids(policy, sentence, ids), logprob
-
-
 def tree_reward(sampled, gold_tree):
     """Bracketing F1 of the decoded sample against the gold tree, in [0,1]."""
     return bracket_score(gold_tree, decode(sampled)).f1
@@ -168,14 +154,15 @@ def estimate_policy_gradient(
 ):
     """Ascent-direction parameter gradients from sampled sequences.
 
-    For each sample: advantage = reward_fn(sequence) - baseline_reward,
-    standardised through `tracker` when given; the gradient accumulates
-    advantage * grad log-prob of the sampled decisions plus entropy_coef *
-    grad entropy of the (possibly noise-perturbed) policy.  The final
-    token's n and c decisions are forced and therefore excluded from both
-    terms.  Gradients and stats are averaged over samples.  One forward
-    pass serves all samples and the summed logit gradients take one
-    backward pass; parameters named in `frozen` get no gradient.
+    For each sample: advantage = reward_fn(ids) - baseline_reward (ids
+    maps each main task to the sample's per-token label ids), standardised
+    through `tracker` when given; the gradient accumulates advantage *
+    grad log-prob of the sampled decisions plus entropy_coef * grad entropy
+    of the (possibly noise-perturbed) policy.  The final token's n and c
+    decisions are forced and therefore excluded from both terms.
+    Gradients and stats are averaged over samples.  One forward pass
+    serves all samples and the summed logit gradients take one backward
+    pass; parameters named in `frozen` get no gradient.
     """
     cache = policy.forward(sentence, heads=MAIN_TASKS)
     probs, picks = _sample(cache, n_samples, rng, noise_std)
@@ -183,9 +170,7 @@ def estimate_policy_gradient(
     advantages = []
     standardized = []
     for k in range(n_samples):
-        reward = reward_fn(
-            encoded_from_ids(policy, sentence, {name: picks[name][k] for name in MAIN_TASKS})
-        )
+        reward = reward_fn({name: picks[name][k] for name in MAIN_TASKS})
         adv = reward - baseline_reward
         if tracker is not None:
             tracker.update(adv)
@@ -220,19 +205,22 @@ def estimate_policy_gradient(
 
 
 def pg_update(policy, baseline, sentence, gold_tree, config, tracker, rng, noise_std=0.0,
-              baseline_reward=None):
+              baseline_reward=None, gold_spans=None):
     """One fine-tuning step on a single sentence.
 
     The baseline reward is the frozen model's greedy tree score; it is
-    computed here unless `baseline_reward` passes it in.  Parameters named
-    in config.frozen are left untouched.  Returns per-sentence stats.
+    computed here unless `baseline_reward` passes it in, and `gold_spans`
+    may pass in labeled_spans(gold_tree).  Parameters named in
+    config.frozen are left untouched.  Returns per-sentence stats.
     """
     if baseline_reward is None:
         baseline_reward = tree_reward(predict_greedy(baseline, sentence), gold_tree)
+    if gold_spans is None:
+        gold_spans = labeled_spans(gold_tree)
     grads, stats = estimate_policy_gradient(
         policy,
         sentence,
-        lambda encoded: tree_reward(encoded, gold_tree),
+        lambda ids: span_score(gold_spans, spans_from_ids(policy, ids)).f1,
         config.samples,
         rng,
         entropy_coef=config.entropy_coef,
@@ -251,14 +239,18 @@ def pg_update(policy, baseline, sentence, gold_tree, config, tracker, rng, noise
 
 def action_divergence(policy, sentences, noise_std, rng):
     """Mean absolute difference between noisy and clean probability
-    vectors over all tokens and heads of `sentences`."""
+    vectors of the sampled (main) heads: the mean over sentences and heads
+    of each sentence's mean over its tokens and labels.  One forward pass
+    covers all sentences, and each head takes one noise draw."""
+    cache = policy.forward(policy.windows(sentences), heads=MAIN_TASKS)
+    lengths = np.array([len(s) for s in sentences])
+    starts = np.cumsum(lengths) - lengths
     diffs = []
-    for sentence in sentences:
-        cache = policy.forward(sentence)
-        for name in policy.tasks:
-            z, clean = cache["logits"][name], cache["probs"][name]
-            noisy = _softmax(z + rng.normal(0.0, noise_std, size=z.shape)) if noise_std > 0 else clean
-            diffs.append(np.abs(noisy - clean).mean())
+    for name in MAIN_TASKS:
+        z, clean = cache["logits"][name], cache["probs"][name]
+        noisy = _softmax(z + rng.normal(0.0, noise_std, size=z.shape)) if noise_std > 0 else clean
+        rows = np.abs(noisy - clean).mean(axis=1)
+        diffs.append(np.add.reduceat(rows, starts) / lengths)
     return float(np.mean(diffs))
 
 
@@ -294,8 +286,12 @@ def finetune_pg(policy, train, config, dev=None, log_path=None, baseline=None):
     tracker = AdvantageTracker(config.burn_in)
     rng = np.random.default_rng(config.seed)
     noise = NoiseState.from_config(config) if config.noise_enabled else None
-    greedy = predict_corpus(baseline, [sentence for sentence, _ in train])
-    baseline_rewards = [tree_reward(encoded, tree) for encoded, (_, tree) in zip(greedy, train)]
+    gold_spans = [labeled_spans(tree) for _, tree in train]
+    greedy = _predict_ids(baseline, [sentence for sentence, _ in train])
+    baseline_rewards = [span_score(gold, spans_from_ids(baseline, ids)).f1
+                        for ids, gold in zip(greedy, gold_spans)]
+    if dev is not None:
+        dev = [(sentence, labeled_spans(tree)) for sentence, tree in dev]
     order = np.arange(len(train))
     rows = []
     for epoch in range(config.epochs):
@@ -306,7 +302,7 @@ def finetune_pg(policy, train, config, dev=None, log_path=None, baseline=None):
             sentence, gold_tree = train[i]
             std = noise.std if noise is not None else 0.0
             stats = pg_update(policy, baseline, sentence, gold_tree, config, tracker, rng, std,
-                              baseline_rewards[i])
+                              baseline_rewards[i], gold_spans[i])
             for key in stats_acc:
                 stats_acc[key].append(stats[key])
             if noise is not None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import DYNAMIC, NO_CHAIN, EncodedSentence, NComponent, TagLabel, decode
+from .encodings import DYNAMIC, NO_CHAIN, EncodedSentence, NComponent, TagLabel, decoded_spans
 from . import metrics
 
 MAIN_TASKS = ("n", "c", "u")
@@ -306,8 +306,11 @@ class TaggerModel:
                 ("E_pos", windows[:, W:], dX[:, split:]),
             ):
                 if name not in frozen:
+                    # one scatter over flat (id, column) indices, in row order
+                    D = P[name].shape[1]
+                    flat = (win[..., None] * D + np.arange(D)).ravel()
                     g = np.zeros_like(P[name])
-                    np.add.at(g, win, dx.reshape(win.shape + (-1,)))
+                    np.add.at(g.reshape(-1), flat, dx.ravel())
                     grads[name] = g
         return {k: g for k, g in grads.items() if k not in frozen}
 
@@ -418,6 +421,8 @@ def train_mtl(corpus, config, dev=None):
     dropout_rng = np.random.default_rng(seeds[2])
 
     windows = model.windows([sentence for sentence, _, _ in corpus])
+    if dev is not None:  # scored against each gold tree's spans, taken once
+        dev = [(sentence, metrics.labeled_spans(tree)) for sentence, tree in dev]
     gold = _gold_ids(vocab, corpus)
     ends = np.cumsum([len(sentence) for sentence, _, _ in corpus])
     beta = config.aux_weight
@@ -468,10 +473,11 @@ def train_mtl(corpus, config, dev=None):
 
 
 def _dev_f1(model, dev):
-    predicted = predict_corpus(model, [sentence for sentence, _ in dev])
-    return metrics.corpus_bracket_score(
-        [gold_tree for _, gold_tree in dev], [decode(encoded) for encoded in predicted]
-    ).f1
+    """Corpus bracketing F1 of greedy trees on (Sentence, gold spans) pairs."""
+    total = metrics.BracketScore(0, 0, 0)
+    for ids, (_, gold) in zip(_predict_ids(model, [sentence for sentence, _ in dev]), dev):
+        total = total + metrics.span_score(gold, spans_from_ids(model, ids))
+    return total.f1
 
 
 def encoded_from_ids(model, sentence, ids):
@@ -488,6 +494,17 @@ def encoded_from_ids(model, sentence, ids):
     return EncodedSentence(sentence, labels, model.scheme if model.scheme else DYNAMIC)
 
 
+def spans_from_ids(model, ids):
+    """labeled_spans(decode(encoded_from_ids(model, sentence, ids))), read
+    through the vocabulary tables without building either."""
+    vocab = model.vocab
+    n_of, c_of, u_of = vocab.n_components, vocab.task_labels["c"], vocab.u_chains
+    return decoded_spans(
+        [n_of[n] for n in ids["n"].tolist()], [c_of[c] for c in ids["c"].tolist()],
+        [u_of[u] for u in ids["u"].tolist()],
+    )
+
+
 def predict_greedy(model, sentence):
     """Argmax labels per token and task; the last token's n and c are
     forced to the dummy so the output always decodes."""
@@ -501,7 +518,12 @@ def predict_corpus(model, sentences):
     longer sentence is a batch of its own), which bounds peak memory;
     results are those of predict_greedy on each sentence.
     """
-    out = []
+    ids = _predict_ids(model, sentences)
+    return [encoded_from_ids(model, s, sentence_ids) for s, sentence_ids in zip(sentences, ids)]
+
+
+def _predict_ids(model, sentences):
+    """Greedy per-task label ids of each sentence, in input order."""
     for start, stop in _chunks([len(s) for s in sentences]):
         chunk = sentences[start:stop]
         probs = model.forward(model.windows(chunk), heads=MAIN_TASKS)["probs"]
@@ -509,8 +531,7 @@ def predict_corpus(model, sentences):
         end = 0
         for sentence in chunk:
             first, end = end, end + len(sentence)
-            out.append(encoded_from_ids(model, sentence, {k: v[first:end] for k, v in ids.items()}))
-    return out
+            yield {k: v[first:end] for k, v in ids.items()}
 
 
 # ---------------------------------------------------------------------------

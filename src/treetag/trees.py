@@ -72,13 +72,6 @@ def leaf_count(tree):
     return sum(1 for _ in leaves(tree))
 
 
-def depth(tree):
-    """Height in node levels: a bare preterminal has depth 1."""
-    if isinstance(tree, Leaf):
-        return 1
-    return 1 + max(depth(c) for c in tree.children)
-
-
 @dataclass(frozen=True)
 class Sentence:
     """A tokenised sentence with one POS tag per word."""
@@ -106,14 +99,16 @@ class Sentence:
 
 
 class ParseError(ValueError):
-    """Malformed bracketing.  `offset` is a byte offset into the input and
-    `message` the text without the position."""
+    """Malformed bracketing.  `offset` is a byte offset into the input (a
+    line of file `path`, if given) and `message` the text without the
+    position."""
 
-    def __init__(self, message, offset, line=None):
+    def __init__(self, message, offset, line=None, path=None):
         self.message = message
         self.offset = offset
         self.line = line
-        where = "line %d, " % line if line is not None else ""
+        self.path = path
+        where = "%s:%d: " % (path, line) if line is not None else ""
         super().__init__("%sbyte %d: %s" % (where, offset, message))
 
 
@@ -222,7 +217,7 @@ def _serialize_into(tree, parts):
 def load_trees(path, strip_functions=False):
     """Read one tree per line; blank lines skipped.
 
-    Raises ParseError with the offending line number on malformed input.
+    Raises ParseError naming the file and line on malformed input.
     """
     trees = []
     with open(path, encoding="utf-8") as fh:
@@ -232,9 +227,10 @@ def load_trees(path, strip_functions=False):
             try:
                 parsed = parse_bracketed(line, strip_functions=strip_functions)
             except ParseError as e:
-                raise ParseError(e.message, e.offset, line=lineno) from None
+                raise ParseError(e.message, e.offset, lineno, path) from None
             if len(parsed) != 1:
-                raise ParseError("expected one tree per line, got %d" % len(parsed), 0, line=lineno)
+                message = "expected one tree per line, got %d" % len(parsed)
+                raise ParseError(message, 0, lineno, path)
             trees.append(parsed[0])
     return trees
 

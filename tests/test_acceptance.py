@@ -213,7 +213,7 @@ def test_reinforce_unbiasedness():
         table = reward_table(vocab)
         rng = np.random.default_rng(123)
         mc, _ = estimate_policy_gradient(
-            model, sentence, table_reward_fn(vocab, table), 10000, rng
+            model, sentence, table_reward_fn(model, sentence, table), 10000, rng
         )
         names = ["W_n", "b_n", "W_c", "b_c", "W1", "b1"]
         exact = exact_gradient_fd(model, sentence, table, names)

@@ -296,4 +296,4 @@ def test_parse_error_names_its_position_once(tmp_path, capsys):
     bad = tmp_path / "bad.trees"
     bad.write_text("(S (A a))\n(S (B b)\n", encoding="utf-8")
     assert run(["eval", str(bad), str(bad)]) == 2
-    assert capsys.readouterr().err == "error: line 2, byte 9: unbalanced '('\n"
+    assert capsys.readouterr().err == "error: %s:2: byte 9: unbalanced '('\n" % bad

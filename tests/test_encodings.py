@@ -16,10 +16,12 @@ from treetag.encodings import (
     ABSOLUTE,
     DUMMY,
     DYNAMIC,
+    PLACEHOLDER,
     RELATIVE,
     SCHEMES,
     EncodedSentence,
     NComponent,
+    RepairLog,
     TagLabel,
     common_ancestors,
     decode,
@@ -370,6 +372,115 @@ def test_decode_total_on_arbitrary_labels(parts):
     labels.append(TagLabel.dummy(parts[-1][2]))
     tree = decode(EncodedSentence(sentence, labels, DYNAMIC))
     assert [l.word for l in _leaves(tree)] == list(sentence.words)
+
+
+def test_decode_deep_climb_returns_a_tree():
+    # 3,000 open levels close one by one, with no recursion
+    labels = [TagLabel(NComponent(ABSOLUTE, 3000), "S"), TagLabel.dummy()]
+    tree, log = decode_with_repairs(EncodedSentence(two_word_sentence(), labels, DYNAMIC))
+    assert tree == Internal("S", [Leaf("P0", "w0"), Leaf("P1", "w1")])
+    assert log == RepairLog(spliced=2999)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the recursive two-pass decoder the one-pass decoder replaced.
+
+class _Draft:
+    def __init__(self):
+        self.label = None
+        self.children = []
+
+
+def oracle_decode(encoded):
+    """(tree, RepairLog): the skeleton along the rightmost spine, then a
+    recursive pass applying the splice and placeholder repairs."""
+    sentence, labels = encoded.sentence, encoded.labels
+    log = RepairLog()
+    T = len(sentence)
+    wrapped = [
+        _oracle_wrap(lab.u, [Leaf(pos, word)])
+        for word, pos, lab in zip(sentence.words, sentence.pos, labels)
+    ]
+    if T == 1:
+        return wrapped[0], log
+    counts = []
+    prev = 0
+    for lab in labels[:-1]:
+        n = lab.n
+        if n.is_dummy:
+            raw = prev if prev >= 1 else 1
+            log.interior_dummies += 1
+        elif n.scale == RELATIVE:
+            raw = prev + n.value
+        else:
+            raw = n.value
+        cur = max(1, raw)
+        if cur != raw:
+            log.clamped += 1
+        counts.append(cur)
+        prev = cur
+    root = _Draft()
+    spine = [root]
+    for t in range(T):
+        share = counts[t - 1] if t > 0 else 0
+        if t > 0:
+            del spine[share:]
+            target = spine[share - 1]
+            c = labels[t - 1].c
+            if c and c != DUMMY:
+                if target.label is None:
+                    target.label = c
+                elif target.label != c:
+                    log.label_conflicts += 1
+        want = max(share, counts[t]) if t < T - 1 else max(share, 1)
+        while len(spine) < want:
+            node = _Draft()
+            spine[-1].children.append(node)
+            spine.append(node)
+        spine[-1].children.append(wrapped[t])
+    return _oracle_finalize(root, log), log
+
+
+def _oracle_finalize(node, log):
+    if isinstance(node, (Leaf, Internal)):
+        return node
+    kids = [_oracle_finalize(child, log) for child in node.children]
+    if node.label is None:
+        if len(kids) == 1 and isinstance(kids[0], Internal):
+            log.spliced += 1
+            return kids[0]
+        log.placeholders += 1
+        return Internal(PLACEHOLDER, kids)
+    return _oracle_wrap(node.label, kids)
+
+
+def _oracle_wrap(chain, children):
+    if not chain:
+        return children[0]
+    for part in reversed(chain.split("+")):
+        children = [Internal(part, children)]
+    return children[0]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            label_tokens,
+            st.sampled_from(["S", "NP", "X+Y", DUMMY, ""]),
+            st.sampled_from(["", "NP", "X+Y"]),
+        ),
+        min_size=1,
+        max_size=14,
+    )
+)
+def test_decode_matches_recursive_oracle(parts):
+    # arbitrary labels, so every repair kind occurs; the final n and c are
+    # whatever was drawn, which both decoders must ignore
+    T = len(parts)
+    sentence = Sentence(tuple("w%d" % i for i in range(T)), tuple("P" for _ in range(T)))
+    encoded = EncodedSentence(sentence, [TagLabel(n, c, u) for n, c, u in parts], DYNAMIC)
+    assert decode_with_repairs(encoded) == oracle_decode(encoded)
 
 
 def _leaves(tree):

@@ -9,16 +9,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treetag.trees import Sentence, parse_bracketed, sample_corpus
 from treetag.encodings import (
+    ABSOLUTE,
+    DYNAMIC,
     RELATIVE,
     EncodedSentence,
     NComponent,
     TagLabel,
+    decode,
     encode_relative,
 )
-from treetag.tagger import TaggerModel, TrainConfig, Vocabularies, predict_greedy, train_mtl
+from treetag.metrics import labeled_spans, span_score
+from treetag.tagger import (
+    MAIN_TASKS,
+    OOV,
+    TaggerModel,
+    TrainConfig,
+    Vocabularies,
+    encoded_from_ids,
+    predict_greedy,
+    spans_from_ids,
+    train_mtl,
+)
+from treetag import pg
 from treetag.pg import (
     AdvantageTracker,
     NoiseState,
@@ -27,9 +43,26 @@ from treetag.pg import (
     estimate_policy_gradient,
     finetune_pg,
     pg_update,
-    sample_sequence,
     tree_reward,
 )
+
+
+def sample_sequence(policy, sentence, rng, noise_std=0.0):
+    """Sample a label sequence from the policy, one sample at a time: the
+    sequential oracle of the batched sampler.
+
+    Every head is sampled per token except the final token's n and c,
+    which are forced to the dummy and contribute no log-probability (its u
+    is still a real decision).  Returns (EncodedSentence, total
+    log-probability of the sampled decisions).
+    """
+    probs, picks = pg._sample(policy.forward(sentence, heads=MAIN_TASKS), 1, rng, noise_std)
+    logprob = 0.0
+    for name in MAIN_TASKS:
+        chosen = np.take_along_axis(probs[name][0], picks[name][0][:, None], axis=1)
+        logprob += float(np.log(chosen if name == "u" else chosen[:-1]).sum())
+    ids = {name: picks[name][0] for name in MAIN_TASKS}
+    return encoded_from_ids(policy, sentence, ids), logprob
 
 
 def toy_policy(u_labels=("",), seed=5):
@@ -130,6 +163,65 @@ def test_reward_flat_tree_half():
     assert tree_reward(enc, gold) == pytest.approx(0.5)
 
 
+def test_reward_of_a_deep_climb_is_a_score():
+    # every sample's first label climbs 3,000 levels; the decoder splices
+    # out the 2,999 unlabelled ones, so the reward is a score, not an error
+    sentence = Sentence(("a", "b"), ("PA", "PB"))
+    labels = [TagLabel(NComponent(ABSOLUTE, 3000), "S"), TagLabel.dummy()]
+    corpus = [(sentence, EncodedSentence(sentence, labels, DYNAMIC), {})]
+    vocab = Vocabularies.build(corpus)
+    model = TaggerModel(vocab, TrainConfig(word_dim=4, pos_dim=3, hidden_dim=6, window=1),
+                        DYNAMIC)
+    model.params["W_n"][:] = 0.0
+    model.params["b_n"][:] = 0.0
+    model.params["b_n"][vocab.tasks["n"]["a3000"]] = 40.0
+    (gold,) = parse_bracketed("(S (PA a) (PB b))")
+    config = PGConfig(samples=4, learning_rate=0.0, seed=2)
+    stats = pg_update(model, model.clone(), sentence, gold, config, AdvantageTracker(),
+                      np.random.default_rng(2))
+    assert 0.0 <= stats["reward"] <= 1.0
+    assert 0.0 <= stats["baseline"] <= 1.0
+    ids = {"n": np.array([vocab.tasks["n"]["a3000"]] * 2),
+           "c": np.array([vocab.tasks["c"]["S"]] * 2), "u": np.array([0, 0])}
+    assert span_score(labeled_spans(gold), spans_from_ids(model, ids)).f1 == 1.0
+
+
+# Label ids over a vocabulary that exercises every repair: negative and
+# overlong counts, interior dummies, unlabelled and chained nodes.
+SPAN_N = ["DUMMY"] + ["r%d" % v for v in range(-4, 5)] + ["a%d" % v for v in range(1, 7)]
+SPAN_C = ["DUMMY", "S", "NP", "X+Y"]
+SPAN_U = ["NONE", "NP", "Q+R"]
+
+
+def span_policy():
+    tasks = {name: {tok: i for i, tok in enumerate(toks)}
+             for name, toks in (("n", SPAN_N), ("c", SPAN_C), ("u", SPAN_U))}
+    vocab = Vocabularies({OOV: 0}, {OOV: 0}, tasks)
+    return TaggerModel(vocab, TrainConfig(word_dim=2, pos_dim=2, hidden_dim=2, window=0), DYNAMIC)
+
+
+def label_ids(length):
+    return st.fixed_dictionaries({
+        name: st.lists(st.integers(0, len(toks) - 1), min_size=length, max_size=length)
+        .map(np.array)
+        for name, toks in (("n", SPAN_N), ("c", SPAN_C), ("u", SPAN_U))
+    })
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(1, 12).flatmap(lambda T: st.tuples(label_ids(T), label_ids(T))))
+def test_spans_from_ids_score_like_decoded_trees(pair):
+    ids, gold_ids = pair
+    model = span_policy()
+    T = len(ids["n"])
+    sentence = Sentence(tuple("w%d" % i for i in range(T)), ("P",) * T)
+    encoded = encoded_from_ids(model, sentence, ids)
+    assert spans_from_ids(model, ids) == labeled_spans(decode(encoded))
+    gold = decode(encoded_from_ids(model, sentence, gold_ids))
+    reward = span_score(labeled_spans(gold), spans_from_ids(model, ids)).f1
+    assert reward == tree_reward(encoded, gold)
+
+
 # ---------------------------------------------------------------------------
 # advantage tracker
 
@@ -175,11 +267,11 @@ def reward_table(vocab):
     return table
 
 
-def table_reward_fn(vocab, table):
-    def fn(encoded):
-        lab = encoded.labels[0]
-        ni = vocab.tasks["n"][lab.n.token()]
-        ci = vocab.tasks["c"][lab.c]
+def table_reward_fn(model, sentence, table):
+    def fn(ids):
+        lab = encoded_from_ids(model, sentence, ids).labels[0]
+        ni = model.vocab.tasks["n"][lab.n.token()]
+        ci = model.vocab.tasks["c"][lab.c]
         return table[(ni, ci)]
 
     return fn
@@ -216,7 +308,7 @@ def test_reinforce_matches_enumerated_gradient():
     table = reward_table(vocab)
     rng = np.random.default_rng(123)
     mc, _ = estimate_policy_gradient(
-        model, sentence, table_reward_fn(vocab, table), 10000, rng
+        model, sentence, table_reward_fn(model, sentence, table), 10000, rng
     )
     names = ["W_n", "b_n", "W_c", "b_c", "W1", "b1"]
     exact = exact_gradient_fd(model, sentence, table, names)
@@ -370,8 +462,9 @@ def small_trained_policy():
     return model, sentence, gold
 
 
-def recording_reward(gold, seen):
-    def fn(encoded):
+def recording_reward(model, sentence, gold, seen):
+    def fn(ids):
+        encoded = encoded_from_ids(model, sentence, ids)
         seen.append(encoded.labels)
         return tree_reward(encoded, gold)
 
@@ -381,7 +474,7 @@ def recording_reward(gold, seen):
 def test_vectorised_sampler_matches_sequential_samples():
     model, sentence, gold = small_trained_policy()
     seen = []
-    estimate_policy_gradient(model, sentence, recording_reward(gold, seen), 8,
+    estimate_policy_gradient(model, sentence, recording_reward(model, sentence, gold, seen), 8,
                              np.random.default_rng(5))
     rng = np.random.default_rng(5)
     assert seen == [sample_sequence(model, sentence, rng)[0].labels for _ in range(8)]
@@ -390,7 +483,7 @@ def test_vectorised_sampler_matches_sequential_samples():
 
 def test_single_backward_equals_mean_of_sample_gradients():
     model, sentence, gold = small_trained_policy()
-    reward = lambda encoded: tree_reward(encoded, gold)
+    reward = lambda ids: tree_reward(encoded_from_ids(model, sentence, ids), gold)
     kwargs = dict(entropy_coef=0.05, baseline_reward=0.4)
     joint, stats = estimate_policy_gradient(
         model, sentence, reward, 8, np.random.default_rng(6),
@@ -416,7 +509,7 @@ def test_noisy_samples_share_one_hidden_layer():
     model.forward = lambda *a, **kw: calls.append(a) or forward(*a, **kw)
     seen = []
     K, std = 4, 0.5
-    estimate_policy_gradient(model, sentence, recording_reward(gold, seen), K,
+    estimate_policy_gradient(model, sentence, recording_reward(model, sentence, gold, seen), K,
                              np.random.default_rng(7), noise_std=std)
     assert len(calls) == 1
 

@@ -278,6 +278,32 @@ def test_backward_skips_frozen_and_missing_heads():
             np.testing.assert_array_equal(partial[name], full[name])
 
 
+def test_embedding_gradients_equal_row_scatter_bytes():
+    # a batch repeating every id: the flat scatter must add each row's
+    # contributions in np.add.at's order, so the sums match to the bit
+    _, corpus = tiny_corpus(n=4)
+    model = TaggerModel(Vocabularies.build(corpus), tiny_config(window=2), "dynamic")
+    instances = corpus * 3
+    cache = model.forward(model.windows([s for s, _, _ in instances]))
+    _, dlogits = task_losses(model, cache, _gold_ids(model.vocab, instances))
+    grads = model.backward(cache, dlogits)
+    P = model.params
+    dh = np.zeros_like(cache["h"])
+    for name, dz in dlogits.items():
+        dh += dz @ P["W_" + name].T
+    dX = (dh * (1.0 - cache["h_raw"] ** 2)) @ P["W1"].T
+    W = cache["windows"].shape[1] // 2
+    split = W * model.config.word_dim
+    for name, win, dx in (
+        ("E_word", cache["windows"][:, :W], dX[:, :split]),
+        ("E_pos", cache["windows"][:, W:], dX[:, split:]),
+    ):
+        assert len(np.unique(win)) < win.size
+        expected = np.zeros_like(P[name])
+        np.add.at(expected, win, dx.reshape(win.shape + (-1,)))
+        assert grads[name].tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # projected hidden layer
 

@@ -10,7 +10,6 @@ from treetag.trees import (
     ParseError,
     Sentence,
     demo_grammar,
-    depth,
     leaf_count,
     leaves,
     load_trees,
@@ -23,6 +22,13 @@ from treetag.trees import (
 )
 
 THREE_LEAF = "(S (NP (D the) (N dog)) (VP (V barks)))"
+
+
+def depth(tree):
+    """Height in node levels: a bare preterminal has depth 1."""
+    if isinstance(tree, Leaf):
+        return 1
+    return 1 + max(depth(c) for c in tree.children)
 
 
 def test_parse_simple():
@@ -133,7 +139,7 @@ def test_load_trees_error_message(tmp_path):
     path.write_text("(S (A a))\n(S (B b)\n", encoding="utf-8")
     with pytest.raises(ParseError) as err:
         load_trees(path)
-    assert str(err.value) == "line 2, byte 9: unbalanced '('"
+    assert str(err.value) == "%s:2: byte 9: unbalanced '('" % path
     assert (err.value.message, err.value.offset) == ("unbalanced '('", 9)
 
 
