@@ -32,6 +32,7 @@ from .encodings import (
     TagLabel,
     common_ancestors,
     decode,
+    decode_parts,
     decode_with_repairs,
     encode,
     encode_absolute,
@@ -56,6 +57,7 @@ from .tagger import (
     mtl_loss,
     predict_corpus,
     predict_greedy,
+    predict_trees,
     save_model,
     train_mtl,
 )

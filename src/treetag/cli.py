@@ -252,8 +252,7 @@ def cmd_finetune(args):
 def cmd_predict(args):
     model = tagging.load_model(args.checkpoint)
     sentences = seqfile.read_tagged(args.input)
-    predicted = tagging.predict_corpus(model, sentences)
-    trees.save_trees(args.output, [encodings.decode(encoded) for encoded in predicted])
+    trees.save_trees(args.output, tagging.predict_trees(model, sentences))
     print("predicted %d sentences to %s" % (len(sentences), args.output))
     return 0
 

@@ -314,16 +314,21 @@ def decode_with_repairs(encoded):
     single phrase child are artifacts of an overlong climb and are spliced
     out.  The final position's n and c are ignored (dummy by contract).
     """
-    sentence = encoded.sentence
     labels = encoded.labels
-    if len(labels) != len(sentence):
-        raise ValueError("%d labels for %d words" % (len(labels), len(sentence)))
+    return decode_parts(encoded.sentence, [lab.n for lab in labels], [lab.c for lab in labels],
+                        [lab.u for lab in labels])
+
+
+def decode_parts(sentence, ns, cs, us):
+    """decode_with_repairs() of a label sequence given as its n
+    components, c labels and u chains, building no labels."""
+    if not len(ns) == len(cs) == len(us) == len(sentence):
+        raise ValueError("%d labels for %d words" % (len(us), len(sentence)))
     log = RepairLog()
     wrapped = [
-        _wrap_chain(lab.u, [Leaf(pos, word)])
-        for word, pos, lab in zip(sentence.words, sentence.pos, labels)
+        _wrap_chain(u, [Leaf(pos, word)]) for word, pos, u in zip(sentence.words, sentence.pos, us)
     ]
-    return _spine([lab.n for lab in labels], [lab.c for lab in labels], wrapped, log), log
+    return _spine(ns, cs, wrapped, log), log
 
 
 def decoded_spans(ns, cs, us):

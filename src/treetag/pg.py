@@ -232,7 +232,8 @@ def pg_update(policy, baseline, sentence, gold_tree, config, tracker, rng, noise
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise RuntimeError("non-finite policy gradient for %r" % name)
-        policy.params[name] += config.learning_rate * g
+        g *= config.learning_rate
+        policy.params[name] += g
     stats["baseline"] = baseline_reward
     return stats
 

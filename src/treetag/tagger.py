@@ -14,6 +14,9 @@ every token sums the rows of its window (Chen & Manning, 2014).  The
 batch's own size and distinct-id counts pick this path or the direct
 product, so single sentences keep the direct one.
 
+Greedy prediction computes each main head's logits and their argmax, not
+the softmax training needs, and `predict_trees` decodes from label ids.
+
 All tensors are float64 numpy arrays and every gradient is written out by
 hand, which keeps the whole model checkable against finite differences.
 """
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import DYNAMIC, NO_CHAIN, EncodedSentence, NComponent, TagLabel, decoded_spans
+from .encodings import DYNAMIC, NO_CHAIN, EncodedSentence, NComponent, TagLabel
+from .encodings import decode_parts, decoded_spans
 from . import metrics
 
 MAIN_TASKS = ("n", "c", "u")
@@ -98,17 +102,26 @@ class Vocabularies:
     def aux_tasks(self):
         return tuple(name for name in self.tasks if name not in MAIN_TASKS)
 
-    def word_ids(self, words):
-        oov = self.word2id[OOV]
-        return np.array([self.word2id.get(w, oov) for w in words], dtype=np.int64)
-
-    def pos_ids(self, pos):
-        oov = self.pos2id[OOV]
-        return np.array([self.pos2id.get(p, oov) for p in pos], dtype=np.int64)
-
     def label_ids(self, task, tokens):
         table = self.tasks[task]
         return np.array([table[tok] for tok in tokens], dtype=np.int64)
+
+
+def _window_rows(sentences, vocab, r):
+    """Window ids of `sentences`, one row per token: the word ids of
+    positions t-r..t+r (BOS/EOS outside the sentence), then their POS ids,
+    read with one fancy index from one padded id list of all sentences."""
+    lengths = [len(s) for s in sentences]
+    padded = []
+    for table, rows in ((vocab.word2id, [s.words for s in sentences]),
+                        (vocab.pos2id, [s.pos for s in sentences])):
+        bos, eos, oov = [table[BOS]] * r, [table[EOS]] * r, table[OOV]
+        for row in rows:
+            padded += bos + [table.get(x, oov) for x in row] + eos
+    starts = np.arange(sum(lengths)) + 2 * r * np.repeat(np.arange(len(lengths)), lengths)
+    span = np.arange(2 * r + 1)
+    index = starts[:, None] + np.concatenate([span, span + len(padded) // 2])
+    return np.array(padded, dtype=np.int64)[index]
 
 
 def featurize(sentence, vocab, r):
@@ -117,14 +130,8 @@ def featurize(sentence, vocab, r):
     Returns (word_windows, pos_windows), both (T, 2r+1) int arrays holding
     the ids of positions t-r..t+r with BOS/EOS ids outside the sentence.
     """
-    T = len(sentence)
-    padded = np.empty((2, T + 2 * r), dtype=np.int64)
-    padded[:, :r] = [[vocab.word2id[BOS]], [vocab.pos2id[BOS]]]
-    padded[:, r + T :] = [[vocab.word2id[EOS]], [vocab.pos2id[EOS]]]
-    padded[0, r : r + T] = vocab.word_ids(sentence.words)
-    padded[1, r : r + T] = vocab.pos_ids(sentence.pos)
-    word_win, pos_win = padded[:, np.arange(T)[:, None] + np.arange(2 * r + 1)]
-    return word_win, pos_win
+    rows = _window_rows([sentence], vocab, r)
+    return rows[:, : 2 * r + 1], rows[:, 2 * r + 1 :]
 
 
 def _softmax(logits):
@@ -184,8 +191,7 @@ class TaggerModel:
     def windows(self, sentences):
         """Window ids of `sentences`, stacked one row per token: the word
         ids of the window, then its POS ids."""
-        r = self.config.window
-        return np.concatenate([np.hstack(featurize(s, self.vocab, r)) for s in sentences])
+        return _window_rows(sentences, self.vocab, self.config.window)
 
     def _inputs(self, windows):
         """The concatenated window embeddings X, one row per token."""
@@ -236,6 +242,14 @@ class TaggerModel:
         X = self._inputs(windows)
         return X @ P["W1"] + P["b1"], X
 
+    def _hidden(self, windows):
+        """The hidden layer tanh(X @ W1 + b1), and X (None if not built)."""
+        pre, X = self._pre_activation(windows)
+        h = np.tanh(pre, out=pre)
+        if not np.isfinite(h).all():
+            raise RuntimeError("non-finite hidden activations: check W1/b1/embeddings")
+        return h, X
+
     def forward(self, windows, heads=None, dropout_rng=None):
         """Run the network on stacked windows (or one Sentence); returns a
         cache used for backward().
@@ -247,10 +261,7 @@ class TaggerModel:
         if not isinstance(windows, np.ndarray):
             windows = self.windows([windows])
         P = self.params
-        pre, X = self._pre_activation(windows)
-        h_raw = np.tanh(pre)
-        if not np.isfinite(h_raw).all():
-            raise RuntimeError("non-finite hidden activations: check W1/b1/embeddings")
+        h_raw, X = self._hidden(windows)
         mask = None
         h = h_raw
         if dropout_rng is not None and self.config.dropout > 0:
@@ -480,29 +491,28 @@ def _dev_f1(model, dev):
     return total.f1
 
 
+def _label_parts(vocab, ids):
+    """The n components, c labels and u chains named by per-token (n, c, u)
+    label ids, read through the vocabulary tables."""
+    return ([vocab.n_components[n] for n in ids["n"].tolist()],
+            [vocab.task_labels["c"][c] for c in ids["c"].tolist()],
+            [vocab.u_chains[u] for u in ids["u"].tolist()])
+
+
 def encoded_from_ids(model, sentence, ids):
     """EncodedSentence from per-token (n, c, u) label ids; the last
     token's n and c are forced to the dummy so the output always decodes
     (interior dummies are legal input to decode() and kept as-is)."""
-    vocab = model.vocab
-    n_of, c_of, u_of = vocab.n_components, vocab.task_labels["c"], vocab.u_chains
-    labels = [
-        TagLabel(n_of[n], c_of[c], u_of[u])
-        for n, c, u in zip(ids["n"][:-1].tolist(), ids["c"][:-1].tolist(), ids["u"][:-1].tolist())
-    ]
-    labels.append(TagLabel.dummy(u_of[ids["u"][-1]]))
+    ns, cs, us = _label_parts(model.vocab, ids)
+    labels = [TagLabel(n, c, u) for n, c, u in zip(ns[:-1], cs[:-1], us[:-1])]
+    labels.append(TagLabel.dummy(us[-1]))
     return EncodedSentence(sentence, labels, model.scheme if model.scheme else DYNAMIC)
 
 
 def spans_from_ids(model, ids):
     """labeled_spans(decode(encoded_from_ids(model, sentence, ids))), read
     through the vocabulary tables without building either."""
-    vocab = model.vocab
-    n_of, c_of, u_of = vocab.n_components, vocab.task_labels["c"], vocab.u_chains
-    return decoded_spans(
-        [n_of[n] for n in ids["n"].tolist()], [c_of[c] for c in ids["c"].tolist()],
-        [u_of[u] for u in ids["u"].tolist()],
-    )
+    return decoded_spans(*_label_parts(model.vocab, ids))
 
 
 def predict_greedy(model, sentence):
@@ -522,12 +532,26 @@ def predict_corpus(model, sentences):
     return [encoded_from_ids(model, s, sentence_ids) for s, sentence_ids in zip(sentences, ids)]
 
 
+def predict_trees(model, sentences):
+    """decode(predict_greedy(model, s)) for each sentence, in input order,
+    decoded straight from the label ids without building labels."""
+    ids = _predict_ids(model, sentences)
+    return [decode_parts(s, *_label_parts(model.vocab, i))[0] for s, i in zip(sentences, ids)]
+
+
 def _predict_ids(model, sentences):
-    """Greedy per-task label ids of each sentence, in input order."""
+    """Greedy per-task label ids of each sentence, in input order.  The
+    argmax of a head's logits is that of its softmax, which is skipped."""
     for start, stop in _chunks([len(s) for s in sentences]):
         chunk = sentences[start:stop]
-        probs = model.forward(model.windows(chunk), heads=MAIN_TASKS)["probs"]
-        ids = {name: probs[name].argmax(axis=1) for name in MAIN_TASKS}
+        h, _ = model._hidden(model.windows(chunk))
+        ids = {}
+        for name in MAIN_TASKS:
+            z = h @ model.params["W_" + name]
+            z += model.params["b_" + name]
+            if not np.isfinite(z).all():
+                raise RuntimeError("non-finite logits in head %r" % name)
+            ids[name] = z.argmax(axis=1)
         end = 0
         for sentence in chunk:
             first, end = end, end + len(sentence)
@@ -580,6 +604,8 @@ def load_model(path):
                 raise ValueError(
                     "parameter %s has shape %s, expected %s" % (name, params[name].shape, shape)
                 )
+            if not np.isfinite(params[name]).all():
+                raise ValueError("parameter %s has non-finite values" % name)
         scheme = meta["scheme"]
     except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as e:
         raise ValueError("%s: not a readable checkpoint: %s" % (path, e)) from e

@@ -225,6 +225,52 @@ def test_checkpoint_with_cut_head_exit_code(tmp_path, small_model, capsys):
     assert "error: %s: not a readable checkpoint: parameter W_n has shape" % cut in err
 
 
+def write_tagged(path, forest):
+    from treetag.trees import leaves
+
+    with open(path, "w", encoding="utf-8") as fh:
+        for t in forest:
+            fh.writelines("%s\t%s\n" % (leaf.word, leaf.pos) for leaf in leaves(t))
+            fh.write("\n")
+
+
+def test_checkpoint_with_nonfinite_row_exit_code(tmp_path, small_model, capsys):
+    import json
+
+    import numpy as np
+
+    _, trees_path, ckpt = small_model
+    with np.load(ckpt) as data:
+        arrays = dict(data)
+    names = json.loads(str(arrays["meta"]))["param_names"]
+    arrays["param_%d" % names.index("W_u")][0] = np.nan
+    bad = tmp_path / "nan.npz"
+    np.savez(bad, **arrays)
+    tagged = tmp_path / "in.tagged"
+    write_tagged(tagged, load_trees(trees_path))
+    capsys.readouterr()
+    assert run(["predict", str(bad), str(tagged), str(tmp_path / "out.trees")]) == 2
+    assert run(["finetune", str(bad), str(trees_path), str(trees_path),
+                str(tmp_path / "out.npz")]) == 2
+    err = capsys.readouterr().err
+    message = "error: %s: not a readable checkpoint: parameter W_u has non-finite values" % bad
+    assert err.count(message) == 2
+
+
+def test_predict_writes_the_single_sentence_trees(tmp_path, small_model):
+    from treetag.encodings import decode
+    from treetag.seqfile import read_tagged
+    from treetag.tagger import load_model, predict_greedy
+
+    _, trees_path, ckpt = small_model
+    tagged, out, expected = (tmp_path / name for name in ("in.tagged", "out.trees", "exp.trees"))
+    write_tagged(tagged, load_trees(trees_path))
+    assert run(["predict", str(ckpt), str(tagged), str(out)]) == 0
+    model = load_model(ckpt)
+    save_trees(expected, [decode(predict_greedy(model, s)) for s in read_tagged(tagged)])
+    assert out.read_bytes() == expected.read_bytes()
+
+
 @pytest.mark.parametrize("aux", [[], ["--aux", "n+1"]])
 @pytest.mark.parametrize("cap", ["0", "3"])
 def test_distance_cap_without_dist_track_is_usage_error(tmp_path, forest_file, capsys, aux, cap):

@@ -25,6 +25,7 @@ from treetag.encodings import (
     TagLabel,
     common_ancestors,
     decode,
+    decode_parts,
     decode_with_repairs,
     encode,
     encode_absolute,
@@ -346,6 +347,8 @@ def test_decode_length_mismatch_rejected():
     sentence = Sentence(("a", "b"), ("PA", "PB"))
     with pytest.raises(ValueError):
         EncodedSentence(sentence, [TagLabel.dummy()], RELATIVE)
+    with pytest.raises(ValueError, match="1 labels for 2 words"):
+        decode_parts(sentence, [NComponent("dummy")], [DUMMY], [""])
 
 
 label_tokens = st.one_of(

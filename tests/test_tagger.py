@@ -26,6 +26,7 @@ from treetag.tagger import (
     mtl_loss,
     predict_corpus,
     predict_greedy,
+    predict_trees,
     save_model,
     task_losses,
     train_mtl,
@@ -94,6 +95,41 @@ def test_featurize_oov():
     assert pos_win[1, 0] == vocab.pos2id[OOV]
 
 
+def featurize_old(sentence, vocab, r):
+    """The per-sentence window builder `windows` stacked before it read
+    all sentences from one padded id list."""
+    T = len(sentence)
+    oov_word, oov_pos = vocab.word2id[OOV], vocab.pos2id[OOV]
+    padded = np.empty((2, T + 2 * r), dtype=np.int64)
+    padded[:, :r] = [[vocab.word2id[BOS]], [vocab.pos2id[BOS]]]
+    padded[:, r + T :] = [[vocab.word2id[EOS]], [vocab.pos2id[EOS]]]
+    padded[0, r : r + T] = [vocab.word2id.get(w, oov_word) for w in sentence.words]
+    padded[1, r : r + T] = [vocab.pos2id.get(p, oov_pos) for p in sentence.pos]
+    word_win, pos_win = padded[:, np.arange(T)[:, None] + np.arange(2 * r + 1)]
+    return word_win, pos_win
+
+
+@pytest.mark.parametrize("r", [0, 2])
+@pytest.mark.parametrize("count", [1, 5])
+def test_windows_equal_stacked_per_sentence_windows(r, count):
+    _, corpus = tiny_corpus()
+    model = TaggerModel(Vocabularies.build(corpus), tiny_config(window=r), "dynamic")
+    rng = np.random.default_rng(count + 10 * r)
+    words = sorted(model.vocab.word2id)[3:] + ["zzz", "qqq"]  # two OOV words
+    tags = sorted(model.vocab.pos2id)[3:] + ["ZZTAG"]
+    sentences = []
+    for length in rng.integers(1, 9, size=count):
+        sentences.append(Sentence(tuple(rng.choice(words, length)), tuple(rng.choice(tags, length))))
+    vocab = model.vocab
+    expected = np.concatenate([np.hstack(featurize_old(s, vocab, r)) for s in sentences])
+    windows = model.windows(sentences)
+    assert windows.dtype == expected.dtype
+    np.testing.assert_array_equal(windows, expected)
+    for s in sentences:
+        for new, old in zip(featurize(s, vocab, r), featurize_old(s, vocab, r)):
+            np.testing.assert_array_equal(new, old)
+
+
 def test_input_dim_r0():
     _, corpus = tiny_corpus()
     vocab = Vocabularies.build(corpus)
@@ -154,6 +190,14 @@ def test_nonfinite_parameters_fault():
     model.params["W1"][0, 0] = np.nan
     with pytest.raises(RuntimeError):
         model.forward(corpus[0][0])
+
+
+def test_nonfinite_head_faults_prediction():
+    _, corpus = tiny_corpus()
+    model = TaggerModel(Vocabularies.build(corpus), tiny_config(), "dynamic")
+    model.params["W_u"][:, 0] = np.nan
+    with pytest.raises(RuntimeError, match="non-finite logits in head 'u'"):
+        predict_greedy(model, corpus[0][0])
 
 
 def test_hard_sharing_head_independence():
@@ -461,10 +505,35 @@ def test_predict_corpus_order_and_batching(monkeypatch):
     assert len(long) > tagger.TOKEN_BUDGET
     sentences = sentences[:3] + [long] + sentences[3:]
     expected = [predict_greedy(model, s).labels for s in sentences]
+    trees = [decode(predict_greedy(model, s)) for s in sentences]
     for budget in (1, 10, tagger.TOKEN_BUDGET):
         monkeypatch.setattr(tagger, "TOKEN_BUDGET", budget)
         assert [x.labels for x in predict_corpus(model, sentences)] == expected
+        assert predict_trees(model, sentences) == trees
     assert predict_corpus(model, []) == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_predicted_ids_are_the_argmax_of_probabilities(seed):
+    _, corpus = tiny_corpus()
+    model = TaggerModel(Vocabularies.build(corpus), tiny_config(seed=seed), "dynamic")
+    rng = np.random.default_rng(seed)
+    for name in model.tasks:  # biases start at zero
+        model.params["b_" + name] = rng.normal(size=model.params["b_" + name].shape)
+    words = sorted(model.vocab.word2id)[3:] + ["zzz"]
+    tags = sorted(model.vocab.pos2id)[3:]
+    sentences = [
+        Sentence(tuple(rng.choice(words, n)), tuple(rng.choice(tags, n)))
+        for n in rng.integers(1, 12, size=40)
+    ]
+    assert model._pre_activation(model.windows(sentences))[1] is None  # projected
+    for batch in [sentences, sentences[:1]]:
+        probs = model.forward(model.windows(batch))["probs"]
+        ids = list(tagger._predict_ids(model, batch))
+        for name in MAIN_TASKS:
+            got = np.concatenate([sentence_ids[name] for sentence_ids in ids])
+            np.testing.assert_array_equal(got, probs[name].argmax(axis=1))
+        assert predict_trees(model, batch) == [decode(predict_greedy(model, s)) for s in batch]
 
 
 def test_dev_selection_keeps_best():
