@@ -30,7 +30,6 @@ from .encodings import (
     EncodedSentence,
     NComponent,
     TagLabel,
-    common_ancestors,
     decode,
     decode_parts,
     decode_with_repairs,

@@ -16,6 +16,7 @@ diagnostics where available).
 """
 
 import argparse
+import functools
 import sys
 
 from . import auxtracks, encodings, metrics, pg, seqfile, trees
@@ -49,7 +50,7 @@ def build_parser():
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--alphabet", default=DEFAULT_ALPHABET,
                    help="comma-separated nonterminals (random mode)")
-    p.set_defaults(func=cmd_synth, files=("output",))
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("encode", help="trees -> .seq labels")
     p.add_argument("input")
@@ -61,18 +62,18 @@ def build_parser():
                    help="drop -FUNC/=INDEX decorations from nonterminals")
     p.add_argument("--distance-cap", type=int, default=None,
                    help="clip distance aux labels from above (>= 1)")
-    p.set_defaults(func=cmd_encode, files=("input",))
+    p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help=".seq labels -> trees")
     p.add_argument("input")
     p.add_argument("output")
-    p.set_defaults(func=cmd_decode, files=("input",))
+    p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("stats", help="label-space statistics of a .seq file")
     p.add_argument("input")
     p.add_argument("--threshold", type=int, default=5,
                    help="frequency cutoff for the rare-label fraction")
-    p.set_defaults(func=cmd_stats, files=("input",))
+    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("train", help="train the multi-task tagger")
     p.add_argument("train_seq")
@@ -90,7 +91,7 @@ def build_parser():
     p.add_argument("--pos-dim", type=int, default=20)
     p.add_argument("--hidden-dim", type=int, default=128)
     p.add_argument("--seed", type=int, default=13)
-    p.set_defaults(func=cmd_train, files=("train_seq", "dev_seq"))
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("finetune", help="policy-gradient fine-tuning")
     p.add_argument("checkpoint")
@@ -108,13 +109,13 @@ def build_parser():
     p.add_argument("--noise-adapt", type=float, default=1.05)
     p.add_argument("--seed", type=int, default=29)
     p.add_argument("--log", default=None, help="per-epoch TSV log path")
-    p.set_defaults(func=cmd_finetune, files=("train_trees", "dev_trees"))
+    p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("predict", help="tag raw word/POS input into trees")
     p.add_argument("checkpoint")
     p.add_argument("input", help="word<TAB>pos lines, blank line between sentences")
     p.add_argument("output")
-    p.set_defaults(func=cmd_predict, files=("input",))
+    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="bracketing score of predicted trees")
     p.add_argument("gold")
@@ -124,7 +125,7 @@ def build_parser():
     p.add_argument("--scheme", choices=encodings.SCHEMES, default=encodings.RELATIVE,
                    help="scheme used for the per-n breakdown")
     p.add_argument("--strip-punctuation", action="store_true")
-    p.set_defaults(func=cmd_eval, files=("gold", "predicted"))
+    p.set_defaults(func=cmd_eval)
     return parser
 
 
@@ -149,12 +150,8 @@ def cmd_encode(args):
     forest = trees.load_trees(args.input, strip_functions=args.strip_functions)
     encoded_corpus = []
     aux_corpus = []
-    for i, tree in enumerate(forest, start=1):
-        try:
-            walk = encodings.boundaries(tree)
-            encoded = encodings.encode(tree, args.scheme, walk)
-        except ValueError as e:
-            raise ValueError("%s: tree %d: %s" % (args.input, i, e)) from e
+    for tree, walk in zip(forest, _each_tree(args.input, forest, encodings.boundaries)):
+        encoded = encodings.encode(tree, args.scheme, walk)
         encoded_corpus.append(encoded)
         aux_corpus.append(
             {
@@ -260,11 +257,16 @@ def cmd_predict(args):
 def cmd_eval(args):
     gold = trees.load_trees(args.gold)
     predicted = trees.load_trees(args.predicted)
-    score = metrics.corpus_bracket_score(gold, predicted, args.strip_punctuation)
-    print(metrics.format_bracket_report(score))
+    if len(gold) != len(predicted):
+        raise ValueError("%s has %d trees, %s has %d"
+                         % (args.gold, len(gold), args.predicted, len(predicted)))
+    scores = _each_tree(args.predicted, zip(gold, predicted),
+                        lambda pair: metrics.bracket_score(*pair, args.strip_punctuation))
+    print(metrics.format_bracket_report(sum(scores, metrics.BracketScore(0, 0, 0))))
     if args.per_n:
-        gold_enc = [encodings.encode(t, args.scheme) for t in gold]
-        pred_enc = [encodings.encode(t, args.scheme) for t in predicted]
+        encode = functools.partial(encodings.encode, scheme=args.scheme)
+        gold_enc = list(_each_tree(args.gold, gold, encode))
+        pred_enc = list(_each_tree(args.predicted, predicted, encode))
         table = metrics.per_n_f1(gold_enc, pred_enc)
         with open(args.per_n, "w", encoding="utf-8") as fh:
             fh.write("n_token\tprecision\trecall\tf1\n")
@@ -273,6 +275,16 @@ def cmd_eval(args):
                 fh.write("%s\t%.4f\t%.4f\t%.4f\n" % (tok, p, r, f))
         print("per-n report written to %s" % args.per_n)
     return 0
+
+
+def _each_tree(path, forest, fn):
+    """fn(tree) for each tree of `forest`, read from `path`; a ValueError
+    names the file and the tree (counted from 1)."""
+    for i, tree in enumerate(forest, start=1):
+        try:
+            yield fn(tree)
+        except ValueError as e:
+            raise ValueError("%s: tree %d: %s" % (path, i, e)) from e
 
 
 def run(argv=None):
@@ -287,12 +299,6 @@ def run(argv=None):
         return 0 if not e.code else int(e.code)
     except (trees.ParseError, seqfile.SeqFormatError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the tree walks recurse once per level of nesting; `files` lists
-        # the arguments naming each subcommand's data
-        files = ", ".join(dict.fromkeys(getattr(args, name) for name in args.files))
-        print("error: %s: a tree is nested too deeply to process" % files, file=sys.stderr)
         return 2
 
 

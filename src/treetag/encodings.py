@@ -23,10 +23,11 @@ hanging over a single preterminal moves into ``u``; both are restored on
 decoding.  One walk over the original tree (``boundaries``) follows such
 chains inline and yields, per adjacent word pair, the shared count, the
 label of the node whose consecutive children the pair straddles (the LCA)
-and that node's split priority; the encoders, ``common_ancestors`` and the
-distance track all read from it.  Nonterminals that would not survive the
-round trip (empty, containing ``+`` or ``~``, or equal to ``DUMMY`` or
-``NONE``) are rejected there with a ValueError.
+and that node's split priority; the encoders and the distance track both
+read from it.  Nonterminals that would not survive the round trip (empty,
+containing ``+`` or ``~``, or equal to ``DUMMY`` or ``NONE``) are rejected
+there with a ValueError.  No walk here recurses, so trees of any depth
+round-trip.
 
 Everything here is pure and operates on immutable inputs.
 """
@@ -171,52 +172,38 @@ def boundaries(tree):
     top-down, empty when absent), and for each adjacent leaf pair a triple
     (shared-ancestor count, LCA label, LCA split priority), all counted on
     the unary-collapsed tree.  Raises ValueError on a reserved or empty
-    nonterminal label.
+    nonterminal label.  Iterative, entering nodes in pre-order.
     """
     u_chains = []
-    pairs = []
-
-    def walk(node, depth):
-        chain = []
-        while isinstance(node, Internal) and len(node.children) == 1:
+    lcas = []  # per adjacent leaf pair, the phrase whose children it straddles
+    # open phrases as [children left to visit, label, depth, highest child
+    # priority (its own once closed), first leaf], the outermost a holder of the tree
+    phrase = [iter((tree,)), None, 0, 0, 0]
+    frames = []  # the phrases enclosing `phrase`
+    while True:
+        for node in phrase[0]:
+            if len(u_chains) > phrase[4]:  # not the first child
+                lcas.append(phrase)
+            chain = []
+            while isinstance(node, Internal) and len(node.children) == 1:
+                _check_label(node.label)
+                chain.append(node.label)
+                node = node.children[0]
+            if isinstance(node, Leaf):
+                u_chains.append(CHAIN_SEP.join(chain))
+                continue
             _check_label(node.label)
             chain.append(node.label)
-            node = node.children[0]
-        if isinstance(node, Leaf):
-            u_chains.append(CHAIN_SEP.join(chain))
-            return 0
-        _check_label(node.label)
-        chain.append(node.label)
-        # this node is the LCA of the pairs straddling its children; their
-        # priority is known once all children have returned
-        splits = []
-        priority = walk(node.children[0], depth + 1)
-        for child in node.children[1:]:
-            splits.append(len(pairs))
-            pairs.append(None)
-            priority = max(priority, walk(child, depth + 1))
-        priority += 1
-        label = CHAIN_SEP.join(chain)
-        for i in splits:
-            pairs[i] = (depth, label, priority)
-        return priority
-
-    walk(tree, 1)
-    return u_chains, pairs
-
-
-def common_ancestors(tree, t):
-    """Shared-ancestor count and LCA label for the pair (word t, word t+1).
-
-    `t` is 1-based and must satisfy 1 <= t < number of leaves.  Counting
-    runs over the unary-collapsed tree, excludes preterminals and counts
-    the root as level 1, so the count is always >= 1.
-    """
-    _, pairs = boundaries(tree)
-    if not 1 <= t <= len(pairs):
-        raise IndexError("pair index %d out of range 1..%d" % (t, len(pairs)))
-    count, lca, _ = pairs[t - 1]
-    return count, lca
+            frames.append(phrase)
+            phrase = [iter(node.children), CHAIN_SEP.join(chain), len(frames), 0, len(u_chains)]
+            break
+        else:
+            if not frames:
+                return u_chains, [(depth, label, priority) for _, label, depth, priority, _ in lcas]
+            phrase[3] += 1
+            priority = phrase[3]
+            phrase = frames.pop()
+            phrase[3] = max(phrase[3], priority)
 
 
 # ---------------------------------------------------------------------------

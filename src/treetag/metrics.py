@@ -4,7 +4,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .trees import Leaf
-from .encodings import CHAIN_SEP, NO_CHAIN
+from .encodings import CHAIN_SEP, DUMMY, NO_CHAIN
 
 # POS tags deleted by the optional punctuation-stripping mode
 PUNCT_POS = {"''", "``", ".", ":", ","}
@@ -49,27 +49,33 @@ def labeled_spans(tree, strip_punctuation=False):
 
 
 def _spans_and_leaves(tree, strip_punctuation):
-    """labeled_spans(tree) and the raw leaf count, from one walk."""
+    """labeled_spans(tree) and the raw leaf count, from one iterative walk."""
+    if isinstance(tree, Leaf):
+        return Counter(), 1
     spans = []
     leaves = 0
-
-    def walk(node, i):
-        nonlocal leaves
-        if isinstance(node, Leaf):
-            leaves += 1
-            if strip_punctuation and node.pos in PUNCT_POS:
-                return i
-            return i + 1
-        j = i
-        for child in node.children:
-            j = walk(child, j)
-        if j > i:
-            for part in node.label.split(CHAIN_SEP):
-                spans.append((part, i, j))
-        return j
-
-    walk(tree, 0)
-    return Counter(spans), leaves
+    i = 0  # words counted so far
+    # the innermost open phrase: its children still to visit, its label and
+    # its first word; `frames` holds the same for each enclosing one
+    children, label, start = iter(tree.children), tree.label, 0
+    frames = []
+    while True:
+        for node in children:
+            if isinstance(node, Leaf):
+                leaves += 1
+                if not (strip_punctuation and node.pos in PUNCT_POS):
+                    i += 1
+            else:
+                frames.append((children, label, start))
+                children, label, start = iter(node.children), node.label, i
+                break
+        else:
+            if i > start:
+                for part in label.split(CHAIN_SEP):
+                    spans.append((part, start, i))
+            if not frames:
+                return Counter(spans), leaves
+            children, label, start = frames.pop()
 
 
 def bracket_score(gold, predicted, strip_punctuation=False):
@@ -143,7 +149,7 @@ def per_n_f1(gold_corpus, pred_corpus):
 
 def n_token_sort_key(tok):
     """Order n tokens for reports: relative by value, then absolute, DUMMY last."""
-    if tok == "DUMMY":
+    if tok == DUMMY:
         return (2, 0)
     if tok.startswith("r"):
         return (0, int(tok[1:]))

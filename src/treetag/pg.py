@@ -313,17 +313,10 @@ def finetune_pg(policy, train, config, dev=None, log_path=None, baseline=None):
                     pending = []
         if noise is not None and pending:
             adapt_noise(policy, noise, pending, rng)
-        row = {
-            "epoch": epoch,
-            "reward": float(np.mean(stats_acc["reward"])),
-            "baseline": float(np.mean(stats_acc["baseline"])),
-            "standardized": float(np.mean(stats_acc["standardized"])),
-            "entropy": float(np.mean(stats_acc["entropy"])),
-            "dev_f1": "",
-            "noise_std": noise.std if noise is not None else 0.0,
-        }
-        if dev is not None:
-            row["dev_f1"] = _dev_f1(policy, dev)
+        row = {"epoch": epoch}
+        row.update((key, float(np.mean(values))) for key, values in stats_acc.items())
+        row["dev_f1"] = _dev_f1(policy, dev) if dev is not None else ""
+        row["noise_std"] = noise.std if noise is not None else 0.0
         rows.append(row)
     if log_path:
         with open(log_path, "w", encoding="utf-8", newline="") as fh:

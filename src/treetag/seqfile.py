@@ -11,7 +11,7 @@ POS only, for prediction input.
 """
 
 from .trees import Sentence
-from .encodings import EncodedSentence, TagLabel
+from .encodings import SCHEMES, EncodedSentence, TagLabel
 from .auxtracks import AuxTrack
 
 
@@ -105,6 +105,8 @@ def _parse_header(path, header):
     )
     if "scheme" not in fields:
         raise SeqFormatError(path, 1, "header lacks scheme=")
+    if fields["scheme"] not in SCHEMES:
+        raise SeqFormatError(path, 1, "unknown scheme %r" % fields["scheme"])
     aux = [name for name in fields.get("aux", "").split(",") if name]
     return fields["scheme"], aux
 

@@ -344,6 +344,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.aux_weight < 0:
             raise ValueError("aux_weight must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.window < 0:
+            raise ValueError("window must be >= 0")
+        if not 0 <= self.dropout < 1:
+            raise ValueError("dropout must be in [0, 1)")
+        if min(self.word_dim, self.pos_dim, self.hidden_dim) < 1:
+            raise ValueError("word_dim, pos_dim and hidden_dim must be >= 1")
 
 
 def _gold_ids(vocab, corpus):
@@ -571,9 +579,7 @@ def save_model(path, model):
         "word2id": model.vocab.word2id,
         "pos2id": model.vocab.pos2id,
         "tasks": model.vocab.tasks,
-        "config": {
-            k: v for k, v in model.config.__dict__.items()
-        },
+        "config": dict(model.config.__dict__),
     }
     arrays = {"param_%d" % i: model.params[name] for i, name in enumerate(names)}
     np.savez(path, meta=np.array(json.dumps(meta)), **arrays)

@@ -68,10 +68,6 @@ def leaves(tree):
             stack.extend(reversed(node.children))
 
 
-def leaf_count(tree):
-    return sum(1 for _ in leaves(tree))
-
-
 @dataclass(frozen=True)
 class Sentence:
     """A tokenised sentence with one POS tag per word."""
@@ -198,20 +194,25 @@ def _error_at(text, k, message):
 
 def serialize(tree):
     """Single-line bracketed form; inverse of parse_bracketed."""
-    parts = []
-    _serialize_into(tree, parts)
-    return "".join(parts)
-
-
-def _serialize_into(tree, parts):
     if isinstance(tree, Leaf):
-        parts.append("(%s %s)" % (tree.pos, tree.word))
-        return
-    parts.append("(%s" % tree.label)
-    for child in tree.children:
-        parts.append(" ")
-        _serialize_into(child, parts)
-    parts.append(")")
+        return "(%s %s)" % (tree.pos, tree.word)
+    parts = ["(%s" % tree.label]
+    children = iter(tree.children)  # what the innermost open phrase has left to write
+    frames = []  # the same for each enclosing open phrase
+    while True:
+        for node in children:
+            if isinstance(node, Leaf):
+                parts.append(" (%s %s)" % (node.pos, node.word))
+            else:
+                parts.append(" (%s" % node.label)
+                frames.append(children)
+                children = iter(node.children)
+                break
+        else:
+            parts.append(")")
+            if not frames:
+                return "".join(parts)
+            children = frames.pop()
 
 
 def load_trees(path, strip_functions=False):

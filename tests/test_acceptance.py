@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from treetag.trees import leaf_count, load_trees, random_tree, sample_corpus
+from treetag.trees import Sentence, load_trees, random_tree, sample_corpus
 from treetag.encodings import (
     ABSOLUTE,
     SCHEMES,
@@ -95,7 +95,7 @@ def test_round_trip_identity(corpus_10k):
 def test_dynamic_switch_correctness(corpus_10k):
     with criterion("dynamic switch rule"):
         for t in corpus_10k:
-            if leaf_count(t) == 1:
+            if len(Sentence.from_tree(t)) == 1:
                 continue
             pairs = oracle_pairs(t)
             dyn = encode_dynamic(t)

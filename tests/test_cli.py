@@ -315,27 +315,89 @@ def test_encode_shares_one_walk_per_tree(tmp_path, monkeypatch, scheme, cap):
     assert out.read_bytes() == expected.read_bytes()
 
 
-@pytest.fixture
-def deep_chain(tmp_path):
-    # a 3,000-level unary chain: deeper than the recursive tree walks reach
+DEEP = 5000
+
+
+def assert_deep_round_trip(tmp_path, capsys, text):
+    """encode (every scheme, with aux tracks) -> decode -> eval of one tree
+    nested DEEP levels: the same bytes back, and F1 100."""
     path = tmp_path / "deep.trees"
-    path.write_text("(A " * 3000 + "(P w)" + ")" * 3000 + "\n", encoding="utf-8")
-    return path
+    path.write_text(text + "\n", encoding="utf-8")
+    for scheme in ("relative", "absolute", "dynamic"):
+        seq = tmp_path / ("%s.seq" % scheme)
+        back = tmp_path / ("%s.trees" % scheme)
+        assert run(["encode", "--scheme", scheme, "--aux", "dist", "--aux", "n+1",
+                    str(path), str(seq)]) == 0
+        assert run(["decode", str(seq), str(back)]) == 0
+        assert back.read_bytes() == path.read_bytes()
+        capsys.readouterr()
+        assert run(["eval", str(path), str(back)]) == 0
+        assert capsys.readouterr().out == "P 100.00 R 100.00 F1 100.00\n"
 
 
-def test_eval_of_too_deep_tree_exit_code(deep_chain, capsys):
-    assert run(["eval", str(deep_chain), str(deep_chain)]) == 2
+def test_deep_chain_round_trip(tmp_path, capsys):
+    assert_deep_round_trip(tmp_path, capsys, "(A " * DEEP + "(P w)" + ")" * DEEP)
+
+
+def test_deep_spine_round_trip(tmp_path, capsys):
+    spine = "".join("(A (P w%d) " % i for i in range(DEEP)) + "(P w)" + ")" * DEEP
+    assert_deep_round_trip(tmp_path, capsys, spine)
+
+
+def write_pair(tmp_path, gold_text, pred_text):
+    gold, pred = tmp_path / "gold.trees", tmp_path / "pred.trees"
+    gold.write_text(gold_text, encoding="utf-8")
+    pred.write_text(pred_text, encoding="utf-8")
+    return gold, pred
+
+
+def test_eval_leaf_count_mismatch_names_file_and_tree(tmp_path, capsys):
+    gold, pred = write_pair(tmp_path, "(S (A a) (B b))\n(S (A a) (B b))\n",
+                            "(S (A a) (B b))\n(S (A a) (B b) (C c))\n")
+    assert run(["eval", str(gold), str(pred)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: %s: a tree is nested too deeply to process\n" % deep_chain
+    assert err == "error: %s: tree 2: gold has 2 leaves, prediction has 3\n" % pred
 
 
-def test_decode_of_too_deep_tree_exit_code(tmp_path, deep_chain, capsys):
-    seq = tmp_path / "deep.seq"
-    assert run(["encode", str(deep_chain), str(seq)]) == 0
+def test_eval_length_mismatch_names_both_files(tmp_path, capsys):
+    gold, pred = write_pair(tmp_path, "(S (A a) (B b))\n(S (A a) (B b))\n",
+                            "(S (A a) (B b))\n")
+    assert run(["eval", str(gold), str(pred)]) == 2
+    assert capsys.readouterr().err == "error: %s has 2 trees, %s has 1\n" % (gold, pred)
+
+
+@pytest.mark.parametrize("bad_side", [0, 1], ids=["gold", "pred"])
+def test_eval_per_n_reserved_label_names_file_and_tree(tmp_path, capsys, bad_side):
+    good = "(S (A a) (B b))\n(S (NP (A a) (B b)) (C c))\n"
+    bad = "(S (A a) (B b))\n(S (NP+X (A a) (B b)) (C c))\n"
+    files = write_pair(tmp_path, *((bad, good) if bad_side == 0 else (good, bad)))
+    argv = ["eval", str(files[0]), str(files[1]), "--per-n", str(tmp_path / "per_n.tsv")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: tree 2: nonterminal 'NP+X'" % files[bad_side])
+
+
+def test_decode_unknown_scheme_is_format_error(tmp_path, capsys):
+    bad = tmp_path / "bad.seq"
+    bad.write_text("# scheme=bogus aux=\nthe\tDT\tDUMMY~DUMMY~NONE\n\n", encoding="utf-8")
+    assert run(["decode", str(bad), str(tmp_path / "out.trees")]) == 2
+    assert capsys.readouterr().err == "error: %s:1: unknown scheme 'bogus'\n" % bad
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--batch-size", "0", "batch_size must be >= 1"),
+    ("--dropout", "1.0", "dropout must be in [0, 1)"),
+    ("--window", "-1", "window must be >= 0"),
+    ("--hidden-dim", "0", "word_dim, pos_dim and hidden_dim must be >= 1"),
+], ids=["batch-size", "dropout", "window", "hidden-dim"])
+def test_train_out_of_range_setting_exit_code(tmp_path, small_model, capsys, option, value,
+                                              message):
+    seq, _, _ = small_model
     capsys.readouterr()
-    assert run(["decode", str(seq), str(tmp_path / "back.trees")]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: %s: a tree is nested too deeply to process\n" % seq
+    out = tmp_path / "bad.npz"
+    assert run(["train", str(seq), str(seq), str(out), "--epochs", "1", option, value]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
 
 
 def test_parse_error_names_its_position_once(tmp_path, capsys):

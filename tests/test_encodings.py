@@ -23,7 +23,7 @@ from treetag.encodings import (
     NComponent,
     RepairLog,
     TagLabel,
-    common_ancestors,
+    boundaries,
     decode,
     decode_parts,
     decode_with_repairs,
@@ -95,7 +95,12 @@ def random_forest(n, max_leaves=20, max_depth=10, seed0=0):
 
 
 # ---------------------------------------------------------------------------
-# common_ancestors
+# common ancestors, as boundaries() reads them off
+
+def common_ancestors(tree, t):
+    """Shared-ancestor count and LCA label of the pair (word t, word t+1)."""
+    return boundaries(tree)[1][t - 1][:2]
+
 
 def test_common_ancestors_three_leaf():
     (t,) = parse_bracketed("(S (NP (D the) (N dog)) (VP (V barks)))")
@@ -109,17 +114,18 @@ def test_common_ancestors_root_only():
 
 
 def test_common_ancestors_out_of_range():
+    # one pair per pair of adjacent words, and none for a single word
     (t,) = parse_bracketed("(X (A a) (B b))")
-    with pytest.raises(IndexError):
-        common_ancestors(t, 0)
-    with pytest.raises(IndexError):
-        common_ancestors(t, 2)
+    assert len(boundaries(t)[1]) == 1
+    (t,) = parse_bracketed("(X (Y (A a)))")
+    assert boundaries(t) == (["X+Y"], [])
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_common_ancestors_matches_oracle(seed):
     t = random_tree(seed, 15, 9, ALPHABET)
     expected = oracle_pairs(t)
+    assert len(boundaries(t)[1]) == len(expected)
     for i, pair in enumerate(expected, start=1):
         assert common_ancestors(t, i) == pair
 

@@ -465,6 +465,34 @@ def test_train_empty_corpus_rejected():
         train_mtl([], tiny_config())
 
 
+BAD_SETTINGS = [
+    ({"batch_size": 0}, "batch_size must be >= 1"),
+    ({"window": -1}, "window must be >= 0"),
+    ({"dropout": 1.0}, "dropout must be in [0, 1)"),
+    ({"dropout": -0.1}, "dropout must be in [0, 1)"),
+    ({"dropout": float("nan")}, "dropout must be in [0, 1)"),
+    ({"word_dim": 0}, "word_dim, pos_dim and hidden_dim must be >= 1"),
+    ({"pos_dim": 0}, "word_dim, pos_dim and hidden_dim must be >= 1"),
+    ({"hidden_dim": 0}, "word_dim, pos_dim and hidden_dim must be >= 1"),
+]
+
+
+def _setting_ids(cases):
+    return ["%s=%s" % next(iter(settings.items())) for settings, _ in cases]
+
+
+@pytest.mark.parametrize("settings,message", BAD_SETTINGS, ids=_setting_ids(BAD_SETTINGS))
+def test_train_config_rejects_out_of_range_settings(settings, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tiny_config(**settings)
+
+
+def test_train_config_allows_zero_epochs_and_no_dropout():
+    config = tiny_config(epochs=0, dropout=0.0, window=0)
+    _, corpus = tiny_corpus()
+    assert train_mtl(corpus, config).history == []
+
+
 def test_loss_decreases_early():
     _, corpus = tiny_corpus(n=16)
     model = train_mtl(corpus, tiny_config(epochs=10, dropout=0.3))
@@ -599,6 +627,15 @@ def test_malformed_checkpoint_meta_rejected(saved_model, edit):
     path, _, _ = saved_model
     _rewrite_meta(path, edit)
     with pytest.raises(ValueError, match=re.escape("%s: not a readable checkpoint" % path)):
+        load_model(path)
+
+
+@pytest.mark.parametrize("settings,message", BAD_SETTINGS[:4], ids=_setting_ids(BAD_SETTINGS[:4]))
+def test_checkpoint_with_out_of_range_config_rejected(saved_model, settings, message):
+    path, _, _ = saved_model
+    _rewrite_meta(path, lambda meta: meta["config"].update(settings))
+    expected = "%s: not a readable checkpoint: %s" % (path, message)
+    with pytest.raises(ValueError, match=re.escape(expected)):
         load_model(path)
 
 

@@ -10,7 +10,6 @@ from treetag.trees import (
     ParseError,
     Sentence,
     demo_grammar,
-    leaf_count,
     leaves,
     load_trees,
     parse_bracketed,
@@ -36,7 +35,7 @@ def test_parse_simple():
     assert len(trees) == 1
     t = trees[0]
     assert isinstance(t, Internal) and t.label == "S"
-    assert leaf_count(t) == 3
+    assert len(Sentence.from_tree(t)) == 3
     assert [l.word for l in leaves(t)] == ["the", "dog", "barks"]
     assert [l.pos for l in leaves(t)] == ["D", "N", "V"]
 
@@ -151,7 +150,7 @@ def test_random_tree_deterministic():
 
 def test_random_tree_single_leaf():
     t = random_tree(7, 1, 6, ["S", "NP"])
-    assert leaf_count(t) == 1
+    assert len(Sentence.from_tree(t)) == 1
     node = t
     while isinstance(node, Internal):
         assert len(node.children) == 1
@@ -162,7 +161,7 @@ def test_random_tree_single_leaf():
 @pytest.mark.parametrize("seed", range(0, 200, 7))
 def test_random_tree_respects_bounds(seed):
     t = random_tree(seed, 25, 9, ["S", "NP", "VP", "PP", "ADJP"])
-    assert leaf_count(t) <= 25
+    assert len(Sentence.from_tree(t)) <= 25
     assert depth(t) <= 9
 
 

@@ -1,0 +1,140 @@
+"""Differential tests: the iterative tree walks against the recursive ones
+they replaced (``encodings.boundaries``, ``metrics._spans_and_leaves`` and
+``trees.serialize``), kept here verbatim as oracles."""
+
+import random
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
+from treetag.trees import Internal, Leaf, demo_grammar, random_tree, serialize
+from treetag.encodings import CHAIN_SEP, DUMMY, _check_label, boundaries
+from treetag.metrics import PUNCT_POS, _spans_and_leaves
+
+
+# ---------------------------------------------------------------------------
+# The recursive walks.
+
+def _oracle_boundaries(tree):
+    u_chains = []
+    pairs = []
+
+    def walk(node, depth):
+        chain = []
+        while isinstance(node, Internal) and len(node.children) == 1:
+            _check_label(node.label)
+            chain.append(node.label)
+            node = node.children[0]
+        if isinstance(node, Leaf):
+            u_chains.append(CHAIN_SEP.join(chain))
+            return 0
+        _check_label(node.label)
+        chain.append(node.label)
+        # this node is the LCA of the pairs straddling its children; their
+        # priority is known once all children have returned
+        splits = []
+        priority = walk(node.children[0], depth + 1)
+        for child in node.children[1:]:
+            splits.append(len(pairs))
+            pairs.append(None)
+            priority = max(priority, walk(child, depth + 1))
+        priority += 1
+        label = CHAIN_SEP.join(chain)
+        for i in splits:
+            pairs[i] = (depth, label, priority)
+        return priority
+
+    walk(tree, 1)
+    return u_chains, pairs
+
+
+def _oracle_spans_and_leaves(tree, strip_punctuation):
+    """labeled_spans(tree) and the raw leaf count, from one walk."""
+    spans = []
+    leaves = 0
+
+    def walk(node, i):
+        nonlocal leaves
+        if isinstance(node, Leaf):
+            leaves += 1
+            if strip_punctuation and node.pos in PUNCT_POS:
+                return i
+            return i + 1
+        j = i
+        for child in node.children:
+            j = walk(child, j)
+        if j > i:
+            for part in node.label.split(CHAIN_SEP):
+                spans.append((part, i, j))
+        return j
+
+    walk(tree, 0)
+    return Counter(spans), leaves
+
+
+def _oracle_serialize(tree):
+    """Single-line bracketed form; inverse of parse_bracketed."""
+    parts = []
+    _oracle_serialize_into(tree, parts)
+    return "".join(parts)
+
+
+def _oracle_serialize_into(tree, parts):
+    if isinstance(tree, Leaf):
+        parts.append("(%s %s)" % (tree.pos, tree.word))
+        return
+    parts.append("(%s" % tree.label)
+    for child in tree.children:
+        parts.append(" ")
+        _oracle_serialize_into(child, parts)
+    parts.append(")")
+
+
+# ---------------------------------------------------------------------------
+# Trees: random and PCFG shapes, some leaves turned into punctuation, some
+# labels reserved.
+
+ALPHABET = ["S", "NP", "VP", "PP", "ADJP"]
+
+RESERVED = ["NP+X", DUMMY, "N~P", "NONE", ""]
+
+PUNCT = sorted(PUNCT_POS)
+
+
+def _punctuate(tree, rng, share):
+    if isinstance(tree, Leaf):
+        return Leaf(rng.choice(PUNCT), tree.word) if rng.random() < share else tree
+    return Internal(tree.label, [_punctuate(child, rng, share) for child in tree.children])
+
+
+@st.composite
+def _trees(draw):
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        alphabet = ALPHABET + draw(st.lists(st.sampled_from(RESERVED), max_size=2))
+        tree = random_tree(seed, draw(st.sampled_from([2, 10, 40])), draw(st.integers(3, 14)),
+                           alphabet)
+    else:
+        tree = demo_grammar().sample(random.Random(seed), max_depth=draw(st.integers(4, 12)))
+    share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    return _punctuate(tree, random.Random(seed), share)
+
+
+def _outcome(call):
+    try:
+        return "result", call()
+    except ValueError as e:
+        return "error", str(e)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_trees())
+def test_walks_match_recursive_oracles(tree):
+    assert _outcome(lambda: boundaries(tree)) == _outcome(lambda: _oracle_boundaries(tree))
+    for strip in (False, True):
+        spans, leaves = _spans_and_leaves(tree, strip)
+        expected_spans, expected_leaves = _oracle_spans_and_leaves(tree, strip)
+        # the same spans in the same (post-order) order
+        assert list(spans.items()) == list(expected_spans.items())
+        assert leaves == expected_leaves
+    assert serialize(tree) == _oracle_serialize(tree)
