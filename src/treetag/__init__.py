@@ -54,7 +54,6 @@ from .tagger import (
     featurize,
     load_model,
     mtl_loss,
-    predict_corpus,
     predict_greedy,
     predict_trees,
     save_model,
@@ -62,7 +61,6 @@ from .tagger import (
 )
 from .pg import (
     AdvantageTracker,
-    NoiseState,
     PGConfig,
     adapt_noise,
     finetune_pg,

@@ -16,6 +16,7 @@ diagnostics where available).
 """
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -35,6 +36,27 @@ class _Parser(argparse.ArgumentParser):
 AUX_CHOICES = ("n+1", "n-1", "dist")
 
 DEFAULT_ALPHABET = "S,NP,VP,PP,ADJP,ADVP,SBAR"
+
+# Flags named other than their config field; every other field `x_y` of
+# TrainConfig and PGConfig is the option --x-y.
+FLAG_NAMES = {"learning_rate": "lr", "entropy_coef": "entropy", "noise_enabled": "noise"}
+
+
+def _add_config_options(parser, config_class):
+    """One option per field of `config_class`, defaulting to the field's
+    default; a bool field is a switch."""
+    for field in dataclasses.fields(config_class):
+        name = FLAG_NAMES.get(field.name, field.name)
+        flag = "--" + name.replace("_", "-")
+        if field.type is bool:
+            parser.add_argument(flag, dest=field.name, action="store_true")
+        else:
+            parser.add_argument(flag, dest=field.name, type=field.type, default=field.default,
+                                metavar=name.upper())
+
+
+def _config_from(config_class, args):
+    return config_class(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config_class)})
 
 
 def build_parser():
@@ -79,18 +101,7 @@ def build_parser():
     p.add_argument("train_seq")
     p.add_argument("dev_seq")
     p.add_argument("output")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.2)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--decay", type=float, default=0.05)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--aux-weight", type=float, default=0.1)
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--word-dim", type=int, default=100)
-    p.add_argument("--pos-dim", type=int, default=20)
-    p.add_argument("--hidden-dim", type=int, default=128)
-    p.add_argument("--seed", type=int, default=13)
+    _add_config_options(p, tagging.TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("finetune", help="policy-gradient fine-tuning")
@@ -98,16 +109,7 @@ def build_parser():
     p.add_argument("train_trees")
     p.add_argument("dev_trees")
     p.add_argument("output")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--lr", type=float, default=0.0005)
-    p.add_argument("--entropy", type=float, default=0.01)
-    p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--noise", action="store_true")
-    p.add_argument("--noise-std", type=float, default=0.1)
-    p.add_argument("--noise-target", type=float, default=0.5)
-    p.add_argument("--noise-adapt", type=float, default=1.05)
-    p.add_argument("--seed", type=int, default=29)
+    _add_config_options(p, pg.PGConfig)
     p.add_argument("--log", default=None, help="per-epoch TSV log path")
     p.set_defaults(func=cmd_finetune)
 
@@ -130,6 +132,8 @@ def build_parser():
 
 
 def cmd_synth(args):
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
     if args.mode == "pcfg":
         forest = trees.sample_corpus(args.seed, args.count)
     else:
@@ -190,20 +194,7 @@ def cmd_stats(args):
 def cmd_train(args):
     train_corpus, train_aux, _ = seqfile.read_seq(args.train_seq)
     dev_corpus, _, _ = seqfile.read_seq(args.dev_seq)
-    config = tagging.TrainConfig(
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        decay=args.decay,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        dropout=args.dropout,
-        aux_weight=args.aux_weight,
-        window=args.window,
-        word_dim=args.word_dim,
-        pos_dim=args.pos_dim,
-        hidden_dim=args.hidden_dim,
-        seed=args.seed,
-    )
+    config = _config_from(tagging.TrainConfig, args)
     train = [(enc.sentence, enc, aux) for enc, aux in zip(train_corpus, train_aux)]
     dev = [(enc.sentence, encodings.decode(enc)) for enc in dev_corpus]
     try:
@@ -221,18 +212,7 @@ def cmd_finetune(args):
     model = tagging.load_model(args.checkpoint)
     train_forest = trees.load_trees(args.train_trees)
     dev_forest = trees.load_trees(args.dev_trees)
-    config = pg.PGConfig(
-        samples=args.samples,
-        learning_rate=args.lr,
-        entropy_coef=args.entropy,
-        burn_in=args.burn_in,
-        epochs=args.epochs,
-        noise_enabled=args.noise,
-        noise_std=args.noise_std,
-        noise_target=args.noise_target,
-        noise_adapt=args.noise_adapt,
-        seed=args.seed,
-    )
+    config = _config_from(pg.PGConfig, args)
     train = [(trees.Sentence.from_tree(t), t) for t in train_forest]
     dev = [(trees.Sentence.from_tree(t), t) for t in dev_forest]
     try:

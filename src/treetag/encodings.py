@@ -110,8 +110,12 @@ class TagLabel:
     c: str
     u: str = ""
 
+    def parts(self):
+        """The (n, c, u) sublabel tokens, with u = NO_CHAIN when empty."""
+        return self.n.token(), self.c, self.u or NO_CHAIN
+
     def token(self):
-        return FIELD_SEP.join((self.n.token(), self.c, self.u if self.u else NO_CHAIN))
+        return FIELD_SEP.join(self.parts())
 
     @classmethod
     def from_token(cls, tok):

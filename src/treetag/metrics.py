@@ -4,7 +4,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .trees import Leaf
-from .encodings import CHAIN_SEP, DUMMY, NO_CHAIN
+from .encodings import CHAIN_SEP, DUMMY
 
 # POS tags deleted by the optional punctuation-stripping mode
 PUNCT_POS = {"''", "``", ".", ":", ","}
@@ -30,11 +30,8 @@ class BracketScore:
         return 2 * p * r / (p + r) if p + r else 0.0
 
     def __add__(self, other):
-        return BracketScore(
-            self.matched + other.matched,
-            self.gold_total + other.gold_total,
-            self.pred_total + other.pred_total,
-        )
+        return BracketScore(self.matched + other.matched, self.gold_total + other.gold_total,
+                            self.pred_total + other.pred_total)
 
 
 def labeled_spans(tree, strip_punctuation=False):
@@ -101,18 +98,12 @@ def corpus_bracket_score(gold_trees, predicted_trees, strip_punctuation=False):
     """Micro-averaged score over aligned tree lists."""
     if len(gold_trees) != len(predicted_trees):
         raise ValueError("corpora differ in length")
-    total = BracketScore(0, 0, 0)
-    for g, p in zip(gold_trees, predicted_trees):
-        total = total + bracket_score(g, p, strip_punctuation)
-    return total
+    scores = (bracket_score(g, p, strip_punctuation) for g, p in zip(gold_trees, predicted_trees))
+    return sum(scores, BracketScore(0, 0, 0))
 
 
 def format_bracket_report(score):
-    return "P %.2f R %.2f F1 %.2f" % (
-        100 * score.precision,
-        100 * score.recall,
-        100 * score.f1,
-    )
+    return "P %.2f R %.2f F1 %.2f" % (100 * score.precision, 100 * score.recall, 100 * score.f1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +176,7 @@ def label_space_stats(corpus, decomposed=False):
     for encoded in corpus:
         for lab in encoded.labels:
             if decomposed:
-                hist["n:" + lab.n.token()] += 1
-                hist["c:" + lab.c] += 1
-                hist["u:" + (lab.u if lab.u else NO_CHAIN)] += 1
+                hist.update(prefix + part for prefix, part in zip(("n:", "c:", "u:"), lab.parts()))
             else:
                 hist[lab.token()] += 1
     return LabelSpaceStats(len(hist), dict(hist))

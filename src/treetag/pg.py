@@ -19,7 +19,7 @@ distribution change.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +28,15 @@ from .metrics import bracket_score, labeled_spans, span_score
 from .tagger import (
     MAIN_TASKS,
     _dev_f1,
-    _predict_ids,
     _softmax,
+    greedy_scores,
     predict_greedy,
     spans_from_ids,
+    with_gold_spans,
 )
+
+FROZEN = ("E_word", "E_pos")  # parameters fine-tuning leaves as trained
+NOISE_BATCH = 8               # sentences between noise adaptations
 
 
 @dataclass
@@ -41,13 +45,11 @@ class PGConfig:
     learning_rate: float = 0.0005
     entropy_coef: float = 0.01        # strength of the exploration bonus
     burn_in: int = 1000               # advantages seen before standardising
-    frozen: tuple = ("E_word", "E_pos")
     epochs: int = 10
     noise_enabled: bool = False
     noise_std: float = 0.1            # initial logit-noise stddev
     noise_target: float = 0.5         # desired induced action divergence
     noise_adapt: float = 1.05         # multiplicative adaptation step
-    noise_batch: int = 8              # sentences between noise adaptations
     seed: int = 29
 
     def __post_init__(self):
@@ -57,6 +59,12 @@ class PGConfig:
             raise ValueError("need at least one epoch")
         if self.entropy_coef < 0 or self.learning_rate < 0:
             raise ValueError("coefficients must be >= 0")
+        if not self.noise_std > 0:
+            raise ValueError("noise_std must be > 0")
+        if not self.noise_target >= 0:
+            raise ValueError("noise_target must be >= 0")
+        if not self.noise_adapt >= 1:
+            raise ValueError("noise_adapt must be >= 1")
 
 
 class AdvantageTracker:
@@ -90,18 +98,6 @@ class AdvantageTracker:
         if self.count < self.burn_in:
             return x
         return (x - self.mean) / self.std
-
-
-@dataclass
-class NoiseState:
-    std: float = 0.1
-    target: float = 0.5
-    adapt: float = 1.05
-    history: list = field(default_factory=list)  # measured divergences
-
-    @classmethod
-    def from_config(cls, config):
-        return cls(config.noise_std, config.noise_target, config.noise_adapt)
 
 
 def _sample(cache, n_samples, rng, noise_std=0.0):
@@ -140,18 +136,8 @@ def _entropy_terms(p):
     return H, -p * (logp + H[..., None])
 
 
-def estimate_policy_gradient(
-    policy,
-    sentence,
-    reward_fn,
-    n_samples,
-    rng,
-    entropy_coef=0.0,
-    baseline_reward=0.0,
-    tracker=None,
-    noise_std=0.0,
-    frozen=(),
-):
+def estimate_policy_gradient(policy, sentence, reward_fn, n_samples, rng, entropy_coef=0.0,
+                             baseline_reward=0.0, tracker=None, noise_std=0.0, frozen=()):
     """Ascent-direction parameter gradients from sampled sequences.
 
     For each sample: advantage = reward_fn(ids) - baseline_reward (ids
@@ -166,20 +152,14 @@ def estimate_policy_gradient(
     """
     cache = policy.forward(sentence, heads=MAIN_TASKS)
     probs, picks = _sample(cache, n_samples, rng, noise_std)
-    rewards = []
-    advantages = []
-    standardized = []
-    for k in range(n_samples):
-        reward = reward_fn({name: picks[name][k] for name in MAIN_TASKS})
-        adv = reward - baseline_reward
-        if tracker is not None:
+    rewards = [reward_fn({name: picks[name][k] for name in MAIN_TASKS}) for k in range(n_samples)]
+    advantages = [reward - baseline_reward for reward in rewards]
+    standardized = advantages
+    if tracker is not None:
+        standardized = []
+        for adv in advantages:
             tracker.update(adv)
-            adv_hat = tracker.standardize(adv)
-        else:
-            adv_hat = adv
-        rewards.append(reward)
-        advantages.append(adv)
-        standardized.append(adv_hat)
+            standardized.append(tracker.standardize(adv))
 
     weights = np.array(standardized, dtype=float)[:, None, None]
     dlogits = {}
@@ -210,8 +190,8 @@ def pg_update(policy, baseline, sentence, gold_tree, config, tracker, rng, noise
 
     The baseline reward is the frozen model's greedy tree score; it is
     computed here unless `baseline_reward` passes it in, and `gold_spans`
-    may pass in labeled_spans(gold_tree).  Parameters named in
-    config.frozen are left untouched.  Returns per-sentence stats.
+    may pass in labeled_spans(gold_tree).  Parameters named in FROZEN are
+    left untouched.  Returns per-sentence stats.
     """
     if baseline_reward is None:
         baseline_reward = tree_reward(predict_greedy(baseline, sentence), gold_tree)
@@ -227,7 +207,7 @@ def pg_update(policy, baseline, sentence, gold_tree, config, tracker, rng, noise
         baseline_reward=baseline_reward,
         tracker=tracker,
         noise_std=noise_std,
-        frozen=config.frozen,
+        frozen=FROZEN,
     )
     for name, g in grads.items():
         if not np.isfinite(g).all():
@@ -255,20 +235,18 @@ def action_divergence(policy, sentences, noise_std, rng):
     return float(np.mean(diffs))
 
 
-def adapt_noise(policy, state, sentences, rng):
-    """Adapt the noise scale after a batch.
+def adapt_noise(policy, config, std, sentences, rng):
+    """Adapt the noise scale `std` after a batch.
 
-    Measures the induced action divergence at the current stddev; grows
-    the stddev by the adaptation factor when the divergence falls short of
-    the target, shrinks it otherwise.  Returns the new stddev.
+    Measures the induced action divergence at `std`; grows the stddev by
+    config.noise_adapt when the divergence falls short of
+    config.noise_target, shrinks it otherwise.  Returns (new stddev,
+    measured divergence).
     """
-    d = action_divergence(policy, sentences, state.std, rng)
-    state.history.append(d)
-    if d < state.target:
-        state.std *= state.adapt
-    else:
-        state.std /= state.adapt
-    return state.std
+    d = action_divergence(policy, sentences, std, rng)
+    if d < config.noise_target:
+        return std * config.noise_adapt, d
+    return std / config.noise_adapt, d
 
 
 def finetune_pg(policy, train, config, dev=None, log_path=None, baseline=None):
@@ -286,13 +264,11 @@ def finetune_pg(policy, train, config, dev=None, log_path=None, baseline=None):
         baseline = policy.clone()
     tracker = AdvantageTracker(config.burn_in)
     rng = np.random.default_rng(config.seed)
-    noise = NoiseState.from_config(config) if config.noise_enabled else None
-    gold_spans = [labeled_spans(tree) for _, tree in train]
-    greedy = _predict_ids(baseline, [sentence for sentence, _ in train])
-    baseline_rewards = [span_score(gold, spans_from_ids(baseline, ids)).f1
-                        for ids, gold in zip(greedy, gold_spans)]
+    std = config.noise_std if config.noise_enabled else 0.0
+    scored = with_gold_spans(train)
+    baseline_rewards = [score.f1 for score in greedy_scores(baseline, scored)]
     if dev is not None:
-        dev = [(sentence, labeled_spans(tree)) for sentence, tree in dev]
+        dev = with_gold_spans(dev)
     order = np.arange(len(train))
     rows = []
     for epoch in range(config.epochs):
@@ -301,22 +277,21 @@ def finetune_pg(policy, train, config, dev=None, log_path=None, baseline=None):
         pending = []
         for i in order:
             sentence, gold_tree = train[i]
-            std = noise.std if noise is not None else 0.0
             stats = pg_update(policy, baseline, sentence, gold_tree, config, tracker, rng, std,
-                              baseline_rewards[i], gold_spans[i])
+                              baseline_rewards[i], scored[i][1])
             for key in stats_acc:
                 stats_acc[key].append(stats[key])
-            if noise is not None:
+            if config.noise_enabled:
                 pending.append(sentence)
-                if len(pending) >= config.noise_batch:
-                    adapt_noise(policy, noise, pending, rng)
+                if len(pending) >= NOISE_BATCH:
+                    std, _ = adapt_noise(policy, config, std, pending, rng)
                     pending = []
-        if noise is not None and pending:
-            adapt_noise(policy, noise, pending, rng)
+        if pending:
+            std, _ = adapt_noise(policy, config, std, pending, rng)
         row = {"epoch": epoch}
         row.update((key, float(np.mean(values))) for key, values in stats_acc.items())
         row["dev_f1"] = _dev_f1(policy, dev) if dev is not None else ""
-        row["noise_std"] = noise.std if noise is not None else 0.0
+        row["noise_std"] = std
         rows.append(row)
     if log_path:
         with open(log_path, "w", encoding="utf-8", newline="") as fh:

@@ -62,7 +62,7 @@ def read_seq(path):
     aux_corpus = []
     rows = []
 
-    def flush(lineno):
+    def flush():
         if not rows:
             return
         words, pos, labels = [], [], []
@@ -85,7 +85,7 @@ def read_seq(path):
 
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
-            flush(lineno)
+            flush()
             continue
         cols = line.split("\t")
         if len(cols) != n_cols:
@@ -93,7 +93,7 @@ def read_seq(path):
                 path, lineno, "expected %d columns, got %d" % (n_cols, len(cols))
             )
         rows.append(cols + [lineno])
-    flush(len(lines) + 1)
+    flush()
     if not corpus:
         raise SeqFormatError(path, 1, "file contains no sentences")
     return corpus, aux_corpus, scheme

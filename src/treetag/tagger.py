@@ -79,9 +79,8 @@ class Vocabularies:
             words.update(sentence.words)
             pos.update(sentence.pos)
             for lab in encoded.labels:
-                labels["n"].add(lab.n.token())
-                labels["c"].add(lab.c)
-                labels["u"].add(lab.u if lab.u else NO_CHAIN)
+                for name, part in zip(MAIN_TASKS, lab.parts()):
+                    labels[name].add(part)
             if sorted(aux.keys()) != aux_names:
                 raise ValueError("inconsistent auxiliary tracks across corpus")
             for name in aux_names:
@@ -356,12 +355,8 @@ class TrainConfig:
 
 def _gold_ids(vocab, corpus):
     """Gold label ids per task over the stacked tokens of a corpus."""
-    labels = [lab for _, encoded, _ in corpus for lab in encoded.labels]
-    gold = {
-        "n": vocab.label_ids("n", [lab.n.token() for lab in labels]),
-        "c": vocab.label_ids("c", [lab.c for lab in labels]),
-        "u": vocab.label_ids("u", [lab.u if lab.u else NO_CHAIN for lab in labels]),
-    }
+    parts = zip(*(lab.parts() for _, encoded, _ in corpus for lab in encoded.labels))
+    gold = {name: vocab.label_ids(name, tokens) for name, tokens in zip(MAIN_TASKS, parts)}
     for name in vocab.aux_tasks:
         gold[name] = vocab.label_ids(name, [v for _, _, aux in corpus for v in aux[name].values])
     return gold
@@ -440,8 +435,8 @@ def train_mtl(corpus, config, dev=None):
     dropout_rng = np.random.default_rng(seeds[2])
 
     windows = model.windows([sentence for sentence, _, _ in corpus])
-    if dev is not None:  # scored against each gold tree's spans, taken once
-        dev = [(sentence, metrics.labeled_spans(tree)) for sentence, tree in dev]
+    if dev is not None:
+        dev = with_gold_spans(dev)
     gold = _gold_ids(vocab, corpus)
     ends = np.cumsum([len(sentence) for sentence, _, _ in corpus])
     beta = config.aux_weight
@@ -491,12 +486,22 @@ def train_mtl(corpus, config, dev=None):
     return model
 
 
+def with_gold_spans(pairs):
+    """(Sentence, gold Tree) pairs as (Sentence, gold labeled spans) pairs,
+    so each gold tree is walked once however often it is scored."""
+    return [(sentence, metrics.labeled_spans(tree)) for sentence, tree in pairs]
+
+
+def greedy_scores(model, pairs):
+    """BracketScore of each greedy prediction on (Sentence, gold spans)
+    pairs, scored from the predicted ids' spans without building a tree."""
+    ids = _predict_ids(model, [sentence for sentence, _ in pairs])
+    return [metrics.span_score(gold, spans_from_ids(model, i)) for i, (_, gold) in zip(ids, pairs)]
+
+
 def _dev_f1(model, dev):
     """Corpus bracketing F1 of greedy trees on (Sentence, gold spans) pairs."""
-    total = metrics.BracketScore(0, 0, 0)
-    for ids, (_, gold) in zip(_predict_ids(model, [sentence for sentence, _ in dev]), dev):
-        total = total + metrics.span_score(gold, spans_from_ids(model, ids))
-    return total.f1
+    return sum(greedy_scores(model, dev), metrics.BracketScore(0, 0, 0)).f1
 
 
 def _label_parts(vocab, ids):
@@ -526,18 +531,7 @@ def spans_from_ids(model, ids):
 def predict_greedy(model, sentence):
     """Argmax labels per token and task; the last token's n and c are
     forced to the dummy so the output always decodes."""
-    return predict_corpus(model, [sentence])[0]
-
-
-def predict_corpus(model, sentences):
-    """Greedy predictions for many sentences, in input order.
-
-    Sentences are stacked into batches of at most TOKEN_BUDGET tokens (a
-    longer sentence is a batch of its own), which bounds peak memory;
-    results are those of predict_greedy on each sentence.
-    """
-    ids = _predict_ids(model, sentences)
-    return [encoded_from_ids(model, s, sentence_ids) for s, sentence_ids in zip(sentences, ids)]
+    return encoded_from_ids(model, sentence, next(_predict_ids(model, [sentence])))
 
 
 def predict_trees(model, sentences):
@@ -548,8 +542,9 @@ def predict_trees(model, sentences):
 
 
 def _predict_ids(model, sentences):
-    """Greedy per-task label ids of each sentence, in input order.  The
-    argmax of a head's logits is that of its softmax, which is skipped."""
+    """Greedy per-task label ids of each sentence, in input order, from
+    batches of at most TOKEN_BUDGET tokens (a longer sentence runs alone).
+    The argmax of a head's logits is that of its softmax, which is skipped."""
     for start, stop in _chunks([len(s) for s in sentences]):
         chunk = sentences[start:stop]
         h, _ = model._hidden(model.windows(chunk))

@@ -96,8 +96,8 @@ class Sentence:
 
 class ParseError(ValueError):
     """Malformed bracketing.  `offset` is a byte offset into the input (a
-    line of file `path`, if given) and `message` the text without the
-    position."""
+    line of file `path`, if given; None for the file as a whole) and
+    `message` the text without the position."""
 
     def __init__(self, message, offset, line=None, path=None):
         self.message = message
@@ -105,7 +105,8 @@ class ParseError(ValueError):
         self.line = line
         self.path = path
         where = "%s:%d: " % (path, line) if line is not None else ""
-        super().__init__("%sbyte %d: %s" % (where, offset, message))
+        at = "byte %d: " % offset if offset is not None else ""
+        super().__init__("%s%s%s" % (where, at, message))
 
 
 _TOKEN_RE = re.compile(r"\(|\)|[^()\s]+")
@@ -218,7 +219,8 @@ def serialize(tree):
 def load_trees(path, strip_functions=False):
     """Read one tree per line; blank lines skipped.
 
-    Raises ParseError naming the file and line on malformed input.
+    Raises ParseError naming the file and line on malformed input, and
+    the file (at line 1) when it holds no tree.
     """
     trees = []
     with open(path, encoding="utf-8") as fh:
@@ -233,6 +235,8 @@ def load_trees(path, strip_functions=False):
                 message = "expected one tree per line, got %d" % len(parsed)
                 raise ParseError(message, 0, lineno, path)
             trees.append(parsed[0])
+    if not trees:
+        raise ParseError("file contains no trees", None, 1, path)
     return trees
 
 

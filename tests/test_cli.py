@@ -405,3 +405,111 @@ def test_parse_error_names_its_position_once(tmp_path, capsys):
     bad.write_text("(S (A a))\n(S (B b)\n", encoding="utf-8")
     assert run(["eval", str(bad), str(bad)]) == 2
     assert capsys.readouterr().err == "error: %s:2: byte 9: unbalanced '('\n" % bad
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--noise-std", "-1", "noise_std must be > 0"),
+    ("--noise-std", "0", "noise_std must be > 0"),
+    ("--noise-target", "-0.1", "noise_target must be >= 0"),
+    ("--noise-adapt", "0", "noise_adapt must be >= 1"),
+], ids=["std-negative", "std-zero", "target", "adapt"])
+def test_finetune_noise_setting_out_of_range_exit_code(tmp_path, small_model, capsys, option,
+                                                       value, message):
+    _, trees_path, ckpt = small_model
+    capsys.readouterr()
+    out = tmp_path / "tuned.npz"
+    assert run(["finetune", str(ckpt), str(trees_path), str(trees_path), str(out),
+                "--epochs", "1", "--noise", option, value]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_synth_count_below_one_exit_code(tmp_path, capsys, count):
+    out = tmp_path / "empty.trees"
+    assert run(["synth", str(out), "--count", count]) == 2
+    assert capsys.readouterr().err == "error: --count must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.fixture
+def empty_trees(tmp_path):
+    path = tmp_path / "empty.trees"
+    path.write_text("\n\n", encoding="utf-8")
+    return path
+
+
+def test_load_trees_rejects_a_file_without_trees(empty_trees):
+    from treetag.trees import ParseError
+
+    with pytest.raises(ParseError, match="^%s:1: file contains no trees$" % empty_trees):
+        load_trees(empty_trees)
+
+
+def test_eval_empty_file_exit_code(tmp_path, forest_file, empty_trees, capsys):
+    for gold, pred in ((empty_trees, empty_trees), (forest_file, empty_trees)):
+        assert run(["eval", str(gold), str(pred)]) == 2
+        assert capsys.readouterr().err == "error: %s:1: file contains no trees\n" % empty_trees
+
+
+@pytest.mark.parametrize("side", ["train", "dev"])
+def test_finetune_empty_file_exit_code(tmp_path, small_model, empty_trees, capsys, side):
+    _, trees_path, ckpt = small_model
+    files = (empty_trees, trees_path) if side == "train" else (trees_path, empty_trees)
+    capsys.readouterr()
+    out = tmp_path / "tuned.npz"
+    assert run(["finetune", str(ckpt), *map(str, files), str(out), "--epochs", "1"]) == 2
+    assert capsys.readouterr().err == "error: %s:1: file contains no trees\n" % empty_trees
+    assert not out.exists()
+
+
+@pytest.fixture
+def captured_configs(monkeypatch):
+    """The config each of train_mtl and finetune_pg is called with; both
+    then fail, so the subcommand exits 2 without writing a checkpoint."""
+    from treetag import pg, tagger
+
+    configs = {}
+
+    def capture(name):
+        def fake(data, config, **_):
+            configs[name] = config
+            raise RuntimeError("captured")
+        return fake
+
+    monkeypatch.setattr(tagger, "train_mtl", capture("train"))
+    monkeypatch.setattr(pg, "finetune_pg", lambda policy, train, config, **kw:
+                        capture("finetune")(train, config))
+    return configs
+
+
+def test_train_and_finetune_defaults_are_the_configs(tmp_path, small_model, captured_configs):
+    from treetag.pg import PGConfig
+    from treetag.tagger import TrainConfig
+
+    seq, trees_path, ckpt = small_model
+    assert run(["train", str(seq), str(seq), str(tmp_path / "m.npz")]) == 2
+    assert run(["finetune", str(ckpt), str(trees_path), str(trees_path),
+                str(tmp_path / "t.npz")]) == 2
+    assert captured_configs == {"train": TrainConfig(), "finetune": PGConfig()}
+
+
+def test_renamed_flags_reach_their_fields(tmp_path, small_model, captured_configs):
+    seq, trees_path, ckpt = small_model
+    assert run(["train", str(seq), str(seq), str(tmp_path / "m.npz"),
+                "--lr", "0.3", "--batch-size", "3", "--aux-weight", "0.5"]) == 2
+    assert run(["finetune", str(ckpt), str(trees_path), str(trees_path), str(tmp_path / "t.npz"),
+                "--lr", "0.001", "--entropy", "0.2", "--noise", "--burn-in", "7"]) == 2
+    train, finetune = captured_configs["train"], captured_configs["finetune"]
+    assert (train.learning_rate, train.batch_size, train.aux_weight) == (0.3, 3, 0.5)
+    assert (finetune.learning_rate, finetune.entropy_coef, finetune.noise_enabled,
+            finetune.burn_in) == (0.001, 0.2, True, 7)
+
+
+def test_help_keeps_the_flag_metavars(capsys):
+    assert run(["train", "--help"]) == 0
+    assert "--lr LR" in capsys.readouterr().out
+    assert run(["finetune", "--help"]) == 0
+    text = capsys.readouterr().out
+    assert "--entropy ENTROPY" in text and "--noise-std NOISE_STD" in text
+    assert "[--noise]" in text

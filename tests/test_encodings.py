@@ -518,6 +518,12 @@ def test_label_token_surface_forms():
     assert TagLabel.from_token("DUMMY~DUMMY~NONE") == TagLabel.dummy()
 
 
+def test_label_parts_are_the_sublabel_tokens():
+    assert TagLabel(NComponent(RELATIVE, -3), "S", "").parts() == ("r-3", "S", "NONE")
+    assert TagLabel(NComponent(ABSOLUTE, 1), "S", "NP").parts() == ("a1", "S", "NP")
+    assert TagLabel.dummy().parts() == ("DUMMY", "DUMMY", "NONE")
+
+
 def test_ncomponent_validation():
     with pytest.raises(ValueError):
         NComponent(ABSOLUTE, 0)

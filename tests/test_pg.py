@@ -37,7 +37,6 @@ from treetag.tagger import (
 from treetag import pg
 from treetag.pg import (
     AdvantageTracker,
-    NoiseState,
     PGConfig,
     adapt_noise,
     estimate_policy_gradient,
@@ -388,39 +387,42 @@ def test_frozen_layers_and_baseline_untouched():
 # ---------------------------------------------------------------------------
 # noise adaptation
 
+NOISE = PGConfig(noise_enabled=True, noise_std=0.1, noise_target=0.5, noise_adapt=1.05)
+
+
 def test_noise_zero_divergence_grows_std():
     model, sentence, _ = toy_policy()
-    state = NoiseState(std=0.0, target=0.5, adapt=1.05)
     rng = np.random.default_rng(6)
-    adapt_noise(model, state, [sentence], rng)
-    assert state.history[-1] == 0.0
-    assert state.std == 0.0  # multiplicative on zero stays zero
-    state = NoiseState(std=0.1, target=0.5, adapt=1.05)
-    adapt_noise(model, state, [sentence], rng)
-    assert state.std == pytest.approx(0.1 * 1.05)
+    std, divergence = adapt_noise(model, NOISE, 0.0, [sentence], rng)
+    assert divergence == 0.0
+    assert std == 0.0  # multiplicative on zero stays zero
+    std, _ = adapt_noise(model, NOISE, 0.1, [sentence], rng)
+    assert std == pytest.approx(0.1 * 1.05)
 
 
 def test_noise_adaptation_multiplicative():
     model, sentence, _ = toy_policy()
-    state = NoiseState(std=0.1, target=0.5, adapt=1.05)
+    std = 0.1
     rng = np.random.default_rng(10)
-    adapt_noise(model, state, [sentence], rng)
-    adapt_noise(model, state, [sentence], rng)
-    assert state.std == pytest.approx(0.1 * 1.05**2)
+    std, _ = adapt_noise(model, NOISE, std, [sentence], rng)
+    std, _ = adapt_noise(model, NOISE, std, [sentence], rng)
+    assert std == pytest.approx(0.1 * 1.05**2)
 
 
 def test_noise_divergence_reaches_band():
     model, sentence, _ = toy_policy(u_labels=("", "NP"))
-    state = NoiseState(std=0.1, target=0.5, adapt=1.05)
+    std = 0.1
+    history = []
     rng = np.random.default_rng(12)
     entered = None
     for batch in range(200):
-        adapt_noise(model, state, [sentence], rng)
-        if entered is None and abs(state.history[-1] - 0.5) < 0.05:
+        std, divergence = adapt_noise(model, NOISE, std, [sentence], rng)
+        history.append(divergence)
+        if entered is None and abs(history[-1] - 0.5) < 0.05:
             entered = batch
     assert entered is not None and entered < 200
     # once large, the measured divergence hovers around the target
-    tail = state.history[-30:]
+    tail = history[-30:]
     assert 0.4 < np.mean(tail) < 0.6
 
 

@@ -21,10 +21,10 @@ from treetag.tagger import (
     TrainConfig,
     Vocabularies,
     _gold_ids,
+    encoded_from_ids,
     featurize,
     load_model,
     mtl_loss,
-    predict_corpus,
     predict_greedy,
     predict_trees,
     save_model,
@@ -536,9 +536,10 @@ def test_predict_corpus_order_and_batching(monkeypatch):
     trees = [decode(predict_greedy(model, s)) for s in sentences]
     for budget in (1, 10, tagger.TOKEN_BUDGET):
         monkeypatch.setattr(tagger, "TOKEN_BUDGET", budget)
-        assert [x.labels for x in predict_corpus(model, sentences)] == expected
+        ids = tagger._predict_ids(model, sentences)
+        assert [encoded_from_ids(model, s, i).labels for s, i in zip(sentences, ids)] == expected
         assert predict_trees(model, sentences) == trees
-    assert predict_corpus(model, []) == []
+    assert predict_trees(model, []) == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
