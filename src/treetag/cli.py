@@ -35,7 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
 AUX_CHOICES = ("n+1", "n-1", "dist")
 
-DEFAULT_ALPHABET = "S,NP,VP,PP,ADJP,ADVP,SBAR"
+# The options of `synth --mode random` and their defaults; pcfg mode takes none.
+RANDOM_OPTIONS = {"max_leaves": 40, "max_depth": 12, "alphabet": "S,NP,VP,PP,ADJP,ADVP,SBAR"}
 
 # Flags named other than their config field; every other field `x_y` of
 # TrainConfig and PGConfig is the option --x-y.
@@ -68,10 +69,9 @@ def build_parser():
     p.add_argument("--mode", choices=("random", "pcfg"), default="random")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--max-leaves", type=int, default=40)
-    p.add_argument("--max-depth", type=int, default=12)
-    p.add_argument("--alphabet", default=DEFAULT_ALPHABET,
-                   help="comma-separated nonterminals (random mode)")
+    for name, default in RANDOM_OPTIONS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                       help="random mode only (default %s)" % default)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("encode", help="trees -> .seq labels")
@@ -124,22 +124,27 @@ def build_parser():
     p.add_argument("predicted")
     p.add_argument("--per-n", default=None, metavar="TSV",
                    help="also write per-n-token P/R/F1 to this file")
-    p.add_argument("--scheme", choices=encodings.SCHEMES, default=encodings.RELATIVE,
-                   help="scheme used for the per-n breakdown")
+    p.add_argument("--scheme", choices=encodings.SCHEMES,
+                   help="scheme of the per-n breakdown (default %s)" % encodings.RELATIVE)
     p.add_argument("--strip-punctuation", action="store_true")
     p.set_defaults(func=cmd_eval)
     return parser
 
 
 def cmd_synth(args):
+    given = {name: getattr(args, name) for name in RANDOM_OPTIONS
+             if getattr(args, name) is not None}
+    if args.mode == "pcfg" and given:
+        raise _UsageError("--%s needs --mode random" % next(iter(given)).replace("_", "-"))
     if args.count < 1:
         raise ValueError("--count must be >= 1")
     if args.mode == "pcfg":
         forest = trees.sample_corpus(args.seed, args.count)
     else:
-        alphabet = [s for s in args.alphabet.split(",") if s]
+        options = {**RANDOM_OPTIONS, **given}
+        alphabet = [s for s in options["alphabet"].split(",") if s]
         forest = [
-            trees.random_tree(args.seed + i, args.max_leaves, args.max_depth, alphabet)
+            trees.random_tree(args.seed + i, options["max_leaves"], options["max_depth"], alphabet)
             for i in range(args.count)
         ]
     trees.save_trees(args.output, forest)
@@ -235,6 +240,8 @@ def cmd_predict(args):
 
 
 def cmd_eval(args):
+    if args.scheme and not args.per_n:
+        raise _UsageError("--scheme needs --per-n")
     gold = trees.load_trees(args.gold)
     predicted = trees.load_trees(args.predicted)
     if len(gold) != len(predicted):
@@ -244,7 +251,7 @@ def cmd_eval(args):
                         lambda pair: metrics.bracket_score(*pair, args.strip_punctuation))
     print(metrics.format_bracket_report(sum(scores, metrics.BracketScore(0, 0, 0))))
     if args.per_n:
-        encode = functools.partial(encodings.encode, scheme=args.scheme)
+        encode = functools.partial(encodings.encode, scheme=args.scheme or encodings.RELATIVE)
         gold_enc = list(_each_tree(args.gold, gold, encode))
         pred_enc = list(_each_tree(args.predicted, predicted, encode))
         table = metrics.per_n_f1(gold_enc, pred_enc)

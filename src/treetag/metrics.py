@@ -117,25 +117,18 @@ def per_n_f1(gold_corpus, pred_corpus):
     """
     if len(gold_corpus) != len(pred_corpus):
         raise ValueError("corpora differ in length")
-    tp = Counter()
-    fp = Counter()
-    fn = Counter()
+    matched = Counter()
+    gold = Counter()
+    pred = Counter()
     for g, p in zip(gold_corpus, pred_corpus):
         if len(g) != len(p):
             raise ValueError("sentence lengths differ: %d vs %d" % (len(g), len(p)))
-        for gt, pt in zip(g.n_tokens(), p.n_tokens()):
-            if gt == pt:
-                tp[gt] += 1
-            else:
-                fn[gt] += 1
-                fp[pt] += 1
-    out = {}
-    for tok in set(tp) | set(fp) | set(fn):
-        p = tp[tok] / (tp[tok] + fp[tok]) if tp[tok] + fp[tok] else 0.0
-        r = tp[tok] / (tp[tok] + fn[tok]) if tp[tok] + fn[tok] else 0.0
-        f = 2 * p * r / (p + r) if p + r else 0.0
-        out[tok] = (p, r, f)
-    return out
+        g_tokens, p_tokens = g.n_tokens(), p.n_tokens()
+        gold.update(g_tokens)
+        pred.update(p_tokens)
+        matched.update(gt for gt, pt in zip(g_tokens, p_tokens) if gt == pt)
+    scores = {tok: BracketScore(matched[tok], gold[tok], pred[tok]) for tok in gold | pred}
+    return {tok: (score.precision, score.recall, score.f1) for tok, score in scores.items()}
 
 
 def n_token_sort_key(tok):

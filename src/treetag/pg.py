@@ -24,13 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import decode
-from .metrics import bracket_score, labeled_spans, span_score
+from .metrics import bracket_score, span_score
 from .tagger import (
     MAIN_TASKS,
     _dev_f1,
     _softmax,
     greedy_scores,
-    predict_greedy,
     spans_from_ids,
     with_gold_spans,
 )
@@ -76,7 +75,7 @@ class AdvantageTracker:
 
     STD_FLOOR = 1e-8
 
-    def __init__(self, burn_in=1000):
+    def __init__(self, burn_in):
         self.burn_in = burn_in
         self.count = 0
         self.mean = 0.0
@@ -184,19 +183,14 @@ def estimate_policy_gradient(policy, sentence, reward_fn, n_samples, rng, entrop
     return grads, stats
 
 
-def pg_update(policy, baseline, sentence, gold_tree, config, tracker, rng, noise_std=0.0,
-              baseline_reward=None, gold_spans=None):
+def pg_update(policy, sentence, gold_spans, baseline_reward, config, tracker, rng, noise_std=0.0):
     """One fine-tuning step on a single sentence.
 
-    The baseline reward is the frozen model's greedy tree score; it is
-    computed here unless `baseline_reward` passes it in, and `gold_spans`
-    may pass in labeled_spans(gold_tree).  Parameters named in FROZEN are
-    left untouched.  Returns per-sentence stats.
+    Each sample's reward is its F1 against `gold_spans`, the gold tree's
+    labeled_spans; `baseline_reward` is the frozen model's greedy F1 on
+    the sentence.  Parameters named in FROZEN are left untouched.  Returns
+    per-sentence stats.
     """
-    if baseline_reward is None:
-        baseline_reward = tree_reward(predict_greedy(baseline, sentence), gold_tree)
-    if gold_spans is None:
-        gold_spans = labeled_spans(gold_tree)
     grads, stats = estimate_policy_gradient(
         policy,
         sentence,
@@ -276,9 +270,9 @@ def finetune_pg(policy, train, config, dev=None, log_path=None, baseline=None):
         stats_acc = {"reward": [], "baseline": [], "standardized": [], "entropy": []}
         pending = []
         for i in order:
-            sentence, gold_tree = train[i]
-            stats = pg_update(policy, baseline, sentence, gold_tree, config, tracker, rng, std,
-                              baseline_rewards[i], scored[i][1])
+            sentence, gold_spans = scored[i]
+            stats = pg_update(policy, sentence, gold_spans, baseline_rewards[i], config, tracker,
+                              rng, std)
             for key in stats_acc:
                 stats_acc[key].append(stats[key])
             if config.noise_enabled:

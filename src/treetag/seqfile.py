@@ -10,9 +10,20 @@ per auxiliary track) and a blank line between sentences.  The companion
 POS only, for prediction input.
 """
 
+import re
+
 from .trees import Sentence
 from .encodings import SCHEMES, EncodedSentence, TagLabel
 from .auxtracks import AuxTrack
+
+
+# A field must be a token the bracket reader reads back whole.  The signs
+# that a text may break that rule: a bracket, whitespace other than the
+# tab and newline separators (text mode reads "\r" as a newline), or a
+# tab next to a tab or a line end.
+_TOKEN = re.compile(r"[^()\s]+")
+_SIGNS = ("(", ")", " ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\t\t", "\t\n", "\n\t")
+_SPACE = re.compile(r"[^\S\t\n]")
 
 
 class SeqFormatError(ValueError):
@@ -52,48 +63,23 @@ def read_seq(path):
     Returns (encoded sentences, aux-track dicts aligned with them, scheme).
     """
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("#"):
+        header, _, body = fh.read().partition("\n")
+    if not header.startswith("#"):
         raise SeqFormatError(path, 1, "missing '# scheme=... aux=...' header")
-    scheme, aux_names = _parse_header(path, lines[0])
+    scheme, aux_names = _parse_header(path, header)
     n_cols = 3 + len(aux_names)
-
     corpus = []
     aux_corpus = []
-    rows = []
-
-    def flush():
-        if not rows:
-            return
-        words, pos, labels = [], [], []
-        aux_values = [[] for _ in aux_names]
-        for cols in rows:
-            words.append(cols[0])
-            pos.append(cols[1])
+    for first, rows in _blocks(path, body, 2, n_cols, "expected %d columns, got {}" % n_cols):
+        labels = []
+        for lineno, cols in enumerate(rows, start=first):
             try:
                 labels.append(TagLabel.from_token(cols[2]))
             except ValueError as e:
-                raise SeqFormatError(path, cols[-1], str(e)) from None
-            for j in range(len(aux_names)):
-                aux_values[j].append(cols[3 + j])
-        sentence = Sentence(words, pos)
-        corpus.append(EncodedSentence(sentence, labels, scheme))
-        aux_corpus.append(
-            {name: AuxTrack(name, vals) for name, vals in zip(aux_names, aux_values)}
-        )
-        rows.clear()
-
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            flush()
-            continue
-        cols = line.split("\t")
-        if len(cols) != n_cols:
-            raise SeqFormatError(
-                path, lineno, "expected %d columns, got %d" % (n_cols, len(cols))
-            )
-        rows.append(cols + [lineno])
-    flush()
+                raise SeqFormatError(path, lineno, str(e)) from None
+        words, pos, _, *aux = zip(*rows)
+        corpus.append(EncodedSentence(Sentence(words, pos), labels, scheme))
+        aux_corpus.append({name: AuxTrack(name, v) for name, v in zip(aux_names, aux)})
     if not corpus:
         raise SeqFormatError(path, 1, "file contains no sentences")
     return corpus, aux_corpus, scheme
@@ -113,23 +99,42 @@ def _parse_header(path, header):
 
 def read_tagged(path):
     """Read word<TAB>pos lines into Sentences (blank line separated)."""
-    sentences = []
-    words, pos = [], []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                if words:
-                    sentences.append(Sentence(words, pos))
-                    words, pos = [], []
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise SeqFormatError(path, lineno, "expected word<TAB>pos")
-            words.append(cols[0])
-            pos.append(cols[1])
-    if words:
-        sentences.append(Sentence(words, pos))
+        text = fh.read()
+    blocks = _blocks(path, text, 1, 2, "expected word<TAB>pos")
+    sentences = [Sentence(*zip(*rows)) for _, rows in blocks]
     if not sentences:
         raise SeqFormatError(path, 1, "file contains no sentences")
     return sentences
+
+
+def _blocks(path, text, first, n_cols, mismatch):
+    """The blocks of tab-separated lines of `text` between blank or
+    whitespace-only lines, as (number of the block's first line, rows);
+    `text` starts at line `first` of `path`, and a row is a line's fields.
+
+    A line without `n_cols` fields raises `mismatch`, formatted with the
+    count found.  A field must be a token the bracket reader can read
+    back: one that is empty or holds whitespace or a bracket raises.
+    """
+    suspect = (text.startswith("\t") or text.endswith("\t")
+               or any(map(text.__contains__, _SIGNS))
+               or not text.isascii() and _SPACE.search(text) is not None)
+    lines = text.split("\n")
+    lines.append("")  # closes the last block
+    rows = []
+    for lineno, line in enumerate(lines, start=first):
+        if not line.strip():
+            if rows:
+                yield lineno - len(rows), rows
+                rows = []
+            continue
+        cols = line.split("\t")
+        if len(cols) != n_cols:
+            raise SeqFormatError(path, lineno, mismatch.format(len(cols)))
+        if suspect:
+            for j, col in enumerate(cols, start=1):
+                if not _TOKEN.fullmatch(col):
+                    raise SeqFormatError(path, lineno, "column %d %r is empty or holds "
+                                         "whitespace or a bracket" % (j, col))
+        rows.append(cols)

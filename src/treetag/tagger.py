@@ -362,7 +362,7 @@ def _gold_ids(vocab, corpus):
     return gold
 
 
-def task_losses(model, cache, gold):
+def task_losses(cache, gold):
     """Cross-entropy (summed over tokens) and its logit gradient per task."""
     losses = {}
     dlogits = {}
@@ -404,7 +404,7 @@ def mtl_loss(model, corpus, beta=None):
     for start, stop in _chunks([len(s) for s, _, _ in corpus]):
         part = corpus[start:stop]
         cache = model.forward(model.windows([s for s, _, _ in part]))
-        losses, _ = task_losses(model, cache, _gold_ids(model.vocab, part))
+        losses, _ = task_losses(cache, _gold_ids(model.vocab, part))
         for name, value in losses.items():
             sums[name] += value
         tokens += len(cache["h"])
@@ -455,9 +455,7 @@ def train_mtl(corpus, config, dev=None):
                 for i in order[start : start + config.batch_size]
             ])
             cache = model.forward(windows[rows], dropout_rng=dropout_rng)
-            losses, dlogits = task_losses(
-                model, cache, {name: ids[rows] for name, ids in gold.items()}
-            )
+            losses, dlogits = task_losses(cache, {name: ids[rows] for name, ids in gold.items()})
             for name in dlogits:
                 w = 1.0 if name in MAIN_TASKS else beta
                 dlogits[name] *= w / len(rows)

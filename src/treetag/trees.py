@@ -353,7 +353,7 @@ class PCFG:
                             md[sym] = cand
         return md
 
-    def sample(self, rng, max_depth=10):
+    def sample(self, rng, max_depth):
         return self._expand(self.start, rng, max_depth)
 
     def _expand(self, sym, rng, budget):

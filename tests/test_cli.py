@@ -1,5 +1,7 @@
 """End-to-end command-line tests (driving run() directly)."""
 
+import re
+
 import pytest
 
 from treetag.cli import run
@@ -513,3 +515,57 @@ def test_help_keeps_the_flag_metavars(capsys):
     text = capsys.readouterr().out
     assert "--entropy ENTROPY" in text and "--noise-std NOISE_STD" in text
     assert "[--noise]" in text
+
+
+FIELD_RULE = "is empty or holds whitespace or a bracket"
+
+
+@pytest.mark.parametrize("word", ["(dog", "big cat"])
+def test_predict_rejects_a_field_no_tree_can_hold(tmp_path, small_model, capsys, word):
+    _, _, ckpt = small_model
+    tagged, out = tmp_path / "in.tagged", tmp_path / "out.trees"
+    tagged.write_text("the\tDT\n%s\tNN\n\n" % word, encoding="utf-8")
+    capsys.readouterr()
+    assert run(["predict", str(ckpt), str(tagged), str(out)]) == 2
+    assert capsys.readouterr().err == "error: %s:2: column 1 %r %s\n" % (tagged, word, FIELD_RULE)
+    assert not out.exists()
+
+
+def test_decode_rejects_a_field_no_tree_can_hold(tmp_path, capsys):
+    seq, out = tmp_path / "in.seq", tmp_path / "out.trees"
+    seq.write_text("# scheme=relative aux=\nthe dog\tNN\tDUMMY~DUMMY~NONE\n\n", encoding="utf-8")
+    assert run(["decode", str(seq), str(out)]) == 2
+    assert capsys.readouterr().err == "error: %s:2: column 1 'the dog' %s\n" % (seq, FIELD_RULE)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--max-leaves", "1"), ("--max-depth", "2"), ("--alphabet", "Q"),
+])
+def test_synth_pcfg_with_a_random_mode_option_is_usage_error(tmp_path, capsys, option, value):
+    out = tmp_path / "p.trees"
+    assert run(["synth", str(out), "--mode", "pcfg", option, value]) == 1
+    assert capsys.readouterr().err == "usage error: %s needs --mode random\n" % option
+    assert not out.exists()
+
+
+def test_synth_random_mode_options_reach_the_trees(tmp_path):
+    out = tmp_path / "r.trees"
+    assert run(["synth", str(out), "--count", "30", "--max-leaves", "3", "--max-depth", "2",
+                "--alphabet", "Q"]) == 0
+    texts = [serialize(t) for t in load_trees(out)]
+    assert all(len(re.findall(r"[^()\s]+ [^()\s]+\)", t)) <= 3 for t in texts)
+    assert {label for t in texts for label in re.findall(r"\((\S+) \(", t)} == {"Q"}
+
+
+def test_eval_scheme_without_per_n_is_usage_error(forest_file, capsys):
+    assert run(["eval", str(forest_file), str(forest_file), "--scheme", "absolute"]) == 1
+    assert capsys.readouterr().err == "usage error: --scheme needs --per-n\n"
+
+
+def test_eval_per_n_report_in_the_chosen_scheme(tmp_path, forest_file):
+    report = tmp_path / "per_n.tsv"
+    assert run(["eval", str(forest_file), str(forest_file), "--per-n", str(report),
+                "--scheme", "absolute"]) == 0
+    tokens = [line.split("\t")[0] for line in report.read_text().splitlines()[1:]]
+    assert tokens and all(tok == "DUMMY" or tok.startswith("a") for tok in tokens)

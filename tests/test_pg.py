@@ -30,6 +30,7 @@ from treetag.tagger import (
     TrainConfig,
     Vocabularies,
     encoded_from_ids,
+    greedy_scores,
     predict_greedy,
     spans_from_ids,
     train_mtl,
@@ -44,6 +45,12 @@ from treetag.pg import (
     pg_update,
     tree_reward,
 )
+
+
+def greedy_reward(baseline, sentence, gold):
+    """The baseline reward pg_update takes: the frozen model's greedy tree
+    score on the sentence."""
+    return tree_reward(predict_greedy(baseline, sentence), gold)
 
 
 def sample_sequence(policy, sentence, rng, noise_std=0.0):
@@ -176,8 +183,9 @@ def test_reward_of_a_deep_climb_is_a_score():
     model.params["b_n"][vocab.tasks["n"]["a3000"]] = 40.0
     (gold,) = parse_bracketed("(S (PA a) (PB b))")
     config = PGConfig(samples=4, learning_rate=0.0, seed=2)
-    stats = pg_update(model, model.clone(), sentence, gold, config, AdvantageTracker(),
-                      np.random.default_rng(2))
+    stats = pg_update(model, sentence, labeled_spans(gold),
+                      greedy_reward(model.clone(), sentence, gold), config,
+                      AdvantageTracker(config.burn_in), np.random.default_rng(2))
     assert 0.0 <= stats["reward"] <= 1.0
     assert 0.0 <= stats["baseline"] <= 1.0
     ids = {"n": np.array([vocab.tasks["n"]["a3000"]] * 2),
@@ -339,7 +347,8 @@ def test_zero_advantage_when_sample_equals_baseline():
     config = PGConfig(samples=4, learning_rate=0.0, entropy_coef=0.0, seed=8)
     tracker = AdvantageTracker(burn_in=10**9)
     rng = np.random.default_rng(8)
-    stats = pg_update(model, baseline, sentence, gold, config, tracker, rng)
+    stats = pg_update(model, sentence, labeled_spans(gold),
+                      greedy_reward(baseline, sentence, gold), config, tracker, rng)
     # baseline predicts greedily on the same model: samples equal to the
     # greedy choice carry exactly zero advantage
     assert stats["baseline"] == tree_reward(predict_greedy(baseline, sentence), gold)
@@ -354,7 +363,8 @@ def test_zero_learning_rate_changes_nothing():
     tracker = AdvantageTracker(burn_in=0)
     rng = np.random.default_rng(9)
     for _ in range(5):
-        pg_update(model, baseline, sentence, gold, config, tracker, rng)
+        pg_update(model, sentence, labeled_spans(gold), greedy_reward(baseline, sentence, gold),
+                  config, tracker, rng)
     for name in before:
         np.testing.assert_array_equal(model.params[name], before[name])
 
@@ -375,7 +385,8 @@ def test_frozen_layers_and_baseline_untouched():
     rng = np.random.default_rng(17)
     for sentence, _, _ in corpus:
         gold = forest[[c[0] for c in corpus].index(sentence)]
-        pg_update(model, baseline, sentence, gold, config, tracker, rng)
+        pg_update(model, sentence, labeled_spans(gold), greedy_reward(baseline, sentence, gold),
+                  config, tracker, rng)
     for k in emb_before:
         np.testing.assert_array_equal(model.params[k], emb_before[k])
     for k in baseline_before:
@@ -544,7 +555,9 @@ def test_finetune_scores_baseline_once(monkeypatch):
     forest = sample_corpus(21, 10)
     train = [(encode_relative(t).sentence, t) for t in forest]
     expected = [tree_reward(predict_greedy(model, s), t) for s, t in train]
-    monkeypatch.setattr(pg, "predict_greedy", lambda *a: pytest.fail("baseline re-scored"))
+    calls = []
+    monkeypatch.setattr(pg, "greedy_scores", lambda *a: calls.append(a) or greedy_scores(*a))
     _, rows = finetune_pg(model, train, PGConfig(samples=2, epochs=2, seed=3))
+    assert len(calls) == 1
     for row in rows:
         assert row["baseline"] == pytest.approx(np.mean(expected), abs=1e-12)

@@ -1,0 +1,245 @@
+"""Tests of the .seq and .tagged readers: every format error with its
+`file:line`, the field rule, and a differential property against the
+line-by-line readers they replaced, kept here verbatim as oracles."""
+
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from treetag.auxtracks import AuxTrack
+from treetag.encodings import EncodedSentence, TagLabel
+from treetag.seqfile import SeqFormatError, _parse_header, read_seq, read_tagged
+from treetag.trees import Sentence
+
+
+# ---------------------------------------------------------------------------
+# The replaced readers.
+
+def _oracle_read_seq(path):
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].startswith("#"):
+        raise SeqFormatError(path, 1, "missing '# scheme=... aux=...' header")
+    scheme, aux_names = _parse_header(path, lines[0])
+    n_cols = 3 + len(aux_names)
+
+    corpus = []
+    aux_corpus = []
+    rows = []
+
+    def flush():
+        if not rows:
+            return
+        words, pos, labels = [], [], []
+        aux_values = [[] for _ in aux_names]
+        for cols in rows:
+            words.append(cols[0])
+            pos.append(cols[1])
+            try:
+                labels.append(TagLabel.from_token(cols[2]))
+            except ValueError as e:
+                raise SeqFormatError(path, cols[-1], str(e)) from None
+            for j in range(len(aux_names)):
+                aux_values[j].append(cols[3 + j])
+        sentence = Sentence(words, pos)
+        corpus.append(EncodedSentence(sentence, labels, scheme))
+        aux_corpus.append(
+            {name: AuxTrack(name, vals) for name, vals in zip(aux_names, aux_values)}
+        )
+        rows.clear()
+
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            flush()
+            continue
+        cols = line.split("\t")
+        if len(cols) != n_cols:
+            raise SeqFormatError(
+                path, lineno, "expected %d columns, got %d" % (n_cols, len(cols))
+            )
+        rows.append(cols + [lineno])
+    flush()
+    if not corpus:
+        raise SeqFormatError(path, 1, "file contains no sentences")
+    return corpus, aux_corpus, scheme
+
+
+def _oracle_read_tagged(path):
+    sentences = []
+    words, pos = [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                if words:
+                    sentences.append(Sentence(words, pos))
+                    words, pos = [], []
+                continue
+            cols = line.split("\t")
+            if len(cols) != 2:
+                raise SeqFormatError(path, lineno, "expected word<TAB>pos")
+            words.append(cols[0])
+            pos.append(cols[1])
+    if words:
+        sentences.append(Sentence(words, pos))
+    if not sentences:
+        raise SeqFormatError(path, 1, "file contains no sentences")
+    return sentences
+
+
+# ---------------------------------------------------------------------------
+# Every error, with its position.
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
+
+
+SEQ_ERRORS = [
+    ("", 1, "missing '# scheme=... aux=...' header"),
+    ("the\tDT\tDUMMY~DUMMY~NONE\n\n", 1, "missing '# scheme=... aux=...' header"),
+    ("# aux=n+1\nthe\tDT\tDUMMY~DUMMY~NONE\n\n", 1, "header lacks scheme="),
+    ("# scheme=relative aux=n+1\nthe\tDT\tr1~NP~NONE\tPAD\ndog\tNN\tDUMMY~DUMMY~NONE\n",
+     3, "expected 4 columns, got 3"),
+    ("# scheme=relative aux=\n\nthe\tDT\tr1~NP~NONE\ndog\tNN\tr1~NP\n\n", 4,
+     "bad label token 'r1~NP'"),
+    ("# scheme=relative aux=\nthe\tDT\tx1~NP~NONE\ndog\tNN\tDUMMY~DUMMY~NONE\n", 2,
+     "bad n token 'x1'"),
+    ("# scheme=relative aux=\n\n \t\n", 1, "file contains no sentences"),
+    ("# scheme=relative aux=\nthe dog\tDT\tDUMMY~DUMMY~NONE\n", 2,
+     "column 1 'the dog' is empty or holds whitespace or a bracket"),
+    ("# scheme=relative aux=dist\nthe\tDT\tr1~NP~NONE\t1\ndog\tNN\tDUMMY~DUMMY~NONE\t(\n",
+     3, "column 4 '(' is empty or holds whitespace or a bracket"),
+    ("# scheme=relative aux=\nthe\t\tDUMMY~DUMMY~NONE\n", 2,
+     "column 2 '' is empty or holds whitespace or a bracket"),
+]
+
+
+def raises_at(path, line, message):
+    where = "%s:%d: %s" % (path, line, message)
+    return pytest.raises(SeqFormatError, match="^%s$" % re.escape(where))
+
+
+@pytest.mark.parametrize("text,line,message", SEQ_ERRORS)
+def test_read_seq_errors(tmp_path, text, line, message):
+    path = write(tmp_path, "bad.seq", text)
+    with raises_at(path, line, message):
+        read_seq(path)
+
+
+TAGGED_ERRORS = [
+    ("the\tDT\n\ndog\n", 3, "expected word<TAB>pos"),
+    ("the\tDT\textra\n", 1, "expected word<TAB>pos"),
+    ("\n \n\t\n", 1, "file contains no sentences"),
+    ("", 1, "file contains no sentences"),
+    ("the\tDT\n(dog\tNN\n", 2, "column 1 '(dog' is empty or holds whitespace or a bracket"),
+    ("big cat\tNN\n", 1, "column 1 'big cat' is empty or holds whitespace or a bracket"),
+    ("the\tDT)\n", 1, "column 2 'DT)' is empty or holds whitespace or a bracket"),
+    ("the\tD\xa0T\n", 1, "column 2 'D\\xa0T' is empty or holds whitespace or a bracket"),
+    ("\tDT\n", 1, "column 1 '' is empty or holds whitespace or a bracket"),
+]
+
+
+@pytest.mark.parametrize("text,line,message", TAGGED_ERRORS)
+def test_read_tagged_errors(tmp_path, text, line, message):
+    path = write(tmp_path, "bad.tagged", text)
+    with raises_at(path, line, message):
+        read_tagged(path)
+
+
+def test_header_and_whitespace_only_lines_are_exempt(tmp_path):
+    seq = write(tmp_path, "ok.seq", "#  scheme=relative   aux=n+1\r\n  \r\n"
+                "the\tDT\tr1~NP~NONE\tPAD\r\n \t \r\ndog\tNN\tDUMMY~DUMMY~NONE\tr1\r\n")
+    corpus, aux, scheme = read_seq(seq)
+    assert scheme == "relative"
+    assert [enc.sentence.words for enc in corpus] == [("the",), ("dog",)]
+    assert [a["n+1"].values for a in aux] == [("PAD",), ("r1",)]
+    tagged = write(tmp_path, "ok.tagged", " \nthe\tDT\n\t\ndog\tNN")
+    assert read_tagged(tagged) == [Sentence(["the"], ["DT"]), Sentence(["dog"], ["NN"])]
+
+
+def test_field_rule_is_the_tree_readers_token_rule(tmp_path):
+    # every ASCII character and every whitespace character inside a word;
+    # "\r" is left out, since reading in text mode turns it into a newline
+    chars = {chr(c) for c in range(128)} | {c for c in map(chr, range(0x110000)) if c.isspace()}
+    for char in sorted(chars - set("\t\n\r")):
+        path = write(tmp_path, "one.tagged", "a%sb\tNN\n" % char)
+        if char.isspace() or char in "()":
+            with raises_at(path, 1, "column 1 %r is empty or holds whitespace or a bracket"
+                           % ("a%sb" % char)):
+                read_tagged(path)
+        else:
+            assert read_tagged(path) == [Sentence(["a%sb" % char], ["NN"])]
+
+
+# ---------------------------------------------------------------------------
+# The new readers against the old ones.
+
+FIELDS = ["the", "dog", "DT", "NN", "PAD", "1", "r1~NP~NONE", "a2~S~NP+VP", "DUMMY~DUMMY~NONE",
+          "r-1~S~NONE", "r1~NP", "x1~NP~NONE", "r~S~NONE", "é"]
+UNSAFE_FIELDS = ["", "the dog", "(dog", "NN)", "a b", "x\x0cy"]
+WIDTHS = {"# scheme=relative aux=": 3, "# scheme=dynamic aux=n+1": 4,
+          "# scheme=absolute aux=dist,n+1": 5, "#scheme=relative": 3, "# aux=dist": 4,
+          "# scheme=bogus": 3, "scheme=relative aux=": 3, None: 2}
+BLANKS = ["", " ", "\t", " \t ", "\t\t"]
+TOKEN = re.compile(r"[^()\s]+")
+
+
+def lines_of(draw, width, unsafe):
+    pool = FIELDS + (UNSAFE_FIELDS if unsafe else [])
+    line = st.one_of(
+        st.sampled_from(BLANKS),
+        st.lists(st.sampled_from(pool), min_size=width - 1, max_size=width + 1).map("\t".join),
+    )
+    return draw(st.lists(line, max_size=12))
+
+
+@st.composite
+def texts(draw, header):
+    unsafe = draw(st.booleans())
+    first = draw(st.sampled_from([h for h in WIDTHS if h])) if header else None
+    lines = ([first] if header else []) + lines_of(draw, WIDTHS[first], unsafe)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    last = draw(st.sampled_from(["", eol]))
+    return eol.join(lines) + (last if lines else "")
+
+
+def has_unsafe_field(text, header):
+    lines = text.replace("\r\n", "\n").split("\n")[1 if header else 0:]
+    return any(not TOKEN.fullmatch(field)
+               for line in lines if line.strip() for field in line.split("\t"))
+
+
+def outcome(reader, path):
+    try:
+        return reader(path)
+    except SeqFormatError as e:
+        return str(e)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(texts(header=True))
+def test_read_seq_matches_the_old_reader(tmp_path_factory, text):
+    path = write(tmp_path_factory.mktemp("seq"), "x.seq", text)
+    got = outcome(read_seq, path)
+    if has_unsafe_field(text, header=True):
+        # an error, where the old reader read the field, or split its line
+        # at "\x0c" as str.splitlines does
+        assert isinstance(got, str)
+    else:
+        assert got == outcome(_oracle_read_seq, path)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(texts(header=False))
+def test_read_tagged_matches_the_old_reader(tmp_path_factory, text):
+    path = write(tmp_path_factory.mktemp("tagged"), "x.tagged", text)
+    got = outcome(read_tagged, path)
+    if has_unsafe_field(text, header=False):
+        # an error, where the old reader read the field, or split its line
+        # at "\x0c" as str.splitlines does
+        assert isinstance(got, str)
+    else:
+        assert got == outcome(_oracle_read_tagged, path)

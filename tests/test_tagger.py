@@ -230,7 +230,7 @@ def test_argmax_invariant_under_logit_shift():
 def analytic_grads(model, *instances, dropout_rng=None):
     # one forward/backward over the stacked tokens of all instances
     cache = model.forward(model.windows([s for s, _, _ in instances]), dropout_rng=dropout_rng)
-    _, dlogits = task_losses(model, cache, _gold_ids(model.vocab, instances))
+    _, dlogits = task_losses(cache, _gold_ids(model.vocab, instances))
     beta = model.config.aux_weight
     for name in dlogits:
         if name not in MAIN_TASKS:
@@ -241,7 +241,7 @@ def analytic_grads(model, *instances, dropout_rng=None):
 def summed_loss(model, *instances):
     # un-normalised loss of the instances (matches analytic_grads)
     cache = model.forward(model.windows([s for s, _, _ in instances]))
-    losses, _ = task_losses(model, cache, _gold_ids(model.vocab, instances))
+    losses, _ = task_losses(cache, _gold_ids(model.vocab, instances))
     beta = model.config.aux_weight
     total = sum(losses[n] for n in MAIN_TASKS)
     total += beta * sum(v for n, v in losses.items() if n not in MAIN_TASKS)
@@ -329,7 +329,7 @@ def test_embedding_gradients_equal_row_scatter_bytes():
     model = TaggerModel(Vocabularies.build(corpus), tiny_config(window=2), "dynamic")
     instances = corpus * 3
     cache = model.forward(model.windows([s for s, _, _ in instances]))
-    _, dlogits = task_losses(model, cache, _gold_ids(model.vocab, instances))
+    _, dlogits = task_losses(cache, _gold_ids(model.vocab, instances))
     grads = model.backward(cache, dlogits)
     P = model.params
     dh = np.zeros_like(cache["h"])
