@@ -38,7 +38,7 @@ from .encodings import (
     encode_dynamic,
     encode_relative,
 )
-from .auxtracks import AuxTrack, shifted_n, syntactic_distances
+from .auxtracks import shifted_n, syntactic_distances
 from .metrics import (
     BracketScore,
     LabelSpaceStats,

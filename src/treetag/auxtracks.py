@@ -3,11 +3,9 @@
 Two kinds are supported: copies of the n component shifted by k positions
 (so the model also predicts its neighbours' level changes), and syntactic
 split distances (how late each boundary would be split by a top-down
-parser).  Both produce one token per word; positions without a defined
-value carry PAD.
+parser).  A track is the tuple of its labels, one per word; positions
+without a defined value carry PAD.
 """
-
-from dataclasses import dataclass
 
 from .encodings import boundaries
 
@@ -16,25 +14,13 @@ PAD = "PAD"
 DISTANCE = "dist"
 
 
-@dataclass(frozen=True)
-class AuxTrack:
-    """One auxiliary label per word.  `name` doubles as the task id."""
-
-    name: str
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-
-
 def shifted_n(encoded, k):
     """The n token of the label k positions away (PAD out of range)."""
     if k == 0:
         raise ValueError("k=0 would duplicate the main task")
     tokens = encoded.n_tokens()
     T = len(tokens)
-    values = [tokens[t + k] if 0 <= t + k < T else PAD for t in range(T)]
-    return AuxTrack("n%+d" % k, values)
+    return tuple(tokens[t + k] if 0 <= t + k < T else PAD for t in range(T))
 
 
 def syntactic_distances(tree, cap=None, walk=None):
@@ -46,9 +32,7 @@ def syntactic_distances(tree, cap=None, walk=None):
     if cap is not None and cap < 1:
         raise ValueError("distance cap must be >= 1, got %r" % (cap,))
     _, pairs = boundaries(tree) if walk is None else walk
-    values = [str(p if cap is None else min(p, cap)) for _, _, p in pairs]
-    values.append(PAD)
-    return AuxTrack(DISTANCE, values)
+    return (*(str(p if cap is None else min(p, cap)) for _, _, p in pairs), PAD)
 
 
 def make_track(name, tree, encoded, cap=None, walk=None):

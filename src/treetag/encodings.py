@@ -89,12 +89,15 @@ class NComponent:
 
     @classmethod
     def from_token(cls, tok):
+        """The n component whose token() is `tok`; other text raises ValueError."""
         if tok == DUMMY:
             return cls("dummy")
-        if tok[:1] == "r":
-            return cls(RELATIVE, int(tok[1:]))
-        if tok[:1] == "a":
-            return cls(ABSOLUTE, int(tok[1:]))
+        try:
+            n = cls({"r": RELATIVE, "a": ABSOLUTE}.get(tok[:1]), int(tok[1:]))
+            if n.token() == tok:
+                return n
+        except ValueError:
+            pass
         raise ValueError("bad n token %r" % tok)
 
 
@@ -119,11 +122,23 @@ class TagLabel:
 
     @classmethod
     def from_token(cls, tok):
+        """The label whose token() is `tok`, as the encoders write it;
+        other text raises ValueError."""
         parts = tok.split(FIELD_SEP)
         if len(parts) != 3:
             raise ValueError("bad label token %r" % tok)
         n, c, u = parts
-        return cls(NComponent.from_token(n), c, "" if u == NO_CHAIN else u)
+        label = cls(NComponent.from_token(n), c, "" if u == NO_CHAIN else u)
+        if label.n.is_dummy != (c == DUMMY):
+            raise ValueError("bad label token %r: n and c must both be %s or neither" % (tok, DUMMY))
+        try:
+            for chain, reserved in ((c, DUMMY), (u, NO_CHAIN)):
+                if chain != reserved:
+                    for part in chain.split(CHAIN_SEP):
+                        _check_label(part)
+        except ValueError as e:
+            raise ValueError("bad label token %r: %s" % (tok, e)) from None
+        return label
 
     @classmethod
     def dummy(cls, u=""):
@@ -275,13 +290,7 @@ class RepairLog:
     spliced: int = 0
 
     def clean(self):
-        return not (
-            self.clamped
-            or self.interior_dummies
-            or self.label_conflicts
-            or self.placeholders
-            or self.spliced
-        )
+        return not any(vars(self).values())
 
 
 def decode(encoded):

@@ -4,7 +4,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .trees import Leaf
-from .encodings import CHAIN_SEP, DUMMY
+from .encodings import ABSOLUTE, CHAIN_SEP, RELATIVE, NComponent
 
 # POS tags deleted by the optional punctuation-stripping mode
 PUNCT_POS = {"''", "``", ".", ":", ","}
@@ -133,11 +133,8 @@ def per_n_f1(gold_corpus, pred_corpus):
 
 def n_token_sort_key(tok):
     """Order n tokens for reports: relative by value, then absolute, DUMMY last."""
-    if tok == DUMMY:
-        return (2, 0)
-    if tok.startswith("r"):
-        return (0, int(tok[1:]))
-    return (1, int(tok[1:]))
+    n = NComponent.from_token(tok)
+    return (RELATIVE, ABSOLUTE, "dummy").index(n.scale), n.value or 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import re
 
 from .trees import Sentence
 from .encodings import SCHEMES, EncodedSentence, TagLabel
-from .auxtracks import AuxTrack
 
 
 # A field must be a token the bracket reader reads back whole.  The signs
@@ -34,24 +33,17 @@ class SeqFormatError(ValueError):
 
 
 def write_seq(path, encoded_corpus, aux_corpus=None):
-    """Write sentences (and aligned aux-track dicts, if any) to `path`."""
+    """Write sentences (and aligned {aux name: track} dicts, if any) to `path`."""
     if not encoded_corpus:
         raise ValueError("nothing to write")
     scheme = encoded_corpus[0].scheme
-    aux_names = []
-    if aux_corpus:
-        aux_names = sorted(aux_corpus[0].keys())
+    aux_names = sorted(aux_corpus[0]) if aux_corpus else []
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# scheme=%s aux=%s\n" % (scheme, ",".join(aux_names)))
         for i, encoded in enumerate(encoded_corpus):
-            tracks = [aux_corpus[i][name] for name in aux_names] if aux_names else []
-            for t in range(len(encoded)):
-                cols = [
-                    encoded.sentence.words[t],
-                    encoded.sentence.pos[t],
-                    encoded.labels[t].token(),
-                ]
-                cols.extend(track.values[t] for track in tracks)
+            tracks = [aux_corpus[i][name] for name in aux_names]
+            for cols in zip(encoded.sentence.words, encoded.sentence.pos, encoded.tokens(),
+                            *tracks, strict=True):
                 fh.write("\t".join(cols))
                 fh.write("\n")
             fh.write("\n")
@@ -60,7 +52,8 @@ def write_seq(path, encoded_corpus, aux_corpus=None):
 def read_seq(path):
     """Read a .seq file.
 
-    Returns (encoded sentences, aux-track dicts aligned with them, scheme).
+    Returns (encoded sentences, {aux name: track} dicts aligned with them,
+    scheme).
     """
     with open(path, encoding="utf-8") as fh:
         header, _, body = fh.read().partition("\n")
@@ -70,16 +63,18 @@ def read_seq(path):
     n_cols = 3 + len(aux_names)
     corpus = []
     aux_corpus = []
+    parsed = {}  # label token -> TagLabel, each distinct token checked once
     for first, rows in _blocks(path, body, 2, n_cols, "expected %d columns, got {}" % n_cols):
-        labels = []
-        for lineno, cols in enumerate(rows, start=first):
-            try:
-                labels.append(TagLabel.from_token(cols[2]))
-            except ValueError as e:
-                raise SeqFormatError(path, lineno, str(e)) from None
-        words, pos, _, *aux = zip(*rows)
+        words, pos, tokens, *aux = zip(*rows)
+        for lineno, tok in enumerate(tokens, start=first):
+            if tok not in parsed:
+                try:
+                    parsed[tok] = TagLabel.from_token(tok)
+                except ValueError as e:
+                    raise SeqFormatError(path, lineno, str(e)) from None
+        labels = [parsed[tok] for tok in tokens]
         corpus.append(EncodedSentence(Sentence(words, pos), labels, scheme))
-        aux_corpus.append({name: AuxTrack(name, v) for name, v in zip(aux_names, aux)})
+        aux_corpus.append(dict(zip(aux_names, aux)))
     if not corpus:
         raise SeqFormatError(path, 1, "file contains no sentences")
     return corpus, aux_corpus, scheme
@@ -94,6 +89,9 @@ def _parse_header(path, header):
     if fields["scheme"] not in SCHEMES:
         raise SeqFormatError(path, 1, "unknown scheme %r" % fields["scheme"])
     aux = [name for name in fields.get("aux", "").split(",") if name]
+    for i, name in enumerate(aux):
+        if name in aux[:i]:
+            raise SeqFormatError(path, 1, "aux name %r repeated" % name)
     return fields["scheme"], aux
 
 

@@ -69,7 +69,7 @@ class Vocabularies:
 
     @classmethod
     def build(cls, corpus):
-        """corpus: list of (Sentence, EncodedSentence, {aux name: AuxTrack})."""
+        """corpus: list of (Sentence, EncodedSentence, {aux name: track})."""
         words, pos = set(), set()
         labels = {name: set() for name in MAIN_TASKS}
         aux_names = sorted(corpus[0][2].keys()) if corpus else []
@@ -84,7 +84,7 @@ class Vocabularies:
             if sorted(aux.keys()) != aux_names:
                 raise ValueError("inconsistent auxiliary tracks across corpus")
             for name in aux_names:
-                labels[name].update(aux[name].values)
+                labels[name].update(aux[name])
 
         def index(items, reserved):
             table = {tok: i for i, tok in enumerate(reserved)}
@@ -358,7 +358,7 @@ def _gold_ids(vocab, corpus):
     parts = zip(*(lab.parts() for _, encoded, _ in corpus for lab in encoded.labels))
     gold = {name: vocab.label_ids(name, tokens) for name, tokens in zip(MAIN_TASKS, parts)}
     for name in vocab.aux_tasks:
-        gold[name] = vocab.label_ids(name, [v for _, _, aux in corpus for v in aux[name].values])
+        gold[name] = vocab.label_ids(name, [v for _, _, aux in corpus for v in aux[name]])
     return gold
 
 
@@ -580,7 +580,8 @@ def save_model(path, model):
 
 def load_model(path):
     try:
-        with np.load(path) as data:
+        # np.load(path) leaks its own handle when the file is no zip archive
+        with open(path, "rb") as fh, np.load(fh) as data:
             meta = json.loads(str(data["meta"]))
             if meta["version"] != _CHECKPOINT_VERSION:
                 raise ValueError("unsupported checkpoint version %r" % meta["version"])

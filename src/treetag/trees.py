@@ -44,14 +44,20 @@ class Internal:
         self.children = children
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Internal)
-            and self.label == other.label
-            and self.children == other.children
-        )
+        pairs = [(self, other)]  # grows as it is read: no recursion, any depth
+        for a, b in pairs:
+            if isinstance(a, Leaf):
+                if a != b:
+                    return False
+            elif (isinstance(b, Internal) and a.label == b.label
+                  and len(a.children) == len(b.children)):
+                pairs += zip(a.children, b.children)
+            else:
+                return False
+        return True
 
     def __hash__(self):
-        return hash((Internal, self.label, self.children))
+        return hash(serialize(self))
 
     def __repr__(self):
         return "Internal(%r, %r)" % (self.label, list(self.children))

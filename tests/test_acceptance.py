@@ -135,11 +135,11 @@ def test_syntactic_distances_oracle():
         for seed in range(1000):
             t = random_tree(seed, 20, 10, ALPHABET)
             track = syntactic_distances(t)
-            assert list(track.values) == oracle_distances(t)
+            assert list(track) == oracle_distances(t)
             paths = oracle_paths(t)
             if len(paths) == 1:
                 continue
-            root = max(int(v) for v in track.values if v != PAD)
+            root = max(int(v) for v in track if v != PAD)
             assert root == max(len(p) for p in paths)
 
 

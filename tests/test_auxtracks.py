@@ -27,20 +27,18 @@ def enc(text):
 def test_shifted_forward():
     _, e = enc("(S (NP (D the) (N dog)) (VP (V barks)))")
     track = shifted_n(e, +1)
-    assert track.name == "n+1"
-    assert list(track.values) == ["r-1", "DUMMY", PAD]
+    assert list(track) == ["r-1", "DUMMY", PAD]
 
 
 def test_shifted_backward():
     _, e = enc("(S (NP (D the) (N dog)) (VP (V barks)))")
     track = shifted_n(e, -1)
-    assert track.name == "n-1"
-    assert list(track.values) == [PAD, "r2", "r-1"]
+    assert list(track) == [PAD, "r2", "r-1"]
 
 
 def test_shifted_single_word():
     _, e = enc("(X (N a))")
-    assert list(shifted_n(e, +1).values) == [PAD]
+    assert list(shifted_n(e, +1)) == [PAD]
 
 
 def test_shifted_zero_rejected():
@@ -54,7 +52,7 @@ def test_shift_then_unshift_recovers_interior(seed):
     t = random_tree(seed, 15, 8, ALPHABET)
     e = encode_relative(t)
     fwd = shifted_n(e, +1)
-    shifted_back = [PAD] + list(fwd.values[:-1])
+    shifted_back = [PAD] + list(fwd[:-1])
     for t_idx, tok in enumerate(e.n_tokens()):
         if 0 < t_idx < len(e) and shifted_back[t_idx] != PAD:
             assert shifted_back[t_idx] == tok
@@ -83,41 +81,41 @@ def oracle_distances(tree):
 
 def test_distances_three_leaf():
     (t,) = parse_bracketed("(S (NP (D the) (N dog)) (VP (V barks)))")
-    assert list(syntactic_distances(t).values) == ["1", "2", PAD]
+    assert list(syntactic_distances(t)) == ["1", "2", PAD]
 
 
 def test_distances_flat():
     (t,) = parse_bracketed("(S (A a) (B b) (C c))")
-    assert list(syntactic_distances(t).values) == ["1", "1", PAD]
+    assert list(syntactic_distances(t)) == ["1", "1", PAD]
 
 
 def test_distances_right_branching():
     (t,) = parse_bracketed("(S (A a) (VP (V saw) (NP (D the) (N dog))))")
-    assert list(syntactic_distances(t).values) == ["3", "2", "1", PAD]
+    assert list(syntactic_distances(t)) == ["3", "2", "1", PAD]
 
 
 def test_distances_single_word():
     (t,) = parse_bracketed("(X (N a))")
-    assert list(syntactic_distances(t).values) == [PAD]
+    assert list(syntactic_distances(t)) == [PAD]
 
 
 @pytest.mark.parametrize("seed", range(50))
 def test_distances_match_oracle(seed):
     t = random_tree(seed, 18, 10, ALPHABET)
-    assert list(syntactic_distances(t).values) == oracle_distances(t)
+    assert list(syntactic_distances(t)) == oracle_distances(t)
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_distance_values_positive(seed):
     t = random_tree(seed, 15, 9, ALPHABET)
-    for v in syntactic_distances(t).values:
+    for v in syntactic_distances(t):
         if v != PAD:
             assert int(v) >= 1
 
 
 def test_distance_cap():
     (t,) = parse_bracketed("(S (A a) (VP (V saw) (NP (D the) (N dog))))")
-    assert list(syntactic_distances(t, cap=2).values) == ["2", "2", "1", PAD]
+    assert list(syntactic_distances(t, cap=2)) == ["2", "2", "1", PAD]
     for cap in (0, -1):
         with pytest.raises(ValueError, match="distance cap must be >= 1"):
             syntactic_distances(t, cap=cap)
@@ -129,15 +127,15 @@ def test_root_priority_equals_collapsed_depth():
         paths = oracle_paths(t)
         if len(paths) == 1:
             continue
-        values = syntactic_distances(t).values
+        values = syntactic_distances(t)
         assert max(int(v) for v in values if v != PAD) == max(len(p) for p in paths)
 
 
 def test_make_track_dispatch():
     t, e = enc("(S (NP (D the) (N dog)) (VP (V barks)))")
-    assert make_track("dist", t, e).values == syntactic_distances(t).values
-    assert make_track("n+1", t, e).values == shifted_n(e, 1).values
-    assert make_track("n-1", t, e).values == shifted_n(e, -1).values
+    assert make_track("dist", t, e) == syntactic_distances(t)
+    assert make_track("n+1", t, e) == shifted_n(e, 1)
+    assert make_track("n-1", t, e) == shifted_n(e, -1)
     with pytest.raises(ValueError):
         make_track("bogus", t, e)
 
@@ -145,4 +143,4 @@ def test_make_track_dispatch():
 def test_track_alignment_invariant():
     t, e = enc("(S (NP (D the) (N dog)) (VP (V barks)))")
     for name in ("dist", "n+1", "n-1"):
-        assert len(make_track(name, t, e).values) == len(e)
+        assert len(make_track(name, t, e)) == len(e)

@@ -5,6 +5,7 @@ root-to-leaf label paths by hand (including its own unary-chain handling)
 and intersects them, rather than reusing the library's counting code.
 """
 
+import dataclasses
 import re
 
 import pytest
@@ -516,6 +517,31 @@ def test_label_token_surface_forms():
     assert lab2.token() == "a1~S~NP"
     assert TagLabel.from_token("a1~S~NP") == lab2
     assert TagLabel.from_token("DUMMY~DUMMY~NONE") == TagLabel.dummy()
+
+
+# near misses of the encoders' spelling, beside arbitrary text
+N_TEXT = st.one_of(st.integers(-12, 12).map("r{}".format), st.integers(-1, 12).map("a{}".format),
+                   st.sampled_from(["DUMMY", "r+01", "a\u0663", "r1_0", "r-0", "r 1", "x1", "r", ""]))
+CHAIN_TEXT = st.sampled_from(["NP", "S", "NP+S", "DUMMY", "NONE", "", "NP+", "NONE+S"])
+LABEL_TEXT = st.builds(lambda n, rest: "~".join([n, *rest]), N_TEXT,
+                       st.lists(CHAIN_TEXT, min_size=1, max_size=3))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.one_of(st.text(), N_TEXT, LABEL_TEXT))
+def test_only_the_encoders_spelling_is_read(text):
+    for parse in (NComponent.from_token, TagLabel.from_token):
+        try:
+            parsed = parse(text)
+        except ValueError:
+            continue
+        assert parsed.token() == text
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RepairLog)])
+def test_repair_log_is_clean_only_without_repairs(field):
+    assert RepairLog().clean()
+    assert not RepairLog(**{field: 1}).clean()
 
 
 def test_label_parts_are_the_sublabel_tokens():

@@ -1,6 +1,7 @@
 """Scorer tests, checked against naive span enumeration."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from treetag.metrics import (
     format_bracket_report,
     label_space_stats,
     labeled_spans,
+    n_token_sort_key,
     per_n_f1,
 )
 
@@ -197,6 +199,14 @@ def test_corpus_score_micro_average():
 
 def corpus_of(seeds):
     return [encode_relative(random_tree(s, 12, 8, ALPHABET)) for s in seeds]
+
+
+def test_n_token_sort_key_orders_report_rows():
+    tokens = ["DUMMY", "a4", "r10", "r3", "a1", "r0", "r-2", "r-10"]
+    assert sorted(tokens, key=n_token_sort_key) == [
+        "r-10", "r-2", "r0", "r3", "r10", "a1", "a4", "DUMMY"]
+    with pytest.raises(ValueError, match=re.escape("bad n token 'r+3'")):
+        n_token_sort_key("r+3")
 
 
 def test_per_n_perfect_predictions():

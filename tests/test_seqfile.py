@@ -7,10 +7,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treetag.auxtracks import AuxTrack
-from treetag.encodings import EncodedSentence, TagLabel
-from treetag.seqfile import SeqFormatError, _parse_header, read_seq, read_tagged
-from treetag.trees import Sentence
+from treetag.auxtracks import make_track
+from treetag.encodings import EncodedSentence, TagLabel, encode_relative
+from treetag.seqfile import SeqFormatError, _parse_header, read_seq, read_tagged, write_seq
+from treetag.trees import Sentence, random_tree
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,7 @@ def _oracle_read_seq(path):
         sentence = Sentence(words, pos)
         corpus.append(EncodedSentence(sentence, labels, scheme))
         aux_corpus.append(
-            {name: AuxTrack(name, vals) for name, vals in zip(aux_names, aux_values)}
+            {name: tuple(vals) for name, vals in zip(aux_names, aux_values)}
         )
         rows.clear()
 
@@ -114,6 +114,28 @@ SEQ_ERRORS = [
      3, "column 4 '(' is empty or holds whitespace or a bracket"),
     ("# scheme=relative aux=\nthe\t\tDUMMY~DUMMY~NONE\n", 2,
      "column 2 '' is empty or holds whitespace or a bracket"),
+    ("# scheme=relative aux=dist,dist\nthe\tDT\tDUMMY~DUMMY~NONE\t1\t1\n", 1,
+     "aux name 'dist' repeated"),
+]
+
+# labels no encoder writes, each in the second line of a sentence
+UNENCODABLE = ("bad label token %r: nonterminal %r cannot be encoded: labels must be non-empty, "
+               "must not contain '+' or '~' and must not be DUMMY or NONE")
+MIXED_DUMMY = "bad label token %r: n and c must both be DUMMY or neither"
+SEQ_ERRORS += [
+    ("# scheme=relative aux=\nthe\tDT\tr1~NP~NONE\ndog\tNN\t%s\n" % token, 3, message)
+    for token, message in [
+        ("r+01~NP~NONE", "bad n token 'r+01'"),
+        ("a\u0663~NP~NONE", "bad n token 'a\u0663'"),
+        ("r1_0~NP~NONE", "bad n token 'r1_0'"),
+        ("r-0~NP~NONE", "bad n token 'r-0'"),
+        ("r1~NP~", UNENCODABLE % ("r1~NP~", "")),
+        ("r1~NP+~NONE", UNENCODABLE % ("r1~NP+~NONE", "")),
+        ("r1~NP~X+NONE", UNENCODABLE % ("r1~NP~X+NONE", "NONE")),
+        ("r1~~NONE", UNENCODABLE % ("r1~~NONE", "")),
+        ("DUMMY~NP~NONE", MIXED_DUMMY % "DUMMY~NP~NONE"),
+        ("r-2~DUMMY~NONE", MIXED_DUMMY % "r-2~DUMMY~NONE"),
+    ]
 ]
 
 
@@ -155,9 +177,23 @@ def test_header_and_whitespace_only_lines_are_exempt(tmp_path):
     corpus, aux, scheme = read_seq(seq)
     assert scheme == "relative"
     assert [enc.sentence.words for enc in corpus] == [("the",), ("dog",)]
-    assert [a["n+1"].values for a in aux] == [("PAD",), ("r1",)]
+    assert [a["n+1"] for a in aux] == [("PAD",), ("r1",)]
     tagged = write(tmp_path, "ok.tagged", " \nthe\tDT\n\t\ndog\tNN")
     assert read_tagged(tagged) == [Sentence(["the"], ["DT"]), Sentence(["dog"], ["NN"])]
+
+
+def test_aux_tracks_read_back_as_built(tmp_path):
+    forest = [random_tree(seed, 12, 6, ["S", "NP", "VP"]) for seed in range(8)]
+    encoded = [encode_relative(tree) for tree in forest]
+    built = [{name: make_track(name, tree, enc) for name in ("n+1", "n-1", "dist")}
+             for tree, enc in zip(forest, encoded)]
+    write_seq(tmp_path / "x.seq", encoded, built)
+    _, aux, _ = read_seq(tmp_path / "x.seq")
+    assert aux == built
+    assert all(type(track) is tuple for tracks in aux for track in tracks.values())
+    built[3]["dist"] = built[3]["dist"][:-1]
+    with pytest.raises(ValueError):
+        write_seq(tmp_path / "short.seq", encoded, built)
 
 
 def test_field_rule_is_the_tree_readers_token_rule(tmp_path):

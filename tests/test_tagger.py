@@ -577,7 +577,7 @@ def test_dev_selection_keeps_best():
 
 def test_distance_cap_limits_aux_vocab():
     _, corpus = tiny_corpus(n=20, aux_names=("dist",))
-    raw = {v for _, _, aux in corpus for v in aux["dist"].values if v != "PAD"}
+    raw = {v for _, _, aux in corpus for v in aux["dist"] if v != "PAD"}
     assert any(int(v) > 2 for v in raw)
     _, corpus = tiny_corpus(n=20, aux_names=("dist",), cap=2)
     model = train_mtl(corpus, tiny_config(epochs=1))

@@ -312,3 +312,16 @@ def test_parser_has_no_nesting_limit():
         assert node.label == "A"
         (node,) = node.children
     assert node == Leaf("P", "w")
+
+
+def test_deep_trees_compare_and_hash():
+    def chain(word):
+        node = Leaf("P", word)
+        for _ in range(5000):
+            node = Internal("A", [node])
+        return node
+
+    a, b, c = chain("w"), chain("w"), chain("v")
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert hash(a) == hash(b)
