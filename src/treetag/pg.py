@@ -110,11 +110,11 @@ def _sample(cache, n_samples, rng, noise_std=0.0):
     K = n_samples
     probs = {}
     for name in MAIN_TASKS:
+        z = cache["logits"][name]
         if noise_std > 0:
-            z = cache["logits"][name]
             probs[name] = _softmax(z + rng.normal(0.0, noise_std, size=(K,) + z.shape))
         else:
-            probs[name] = np.broadcast_to(cache["probs"][name], (K,) + cache["probs"][name].shape)
+            probs[name] = np.broadcast_to(_softmax(z), (K,) + z.shape)
     draws = rng.random((K, len(MAIN_TASKS), len(cache["h"])))
     picks = {}
     for j, name in enumerate(MAIN_TASKS):
@@ -149,7 +149,7 @@ def estimate_policy_gradient(policy, sentence, reward_fn, n_samples, rng, entrop
     serves all samples and the summed logit gradients take one backward
     pass; parameters named in `frozen` get no gradient.
     """
-    cache = policy.forward(sentence, heads=MAIN_TASKS)
+    cache = policy.forward(policy.windows([sentence]), heads=MAIN_TASKS)
     probs, picks = _sample(cache, n_samples, rng, noise_std)
     rewards = [reward_fn({name: picks[name][k] for name in MAIN_TASKS}) for k in range(n_samples)]
     advantages = [reward - baseline_reward for reward in rewards]
@@ -222,7 +222,8 @@ def action_divergence(policy, sentences, noise_std, rng):
     starts = np.cumsum(lengths) - lengths
     diffs = []
     for name in MAIN_TASKS:
-        z, clean = cache["logits"][name], cache["probs"][name]
+        z = cache["logits"][name]
+        clean = _softmax(z)
         noisy = _softmax(z + rng.normal(0.0, noise_std, size=z.shape)) if noise_std > 0 else clean
         rows = np.abs(noisy - clean).mean(axis=1)
         diffs.append(np.add.reduceat(rows, starts) / lengths)

@@ -13,7 +13,7 @@ POS only, for prediction input.
 import re
 
 from .trees import Sentence
-from .encodings import SCHEMES, EncodedSentence, TagLabel
+from .encodings import DUMMY, SCHEMES, EncodedSentence, TagLabel
 
 
 # A field must be a token the bracket reader reads back whole.  The signs
@@ -53,7 +53,8 @@ def read_seq(path):
     """Read a .seq file.
 
     Returns (encoded sentences, {aux name: track} dicts aligned with them,
-    scheme).
+    scheme).  As the encoders write it, each sentence's last label and no
+    other has a DUMMY n and c.
     """
     with open(path, encoding="utf-8") as fh:
         header, _, body = fh.read().partition("\n")
@@ -64,6 +65,7 @@ def read_seq(path):
     corpus = []
     aux_corpus = []
     parsed = {}  # label token -> TagLabel, each distinct token checked once
+    dummies = set()  # the parsed tokens whose n and c are DUMMY
     for first, rows in _blocks(path, body, 2, n_cols, "expected %d columns, got {}" % n_cols):
         words, pos, tokens, *aux = zip(*rows)
         for lineno, tok in enumerate(tokens, start=first):
@@ -72,6 +74,13 @@ def read_seq(path):
                     parsed[tok] = TagLabel.from_token(tok)
                 except ValueError as e:
                     raise SeqFormatError(path, lineno, str(e)) from None
+                if parsed[tok].c == DUMMY:
+                    dummies.add(tok)
+        last = len(tokens) - 1
+        if tokens[last] not in dummies or not dummies.isdisjoint(tokens[:last]):
+            t = next(t for t, tok in enumerate(tokens) if (tok in dummies) != (t == last))
+            raise SeqFormatError(path, first + t, "label %r: n and c are %s in a sentence's "
+                                 "last label and only there" % (tokens[t], DUMMY))
         labels = [parsed[tok] for tok in tokens]
         corpus.append(EncodedSentence(Sentence(words, pos), labels, scheme))
         aux_corpus.append(dict(zip(aux_names, aux)))
@@ -81,9 +90,11 @@ def read_seq(path):
 
 
 def _parse_header(path, header):
-    fields = dict(
-        part.split("=", 1) for part in header.lstrip("#").split() if "=" in part
-    )
+    fields = {}
+    for key, value in (part.split("=", 1) for part in header.lstrip("#").split() if "=" in part):
+        if key in fields:
+            raise SeqFormatError(path, 1, "header key %r repeated" % key)
+        fields[key] = value
     if "scheme" not in fields:
         raise SeqFormatError(path, 1, "header lacks scheme=")
     if fields["scheme"] not in SCHEMES:

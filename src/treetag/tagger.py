@@ -14,8 +14,9 @@ every token sums the rows of its window (Chen & Manning, 2014).  The
 batch's own size and distinct-id counts pick this path or the direct
 product, so single sentences keep the direct one.
 
-Greedy prediction computes each main head's logits and their argmax, not
-the softmax training needs, and `predict_trees` decodes from label ids.
+`TaggerModel.forward` is the one pass through the network and stops at the
+logits: only the loss, the PG sampler and the noise measure take a softmax,
+and greedy prediction decodes from the argmax ids of the logits.
 
 All tensors are float64 numpy arrays and every gradient is written out by
 hand, which keeps the whole model checkable against finite differences.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import DYNAMIC, NO_CHAIN, EncodedSentence, NComponent, TagLabel
+from .encodings import NO_CHAIN, SCHEMES, EncodedSentence, NComponent, TagLabel
 from .encodings import decode_parts, decoded_spans
 from . import metrics
 
@@ -241,26 +242,18 @@ class TaggerModel:
         X = self._inputs(windows)
         return X @ P["W1"] + P["b1"], X
 
-    def _hidden(self, windows):
-        """The hidden layer tanh(X @ W1 + b1), and X (None if not built)."""
-        pre, X = self._pre_activation(windows)
-        h = np.tanh(pre, out=pre)
-        if not np.isfinite(h).all():
-            raise RuntimeError("non-finite hidden activations: check W1/b1/embeddings")
-        return h, X
-
     def forward(self, windows, heads=None, dropout_rng=None):
-        """Run the network on stacked windows (or one Sentence); returns a
-        cache used for backward().
+        """Per-head logits of stacked windows, in a cache for backward().
 
-        Only the tasks in `heads` (default: all) get logits and
-        probabilities.  With `dropout_rng`, inverted dropout is applied to
-        the hidden layer, one draw over all rows.
+        Only the tasks in `heads` (default: all) get logits.  With
+        `dropout_rng`, inverted dropout is applied to the hidden layer, one
+        draw over all rows.
         """
-        if not isinstance(windows, np.ndarray):
-            windows = self.windows([windows])
         P = self.params
-        h_raw, X = self._hidden(windows)
+        pre, X = self._pre_activation(windows)
+        h_raw = np.tanh(pre, out=pre)
+        if not np.isfinite(h_raw).all():
+            raise RuntimeError("non-finite hidden activations: check W1/b1/embeddings")
         mask = None
         h = h_raw
         if dropout_rng is not None and self.config.dropout > 0:
@@ -268,13 +261,12 @@ class TaggerModel:
             mask = (dropout_rng.random(h_raw.shape) < keep) / keep
             h = h_raw * mask
         logits = {}
-        probs = {}
         for name in self.tasks if heads is None else heads:
-            z = h @ P["W_" + name] + P["b_" + name]
+            z = h @ P["W_" + name]
+            z += P["b_" + name]
             if not np.isfinite(z).all():
                 raise RuntimeError("non-finite logits in head %r" % name)
             logits[name] = z
-            probs[name] = _softmax(z)
         return {
             "windows": windows,
             "X": X,
@@ -282,7 +274,6 @@ class TaggerModel:
             "h": h,
             "mask": mask,
             "logits": logits,
-            "probs": probs,
         }
 
     def backward(self, cache, dlogits, frozen=()):
@@ -366,12 +357,10 @@ def task_losses(cache, gold):
     """Cross-entropy (summed over tokens) and its logit gradient per task."""
     losses = {}
     dlogits = {}
-    T = cache["h"].shape[0]
-    rows = np.arange(T)
+    rows = np.arange(len(cache["h"]))
     for name, ids in gold.items():
-        p = cache["probs"][name]
-        losses[name] = float(-np.log(p[rows, ids]).sum())
-        d = p.copy()
+        d = _softmax(cache["logits"][name])
+        losses[name] = float(-np.log(d[rows, ids]).sum())
         d[rows, ids] -= 1.0
         dlogits[name] = d
     return losses, dlogits
@@ -517,7 +506,7 @@ def encoded_from_ids(model, sentence, ids):
     ns, cs, us = _label_parts(model.vocab, ids)
     labels = [TagLabel(n, c, u) for n, c, u in zip(ns[:-1], cs[:-1], us[:-1])]
     labels.append(TagLabel.dummy(us[-1]))
-    return EncodedSentence(sentence, labels, model.scheme if model.scheme else DYNAMIC)
+    return EncodedSentence(sentence, labels, model.scheme)
 
 
 def spans_from_ids(model, ids):
@@ -540,19 +529,13 @@ def predict_trees(model, sentences):
 
 
 def _predict_ids(model, sentences):
-    """Greedy per-task label ids of each sentence, in input order, from
-    batches of at most TOKEN_BUDGET tokens (a longer sentence runs alone).
-    The argmax of a head's logits is that of its softmax, which is skipped."""
+    """Greedy per-task label ids of each sentence, in input order: the
+    argmax of each main head's logits, one forward per batch of at most
+    TOKEN_BUDGET tokens (a longer sentence runs alone)."""
     for start, stop in _chunks([len(s) for s in sentences]):
         chunk = sentences[start:stop]
-        h, _ = model._hidden(model.windows(chunk))
-        ids = {}
-        for name in MAIN_TASKS:
-            z = h @ model.params["W_" + name]
-            z += model.params["b_" + name]
-            if not np.isfinite(z).all():
-                raise RuntimeError("non-finite logits in head %r" % name)
-            ids[name] = z.argmax(axis=1)
+        logits = model.forward(model.windows(chunk), heads=MAIN_TASKS)["logits"]
+        ids = {name: z.argmax(axis=1) for name, z in logits.items()}
         end = 0
         for sentence in chunk:
             first, end = end, end + len(sentence)
@@ -607,6 +590,8 @@ def load_model(path):
             if not np.isfinite(params[name]).all():
                 raise ValueError("parameter %s has non-finite values" % name)
         scheme = meta["scheme"]
+        if scheme not in SCHEMES:
+            raise ValueError("unknown scheme %r" % scheme)
     except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as e:
         raise ValueError("%s: not a readable checkpoint: %s" % (path, e)) from e
     model = TaggerModel.__new__(TaggerModel)

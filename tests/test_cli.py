@@ -227,6 +227,28 @@ def test_checkpoint_with_cut_head_exit_code(tmp_path, small_model, capsys):
     assert "error: %s: not a readable checkpoint: parameter W_n has shape" % cut in err
 
 
+@pytest.mark.parametrize("scheme", [None, "bogus"])
+def test_checkpoint_with_unknown_scheme_exit_code(tmp_path, small_model, capsys, scheme):
+    import json
+
+    import numpy as np
+
+    _, trees_path, ckpt = small_model
+    with np.load(ckpt) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays["meta"]))
+    meta["scheme"] = scheme
+    arrays["meta"] = np.array(json.dumps(meta))
+    bad = tmp_path / "scheme.npz"
+    np.savez(bad, **arrays)
+    tagged = tmp_path / "in.tagged"
+    tagged.write_text("the\tDT\ndog\tNN\n\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["predict", str(bad), str(tagged), str(tmp_path / "out.trees")]) == 2
+    err = capsys.readouterr().err
+    assert "error: %s: not a readable checkpoint: unknown scheme %r" % (bad, scheme) in err
+
+
 def write_tagged(path, forest):
     from treetag.trees import leaves
 

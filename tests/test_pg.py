@@ -29,6 +29,7 @@ from treetag.tagger import (
     TaggerModel,
     TrainConfig,
     Vocabularies,
+    _softmax,
     encoded_from_ids,
     greedy_scores,
     predict_greedy,
@@ -62,7 +63,8 @@ def sample_sequence(policy, sentence, rng, noise_std=0.0):
     is still a real decision).  Returns (EncodedSentence, total
     log-probability of the sampled decisions).
     """
-    probs, picks = pg._sample(policy.forward(sentence, heads=MAIN_TASKS), 1, rng, noise_std)
+    cache = policy.forward(policy.windows([sentence]), heads=MAIN_TASKS)
+    probs, picks = pg._sample(cache, 1, rng, noise_std)
     logprob = 0.0
     for name in MAIN_TASKS:
         chosen = np.take_along_axis(probs[name][0], picks[name][0][:, None], axis=1)
@@ -126,14 +128,15 @@ def test_sample_logprob_recomputation():
     rng = np.random.default_rng(3)
     for _ in range(20):
         sampled, logprob = sample_sequence(model, sentence, rng)
-        cache = model.forward(sentence)
+        logits = model.forward(model.windows([sentence]))["logits"]
+        probs = {name: _softmax(z) for name, z in logits.items()}
         expected = 0.0
         for t, lab in enumerate(sampled.labels):
             u_tok = lab.u if lab.u else "NONE"
-            expected += math.log(cache["probs"]["u"][t, vocab.tasks["u"][u_tok]])
+            expected += math.log(probs["u"][t, vocab.tasks["u"][u_tok]])
             if t < len(sampled.labels) - 1:
-                expected += math.log(cache["probs"]["n"][t, vocab.tasks["n"][lab.n.token()]])
-                expected += math.log(cache["probs"]["c"][t, vocab.tasks["c"][lab.c]])
+                expected += math.log(probs["n"][t, vocab.tasks["n"][lab.n.token()]])
+                expected += math.log(probs["c"][t, vocab.tasks["c"][lab.c]])
         assert logprob == pytest.approx(expected)
 
 
@@ -285,9 +288,9 @@ def table_reward_fn(model, sentence, table):
 
 
 def expected_reward(model, sentence, table):
-    cache = model.forward(sentence)
-    pn = cache["probs"]["n"][0]
-    pc = cache["probs"]["c"][0]
+    cache = model.forward(model.windows([sentence]))
+    pn = _softmax(cache["logits"]["n"])[0]
+    pc = _softmax(cache["logits"]["c"])[0]
     return sum(pn[ni] * pc[ci] * r for (ni, ci), r in table.items())
 
 
@@ -528,7 +531,7 @@ def test_noisy_samples_share_one_hidden_layer():
 
     # replay: K noise draws per head on the clean logits, then the uniforms
     rng = np.random.default_rng(7)
-    logits = forward(sentence)["logits"]
+    logits = forward(model.windows([sentence]))["logits"]
     probs = {}
     for name in ("n", "c", "u"):
         z = logits[name] + rng.normal(0.0, std, size=(K,) + logits[name].shape)

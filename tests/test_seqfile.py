@@ -1,6 +1,9 @@
 """Tests of the .seq and .tagged readers: every format error with its
-`file:line`, the field rule, and a differential property against the
-line-by-line readers they replaced, kept here verbatim as oracles."""
+`file:line`, the field rule, a differential property against the
+line-by-line readers they replaced, kept here as oracles (the .seq one
+with the later rule on dummy label positions added), and a property that
+every label sequence the .seq reader accepts decodes to a tree that reads
+back unchanged and encodes."""
 
 import re
 
@@ -8,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treetag.auxtracks import make_track
-from treetag.encodings import EncodedSentence, TagLabel, encode_relative
+from treetag.encodings import SCHEMES, EncodedSentence, TagLabel, decode, encode, encode_relative
 from treetag.seqfile import SeqFormatError, _parse_header, read_seq, read_tagged, write_seq
-from treetag.trees import Sentence, random_tree
+from treetag.trees import Sentence, load_trees, random_tree, save_trees, serialize
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +45,10 @@ def _oracle_read_seq(path):
                 raise SeqFormatError(path, cols[-1], str(e)) from None
             for j in range(len(aux_names)):
                 aux_values[j].append(cols[3 + j])
+        for t, (label, cols) in enumerate(zip(labels, rows)):
+            if (label.c == "DUMMY") != (t == len(rows) - 1):
+                raise SeqFormatError(path, cols[-1], "label %r: n and c are DUMMY in a "
+                                     "sentence's last label and only there" % cols[2])
         sentence = Sentence(words, pos)
         corpus.append(EncodedSentence(sentence, labels, scheme))
         aux_corpus.append(
@@ -116,6 +123,15 @@ SEQ_ERRORS = [
      "column 2 '' is empty or holds whitespace or a bracket"),
     ("# scheme=relative aux=dist,dist\nthe\tDT\tDUMMY~DUMMY~NONE\t1\t1\n", 1,
      "aux name 'dist' repeated"),
+    ("# scheme=relative scheme=dynamic aux=\nthe\tDT\tDUMMY~DUMMY~NONE\n", 1,
+     "header key 'scheme' repeated"),
+    # a dummy n and c in the last label of each sentence and nowhere else
+    ("# scheme=relative aux=\nthe\tDT\tr1~NP~NONE\nbig\tJJ\tDUMMY~DUMMY~NONE\n"
+     "dog\tNN\tDUMMY~DUMMY~NONE\n", 3,
+     "label 'DUMMY~DUMMY~NONE': n and c are DUMMY in a sentence's last label and only there"),
+    ("# scheme=relative aux=\nthe\tDT\tr1~NP~NONE\nbig\tJJ\tr1~ADJP~NONE\n"
+     "dog\tNN\tr2~VP~NONE\n", 4,
+     "label 'r2~VP~NONE': n and c are DUMMY in a sentence's last label and only there"),
 ]
 
 # labels no encoder writes, each in the second line of a sentence
@@ -173,7 +189,7 @@ def test_read_tagged_errors(tmp_path, text, line, message):
 
 def test_header_and_whitespace_only_lines_are_exempt(tmp_path):
     seq = write(tmp_path, "ok.seq", "#  scheme=relative   aux=n+1\r\n  \r\n"
-                "the\tDT\tr1~NP~NONE\tPAD\r\n \t \r\ndog\tNN\tDUMMY~DUMMY~NONE\tr1\r\n")
+                "the\tDT\tDUMMY~DUMMY~NONE\tPAD\r\n \t \r\ndog\tNN\tDUMMY~DUMMY~NONE\tr1\r\n")
     corpus, aux, scheme = read_seq(seq)
     assert scheme == "relative"
     assert [enc.sentence.words for enc in corpus] == [("the",), ("dog",)]
@@ -279,3 +295,36 @@ def test_read_tagged_matches_the_old_reader(tmp_path_factory, text):
         assert isinstance(got, str)
     else:
         assert got == outcome(_oracle_read_tagged, path)
+
+
+# ---------------------------------------------------------------------------
+# Accepted label sequences decode to trees that read back unchanged.
+
+NONTERMINALS = st.sampled_from(["NP", "VP", "S", "X", "TOP"])
+CHAINS = st.lists(NONTERMINALS, min_size=1, max_size=3).map("+".join)
+N_TOKENS = st.one_of(st.integers(-4, 4).map("r%d".__mod__), st.integers(1, 5).map("a%d".__mod__))
+U_TOKENS = st.one_of(st.just("NONE"), CHAINS)
+
+
+@st.composite
+def accepted_seq_texts(draw):
+    lines = ["# scheme=%s aux=" % draw(st.sampled_from(SCHEMES))]
+    for _ in range(draw(st.integers(1, 4))):
+        tokens = draw(st.lists(st.tuples(N_TOKENS, CHAINS, U_TOKENS).map("~".join), max_size=8))
+        tokens.append("DUMMY~DUMMY~" + draw(U_TOKENS))
+        lines += ["w%d\tP%d\t%s" % (i, i % 3, token) for i, token in enumerate(tokens)]
+        lines.append("")
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(accepted_seq_texts())
+def test_accepted_label_sequences_decode_to_trees_that_read_back(tmp_path_factory, text):
+    tmp = tmp_path_factory.mktemp("decoded")
+    corpus, _, scheme = read_seq(write(tmp, "x.seq", text))
+    trees = [decode(encoded) for encoded in corpus]
+    save_trees(tmp / "x.trees", trees)
+    back = load_trees(tmp / "x.trees")
+    assert [serialize(tree) for tree in back] == [serialize(tree) for tree in trees]
+    for tree in back:
+        encode(tree, scheme)

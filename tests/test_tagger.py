@@ -21,6 +21,7 @@ from treetag.tagger import (
     TrainConfig,
     Vocabularies,
     _gold_ids,
+    _softmax,
     encoded_from_ids,
     featurize,
     load_model,
@@ -135,7 +136,7 @@ def test_input_dim_r0():
     vocab = Vocabularies.build(corpus)
     cfg = tiny_config(window=0)
     model = TaggerModel(vocab, cfg, "dynamic")
-    X = model.forward(corpus[0][0])["X"]
+    X = model.forward(model.windows([corpus[0][0]]))["X"]
     assert X.shape == (len(corpus[0][0]), cfg.word_dim + cfg.pos_dim)
 
 
@@ -144,7 +145,7 @@ def test_input_dim_windowed():
     vocab = Vocabularies.build(corpus)
     cfg = tiny_config(window=2)
     model = TaggerModel(vocab, cfg, "dynamic")
-    X = model.forward(corpus[0][0])["X"]
+    X = model.forward(model.windows([corpus[0][0]]))["X"]
     assert X.shape[1] == 5 * (cfg.word_dim + cfg.pos_dim)
 
 
@@ -153,9 +154,9 @@ def test_all_oov_sentence_finite():
     vocab = Vocabularies.build(corpus)
     model = TaggerModel(vocab, tiny_config(), "dynamic")
     s = Sentence(("qq", "ww", "ee"), ("Z1", "Z2", "Z3"))
-    cache = model.forward(s)
+    cache = model.forward(model.windows([s]))
     for name in model.tasks:
-        assert np.isfinite(cache["probs"][name]).all()
+        assert np.isfinite(_softmax(cache["logits"][name])).all()
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +166,9 @@ def test_probabilities_sum_to_one():
     _, corpus = tiny_corpus()
     vocab = Vocabularies.build(corpus)
     model = TaggerModel(vocab, tiny_config(), "dynamic")
-    cache = model.forward(corpus[0][0])
+    cache = model.forward(model.windows([corpus[0][0]]))
     for name in model.tasks:
-        np.testing.assert_allclose(cache["probs"][name].sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(_softmax(cache["logits"][name]).sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_zero_heads_give_uniform():
@@ -177,10 +178,10 @@ def test_zero_heads_give_uniform():
     for name in model.tasks:
         model.params["W_" + name][:] = 0.0
         model.params["b_" + name][:] = 0.0
-    cache = model.forward(corpus[0][0])
+    cache = model.forward(model.windows([corpus[0][0]]))
     for name in model.tasks:
-        k = cache["probs"][name].shape[1]
-        np.testing.assert_allclose(cache["probs"][name], 1.0 / k, atol=1e-12)
+        k = cache["logits"][name].shape[1]
+        np.testing.assert_allclose(_softmax(cache["logits"][name]), 1.0 / k, atol=1e-12)
 
 
 def test_nonfinite_parameters_fault():
@@ -189,25 +190,40 @@ def test_nonfinite_parameters_fault():
     model = TaggerModel(vocab, tiny_config(), "dynamic")
     model.params["W1"][0, 0] = np.nan
     with pytest.raises(RuntimeError):
-        model.forward(corpus[0][0])
+        model.forward(model.windows([corpus[0][0]]))
 
 
 def test_nonfinite_head_faults_prediction():
+    # one message, from forward, for every path that runs a head
+    _, corpus = tiny_corpus()
+    sentences = [s for s, _, _ in corpus]
+    for head in ("u", "n"):
+        model = TaggerModel(Vocabularies.build(corpus), tiny_config(), "dynamic")
+        model.params["W_" + head][:, 0] = np.nan
+        for call in (lambda: model.forward(model.windows(sentences)),
+                     lambda: predict_greedy(model, sentences[0]),
+                     lambda: predict_trees(model, sentences)):
+            with pytest.raises(RuntimeError, match="^non-finite logits in head %r$" % head):
+                call()
+
+
+def test_forward_cache_holds_logits_not_probabilities():
     _, corpus = tiny_corpus()
     model = TaggerModel(Vocabularies.build(corpus), tiny_config(), "dynamic")
-    model.params["W_u"][:, 0] = np.nan
-    with pytest.raises(RuntimeError, match="non-finite logits in head 'u'"):
-        predict_greedy(model, corpus[0][0])
+    cache = model.forward(model.windows([corpus[0][0]]))
+    assert set(cache) == {"windows", "X", "h_raw", "h", "mask", "logits"}
+    assert set(cache["logits"]) == set(model.tasks)
 
 
 def test_hard_sharing_head_independence():
     _, corpus = tiny_corpus()
     vocab = Vocabularies.build(corpus)
     model = TaggerModel(vocab, tiny_config(), "dynamic")
-    before = model.forward(corpus[0][0])["probs"]["n"].copy()
+    windows = model.windows([corpus[0][0]])
+    before = _softmax(model.forward(windows)["logits"]["n"])
     model.params["W_c"] += 0.5
     model.params["b_c"] -= 0.25
-    after = model.forward(corpus[0][0])["probs"]["n"]
+    after = _softmax(model.forward(windows)["logits"]["n"])
     np.testing.assert_array_equal(before, after)
 
 
@@ -308,15 +324,16 @@ def test_backward_skips_frozen_and_missing_heads():
     _, corpus = tiny_corpus()
     vocab = Vocabularies.build(corpus)
     model = TaggerModel(vocab, tiny_config(), "dynamic")
-    cache = model.forward(corpus[0][0], heads=("n",))
-    assert set(cache["probs"]) == {"n"}
-    grads = model.backward(cache, {"n": cache["probs"]["n"]}, frozen=("E_word", "E_pos"))
+    cache = model.forward(model.windows([corpus[0][0]]), heads=("n",))
+    assert set(cache["logits"]) == {"n"}
+    dlogits = {"n": _softmax(cache["logits"]["n"])}
+    grads = model.backward(cache, dlogits, frozen=("E_word", "E_pos"))
     assert set(grads) == {"W_n", "b_n", "W1", "b1"}
-    full = model.backward(cache, {"n": cache["probs"]["n"]})
+    full = model.backward(cache, dlogits)
     for name in grads:
         np.testing.assert_array_equal(grads[name], full[name])
     for frozen in ("E_word", "E_pos"):
-        partial = model.backward(cache, {"n": cache["probs"]["n"]}, frozen=(frozen,))
+        partial = model.backward(cache, dlogits, frozen=(frozen,))
         assert frozen not in partial
         for name in partial:
             np.testing.assert_array_equal(partial[name], full[name])
@@ -409,7 +426,7 @@ def test_single_distinct_sentence_takes_direct_path():
     enc = encode_relative(t)
     model = TaggerModel(Vocabularies.build([(enc.sentence, enc, {})]), TrainConfig(), "relative")
     assert len(sentence) >= tagger.PROJECT_MIN_ROWS
-    assert model.forward(sentence)["X"] is not None
+    assert model.forward(model.windows([sentence]))["X"] is not None
 
 
 def test_encoded_from_gold_ids_gives_the_gold_labels():
@@ -542,6 +559,22 @@ def test_predict_corpus_order_and_batching(monkeypatch):
     assert predict_trees(model, []) == []
 
 
+def test_predict_trees_runs_one_forward_per_chunk(monkeypatch):
+    _, corpus = tiny_corpus(n=12)
+    model = TaggerModel(Vocabularies.build(corpus), tiny_config(), "dynamic")
+    sentences = [s for s, _, _ in corpus]
+    lengths = [len(s) for s in sentences]
+    monkeypatch.setattr(tagger, "TOKEN_BUDGET", max(max(lengths), sum(lengths) // 3))
+    chunks = list(tagger._chunks(lengths))
+    assert len(chunks) > 1
+    expected = [decode(predict_greedy(model, s)) for s in sentences]
+    forward = model.forward
+    calls = []
+    model.forward = lambda windows, **kw: calls.append(len(windows)) or forward(windows, **kw)
+    assert predict_trees(model, sentences) == expected
+    assert calls == [sum(lengths[start:stop]) for start, stop in chunks]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_predicted_ids_are_the_argmax_of_probabilities(seed):
     _, corpus = tiny_corpus()
@@ -557,7 +590,8 @@ def test_predicted_ids_are_the_argmax_of_probabilities(seed):
     ]
     assert model._pre_activation(model.windows(sentences))[1] is None  # projected
     for batch in [sentences, sentences[:1]]:
-        probs = model.forward(model.windows(batch))["probs"]
+        logits = model.forward(model.windows(batch))["logits"]
+        probs = {name: _softmax(z) for name, z in logits.items()}
         ids = list(tagger._predict_ids(model, batch))
         for name in MAIN_TASKS:
             got = np.concatenate([sentence_ids[name] for sentence_ids in ids])
@@ -637,6 +671,15 @@ def test_checkpoint_with_out_of_range_config_rejected(saved_model, settings, mes
     _rewrite_meta(path, lambda meta: meta["config"].update(settings))
     expected = "%s: not a readable checkpoint: %s" % (path, message)
     with pytest.raises(ValueError, match=re.escape(expected)):
+        load_model(path)
+
+
+@pytest.mark.parametrize("scheme", [None, "bogus"])
+def test_checkpoint_with_unknown_scheme_rejected(saved_model, scheme):
+    path, _, _ = saved_model
+    _rewrite_meta(path, lambda meta: meta.update(scheme=scheme))
+    expected = "%s: not a readable checkpoint: unknown scheme %r" % (path, scheme)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(expected)):
         load_model(path)
 
 
