@@ -1,8 +1,8 @@
 """Fine-tune a trained tagger with sentence-level policy gradient.
 
 The supervised model optimises per-token cross-entropy; fine-tuning
-optimises the tree-level bracketing F1 directly, with a frozen copy of the
-starting model as the reward baseline.
+optimises the tree-level bracketing F1 directly, with the starting model's
+greedy F1 on each sentence as the reward baseline.
 
 Run: python3 demos/04_policy_gradient.py      (about a minute)
 """

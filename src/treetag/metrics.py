@@ -34,19 +34,19 @@ class BracketScore:
                             self.pred_total + other.pred_total)
 
 
-def labeled_spans(tree, strip_punctuation=False):
+def labeled_spans(tree):
     """Multiset of (label, start, end) spans of phrase nodes.
 
     Preterminals are excluded; ``+``-joined labels contribute one span per
-    chain member over the same extent.  With strip_punctuation, leaves
-    whose POS is punctuation do not count towards extents and nodes that
-    cover only punctuation disappear.
+    chain member over the same extent.
     """
-    return _spans_and_leaves(tree, strip_punctuation)[0]
+    return _spans_and_leaves(tree, False)[0]
 
 
 def _spans_and_leaves(tree, strip_punctuation):
-    """labeled_spans(tree) and the raw leaf count, from one iterative walk."""
+    """labeled_spans(tree) and the raw leaf count, from one iterative walk.
+    With strip_punctuation, leaves whose POS is punctuation do not count
+    towards extents and nodes that cover only punctuation disappear."""
     if isinstance(tree, Leaf):
         return Counter(), 1
     spans = []
@@ -94,11 +94,11 @@ def span_score(gold_spans, pred_spans):
     return BracketScore(matched, sum(gold_spans.values()), sum(pred_spans.values()))
 
 
-def corpus_bracket_score(gold_trees, predicted_trees, strip_punctuation=False):
+def corpus_bracket_score(gold_trees, predicted_trees):
     """Micro-averaged score over aligned tree lists."""
     if len(gold_trees) != len(predicted_trees):
         raise ValueError("corpora differ in length")
-    scores = (bracket_score(g, p, strip_punctuation) for g, p in zip(gold_trees, predicted_trees))
+    scores = (bracket_score(g, p) for g, p in zip(gold_trees, predicted_trees))
     return sum(scores, BracketScore(0, 0, 0))
 
 

@@ -5,12 +5,12 @@ factorises into independent picks for the n, c and u heads.  Fine-tuning
 samples sequences and scores each by the bracketing F1 of its tree against
 the gold tree: the decoder's one pass yields the tree's labeled spans
 straight from the sampled ids, and each gold tree's spans are taken once
-per run, so no tree is built or walked per sample.  It subtracts the reward
-of a frozen copy of the starting model (the baseline), standardises that
-advantage with running statistics, and takes small ascent steps on
-advantage-weighted log-likelihood plus an entropy bonus.  Embedding tables
-stay frozen so the fine-tuned model keeps the supervised lexical
-representations.
+per run, so no tree is built or walked per sample.  It subtracts the
+starting model's greedy reward on the sentence (the baseline, scored once
+per run), standardises that advantage with running statistics, and takes
+small ascent steps on advantage-weighted log-likelihood plus an entropy
+bonus.  Embedding tables stay frozen so the fine-tuned model keeps the
+supervised lexical representations.
 
 Optionally, Gaussian noise is added to the logits during sampling; its
 scale adapts multiplicatively towards a target amount of induced
@@ -56,7 +56,7 @@ class PGConfig:
             raise ValueError("need at least one sample per sentence")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
-        if self.entropy_coef < 0 or self.learning_rate < 0:
+        if not (self.entropy_coef >= 0 and self.learning_rate >= 0):
             raise ValueError("coefficients must be >= 0")
         if not self.noise_std > 0:
             raise ValueError("noise_std must be > 0")
@@ -64,6 +64,10 @@ class PGConfig:
             raise ValueError("noise_target must be >= 0")
         if not self.noise_adapt >= 1:
             raise ValueError("noise_adapt must be >= 1")
+        if not self.burn_in >= 0:
+            raise ValueError("burn_in must be >= 0")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
 
 
 class AdvantageTracker:
@@ -135,45 +139,44 @@ def _entropy_terms(p):
     return H, -p * (logp + H[..., None])
 
 
-def estimate_policy_gradient(policy, sentence, reward_fn, n_samples, rng, entropy_coef=0.0,
-                             baseline_reward=0.0, tracker=None, noise_std=0.0, frozen=()):
-    """Ascent-direction parameter gradients from sampled sequences.
+def estimate_policy_gradient(policy, sentence, reward_fn, baseline_reward, config, tracker, rng,
+                             noise_std=0.0):
+    """Ascent-direction parameter gradients from config.samples samples.
 
     For each sample: advantage = reward_fn(ids) - baseline_reward (ids
     maps each main task to the sample's per-token label ids), standardised
-    through `tracker` when given; the gradient accumulates advantage *
-    grad log-prob of the sampled decisions plus entropy_coef * grad entropy
-    of the (possibly noise-perturbed) policy.  The final token's n and c
+    through `tracker`; the gradient accumulates advantage * grad log-prob
+    of the sampled decisions plus config.entropy_coef * grad entropy of the
+    (possibly noise-perturbed) policy.  The final token's n and c
     decisions are forced and therefore excluded from both terms.
     Gradients and stats are averaged over samples.  One forward pass
     serves all samples and the summed logit gradients take one backward
-    pass; parameters named in `frozen` get no gradient.
+    pass; the parameters named in FROZEN get no gradient.
     """
+    K = config.samples
     cache = policy.forward(policy.windows([sentence]), heads=MAIN_TASKS)
-    probs, picks = _sample(cache, n_samples, rng, noise_std)
-    rewards = [reward_fn({name: picks[name][k] for name in MAIN_TASKS}) for k in range(n_samples)]
+    probs, picks = _sample(cache, K, rng, noise_std)
+    rewards = [reward_fn({name: picks[name][k] for name in MAIN_TASKS}) for k in range(K)]
     advantages = [reward - baseline_reward for reward in rewards]
-    standardized = advantages
-    if tracker is not None:
-        standardized = []
-        for adv in advantages:
-            tracker.update(adv)
-            standardized.append(tracker.standardize(adv))
+    standardized = []
+    for adv in advantages:
+        tracker.update(adv)
+        standardized.append(tracker.standardize(adv))
 
     weights = np.array(standardized, dtype=float)[:, None, None]
     dlogits = {}
-    entropies = np.zeros(n_samples)
+    entropies = np.zeros(K)
     for name in MAIN_TASKS:
         p = probs[name]
         ent_rows, ent_d = _entropy_terms(p)
         onehot = np.eye(p.shape[-1])[picks[name]]
-        d = (weights * (onehot - p) + entropy_coef * ent_d).sum(axis=0)
+        d = (weights * (onehot - p) + config.entropy_coef * ent_d).sum(axis=0)
         if name != "u":
             d[-1, :] = 0.0
             ent_rows = ent_rows[:, :-1]
         entropies += ent_rows.sum(axis=1)
-        dlogits[name] = d / n_samples
-    grads = policy.backward(cache, dlogits, frozen)
+        dlogits[name] = d / K
+    grads = policy.backward(cache, dlogits, FROZEN)
     stats = {
         "reward": float(np.mean(rewards)),
         "advantage": float(np.mean(advantages)),
@@ -187,22 +190,13 @@ def pg_update(policy, sentence, gold_spans, baseline_reward, config, tracker, rn
     """One fine-tuning step on a single sentence.
 
     Each sample's reward is its F1 against `gold_spans`, the gold tree's
-    labeled_spans; `baseline_reward` is the frozen model's greedy F1 on
+    labeled_spans; `baseline_reward` is the incoming model's greedy F1 on
     the sentence.  Parameters named in FROZEN are left untouched.  Returns
     per-sentence stats.
     """
-    grads, stats = estimate_policy_gradient(
-        policy,
-        sentence,
-        lambda ids: span_score(gold_spans, spans_from_ids(policy, ids)).f1,
-        config.samples,
-        rng,
-        entropy_coef=config.entropy_coef,
-        baseline_reward=baseline_reward,
-        tracker=tracker,
-        noise_std=noise_std,
-        frozen=FROZEN,
-    )
+    reward = lambda ids: span_score(gold_spans, spans_from_ids(policy, ids)).f1
+    grads, stats = estimate_policy_gradient(policy, sentence, reward, baseline_reward, config,
+                                            tracker, rng, noise_std)
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise RuntimeError("non-finite policy gradient for %r" % name)
@@ -212,11 +206,18 @@ def pg_update(policy, sentence, gold_spans, baseline_reward, config, tracker, rn
     return stats
 
 
-def action_divergence(policy, sentences, noise_std, rng):
-    """Mean absolute difference between noisy and clean probability
-    vectors of the sampled (main) heads: the mean over sentences and heads
-    of each sentence's mean over its tokens and labels.  One forward pass
-    covers all sentences, and each head takes one noise draw."""
+def adapt_noise(policy, config, std, sentences, rng):
+    """Adapt the noise scale `std` after a batch of `sentences`.
+
+    Measures the action divergence the noise induces at `std`: the mean
+    absolute difference between noisy and clean probability vectors of the
+    sampled (main) heads, averaged over sentences and heads of each
+    sentence's mean over its tokens and labels.  One forward pass covers
+    all sentences, and each head takes one noise draw.  Grows the stddev by
+    config.noise_adapt when the divergence falls short of
+    config.noise_target, shrinks it otherwise.  Returns (new stddev,
+    measured divergence).
+    """
     cache = policy.forward(policy.windows(sentences), heads=MAIN_TASKS)
     lengths = np.array([len(s) for s in sentences])
     starts = np.cumsum(lengths) - lengths
@@ -224,44 +225,32 @@ def action_divergence(policy, sentences, noise_std, rng):
     for name in MAIN_TASKS:
         z = cache["logits"][name]
         clean = _softmax(z)
-        noisy = _softmax(z + rng.normal(0.0, noise_std, size=z.shape)) if noise_std > 0 else clean
+        noisy = _softmax(z + rng.normal(0.0, std, size=z.shape)) if std > 0 else clean
         rows = np.abs(noisy - clean).mean(axis=1)
         diffs.append(np.add.reduceat(rows, starts) / lengths)
-    return float(np.mean(diffs))
-
-
-def adapt_noise(policy, config, std, sentences, rng):
-    """Adapt the noise scale `std` after a batch.
-
-    Measures the induced action divergence at `std`; grows the stddev by
-    config.noise_adapt when the divergence falls short of
-    config.noise_target, shrinks it otherwise.  Returns (new stddev,
-    measured divergence).
-    """
-    d = action_divergence(policy, sentences, std, rng)
+    d = float(np.mean(diffs))
     if d < config.noise_target:
         return std * config.noise_adapt, d
     return std / config.noise_adapt, d
 
 
-def finetune_pg(policy, train, config, dev=None, log_path=None, baseline=None):
-    """Fine-tune `policy` on (Sentence, gold Tree) pairs.
+def finetune_pg(policy, train, config, dev=None, log_path=None):
+    """Fine-tune `policy` in place on (Sentence, gold Tree) pairs.
 
-    A frozen clone of the incoming policy serves as the baseline for every
-    update (pass `baseline` to supply the frozen model yourself).  Per
-    epoch the corpus is visited in a seeded shuffled order; when `dev` is
-    given its bracketing F1 is evaluated after each epoch.  A TSV log
-    (epoch, mean reward, mean baseline, mean standardized advantage,
-    entropy, dev F1, noise stddev) is written to `log_path` when provided.
-    Returns (policy, log rows).
+    The baseline of every update is the incoming policy's greedy F1 on the
+    sentence, scored once for all sentences before the first step.  Per
+    epoch the corpus is visited in a seeded shuffled order, in slices of
+    NOISE_BATCH sentences; with noise enabled, the noise scale adapts on
+    each slice after its updates.  When `dev` is given its bracketing F1 is
+    evaluated after each epoch.  A TSV log (epoch, mean reward, mean
+    baseline, mean standardized advantage, entropy, dev F1, noise stddev)
+    is written to `log_path` when provided.  Returns (policy, log rows).
     """
-    if baseline is None:
-        baseline = policy.clone()
     tracker = AdvantageTracker(config.burn_in)
     rng = np.random.default_rng(config.seed)
     std = config.noise_std if config.noise_enabled else 0.0
     scored = with_gold_spans(train)
-    baseline_rewards = [score.f1 for score in greedy_scores(baseline, scored)]
+    baseline_rewards = [score.f1 for score in greedy_scores(policy, scored)]
     if dev is not None:
         dev = with_gold_spans(dev)
     order = np.arange(len(train))
@@ -269,20 +258,16 @@ def finetune_pg(policy, train, config, dev=None, log_path=None, baseline=None):
     for epoch in range(config.epochs):
         rng.shuffle(order)
         stats_acc = {"reward": [], "baseline": [], "standardized": [], "entropy": []}
-        pending = []
-        for i in order:
-            sentence, gold_spans = scored[i]
-            stats = pg_update(policy, sentence, gold_spans, baseline_rewards[i], config, tracker,
-                              rng, std)
-            for key in stats_acc:
-                stats_acc[key].append(stats[key])
+        for start in range(0, len(order), NOISE_BATCH):
+            batch = order[start : start + NOISE_BATCH]
+            for i in batch:
+                sentence, gold_spans = scored[i]
+                stats = pg_update(policy, sentence, gold_spans, baseline_rewards[i], config,
+                                  tracker, rng, std)
+                for key in stats_acc:
+                    stats_acc[key].append(stats[key])
             if config.noise_enabled:
-                pending.append(sentence)
-                if len(pending) >= NOISE_BATCH:
-                    std, _ = adapt_noise(policy, config, std, pending, rng)
-                    pending = []
-        if pending:
-            std, _ = adapt_noise(policy, config, std, pending, rng)
+                std, _ = adapt_noise(policy, config, std, [scored[i][0] for i in batch], rng)
         row = {"epoch": epoch}
         row.update((key, float(np.mean(values))) for key, values in stats_acc.items())
         row["dev_f1"] = _dev_f1(policy, dev) if dev is not None else ""

@@ -22,7 +22,6 @@ All tensors are float64 numpy arrays and every gradient is written out by
 hand, which keeps the whole model checkable against finite differences.
 """
 
-import copy
 import json
 import zipfile
 from dataclasses import dataclass
@@ -163,30 +162,27 @@ class TaggerModel:
     parameter updates must stay single-writer.
     """
 
-    def __init__(self, vocab, config, scheme, rng=None):
+    def __init__(self, vocab, config, scheme, rng=None, params=None):
+        """Keeps `params` as given if any, else draws them from `rng`
+        (default: seeded with config.seed)."""
         self.vocab = vocab
         self.config = config
         self.scheme = scheme
         self.history = []
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
-        self.params = {}
-        for name, shape in _param_shapes(vocab, config).items():
-            if name[0] == "b":
-                self.params[name] = np.zeros(shape)
-            else:  # embeddings uniform in +-0.1, weights Glorot-uniform
-                bound = 0.1 if name[0] == "E" else np.sqrt(6.0 / sum(shape))
-                self.params[name] = rng.uniform(-bound, bound, size=shape)
+        if params is None:
+            rng = np.random.default_rng(config.seed) if rng is None else rng
+            params = {}
+            for name, shape in _param_shapes(vocab, config).items():
+                if name[0] == "b":
+                    params[name] = np.zeros(shape)
+                else:  # embeddings uniform in +-0.1, weights Glorot-uniform
+                    bound = 0.1 if name[0] == "E" else np.sqrt(6.0 / sum(shape))
+                    params[name] = rng.uniform(-bound, bound, size=shape)
+        self.params = params
 
     @property
     def tasks(self):
         return tuple(self.vocab.tasks.keys())
-
-    def clone(self):
-        other = copy.copy(self)
-        other.params = {k: v.copy() for k, v in self.params.items()}
-        other.history = list(self.history)
-        return other
 
     def windows(self, sentences):
         """Window ids of `sentences`, stacked one row per token: the word
@@ -332,7 +328,15 @@ class TrainConfig:
     hidden_dim: int = 128
 
     def __post_init__(self):
-        if self.aux_weight < 0:
+        if not self.learning_rate >= 0:
+            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must be in [0, 1)")
+        if not self.decay >= 0:
+            raise ValueError("decay must be >= 0")
+        if not self.epochs >= 1:
+            raise ValueError("need at least one epoch")
+        if not self.aux_weight >= 0:
             raise ValueError("aux_weight must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -342,6 +346,8 @@ class TrainConfig:
             raise ValueError("dropout must be in [0, 1)")
         if min(self.word_dim, self.pos_dim, self.hidden_dim) < 1:
             raise ValueError("word_dim, pos_dim and hidden_dim must be >= 1")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _gold_ids(vocab, corpus):
@@ -594,10 +600,4 @@ def load_model(path):
             raise ValueError("unknown scheme %r" % scheme)
     except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as e:
         raise ValueError("%s: not a readable checkpoint: %s" % (path, e)) from e
-    model = TaggerModel.__new__(TaggerModel)
-    model.vocab = vocab
-    model.config = config
-    model.scheme = scheme
-    model.params = params
-    model.history = []
-    return model
+    return TaggerModel(vocab, config, scheme, params=params)

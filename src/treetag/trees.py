@@ -417,8 +417,8 @@ def demo_grammar():
     return PCFG("S", rules, lexicon)
 
 
-def sample_corpus(rng_seed, count, grammar=None, max_depth=9):
-    """Sample `count` trees from `grammar` (demo_grammar() by default)."""
-    grammar = grammar or demo_grammar()
+def sample_corpus(rng_seed, count):
+    """Sample `count` trees of depth at most 9 from demo_grammar()."""
+    grammar = demo_grammar()
     rng = random.Random(rng_seed)
-    return [grammar.sample(rng, max_depth=max_depth) for _ in range(count)]
+    return [grammar.sample(rng, max_depth=9) for _ in range(count)]

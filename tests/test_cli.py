@@ -413,13 +413,38 @@ def test_decode_unknown_scheme_is_format_error(tmp_path, capsys):
     ("--dropout", "1.0", "dropout must be in [0, 1)"),
     ("--window", "-1", "window must be >= 0"),
     ("--hidden-dim", "0", "word_dim, pos_dim and hidden_dim must be >= 1"),
-], ids=["batch-size", "dropout", "window", "hidden-dim"])
+    ("--epochs", "0", "need at least one epoch"),
+    ("--epochs", "-2", "need at least one epoch"),
+    ("--lr", "-0.5", "learning_rate must be >= 0"),
+    ("--decay", "-1", "decay must be >= 0"),
+    ("--momentum", "1", "momentum must be in [0, 1)"),
+    ("--seed", "-1", "seed must be >= 0"),
+    ("--aux-weight", "nan", "aux_weight must be >= 0"),
+], ids=["batch-size", "dropout", "window", "hidden-dim", "epochs-zero", "epochs-negative", "lr",
+        "decay", "momentum", "seed", "aux-weight-nan"])
 def test_train_out_of_range_setting_exit_code(tmp_path, small_model, capsys, option, value,
                                               message):
     seq, _, _ = small_model
     capsys.readouterr()
     out = tmp_path / "bad.npz"
     assert run(["train", str(seq), str(seq), str(out), "--epochs", "1", option, value]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--seed", "-1", "seed must be >= 0"),
+    ("--burn-in", "-5", "burn_in must be >= 0"),
+    ("--lr", "nan", "coefficients must be >= 0"),
+    ("--entropy", "nan", "coefficients must be >= 0"),
+], ids=["seed", "burn-in", "lr-nan", "entropy-nan"])
+def test_finetune_out_of_range_setting_exit_code(tmp_path, small_model, capsys, option, value,
+                                                 message):
+    _, trees_path, ckpt = small_model
+    capsys.readouterr()
+    out = tmp_path / "tuned.npz"
+    assert run(["finetune", str(ckpt), str(trees_path), str(trees_path), str(out),
+                "--epochs", "1", option, value]) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
     assert not out.exists()
 

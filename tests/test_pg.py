@@ -5,6 +5,7 @@ policy whose whole outcome space is four label sequences; the expected
 reward and its gradient are computed independently of the estimator.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -187,7 +188,7 @@ def test_reward_of_a_deep_climb_is_a_score():
     (gold,) = parse_bracketed("(S (PA a) (PB b))")
     config = PGConfig(samples=4, learning_rate=0.0, seed=2)
     stats = pg_update(model, sentence, labeled_spans(gold),
-                      greedy_reward(model.clone(), sentence, gold), config,
+                      greedy_reward(model, sentence, gold), config,
                       AdvantageTracker(config.burn_in), np.random.default_rng(2))
     assert 0.0 <= stats["reward"] <= 1.0
     assert 0.0 <= stats["baseline"] <= 1.0
@@ -318,7 +319,8 @@ def test_reinforce_matches_enumerated_gradient():
     table = reward_table(vocab)
     rng = np.random.default_rng(123)
     mc, _ = estimate_policy_gradient(
-        model, sentence, table_reward_fn(model, sentence, table), 10000, rng
+        model, sentence, table_reward_fn(model, sentence, table), 0.0,
+        PGConfig(samples=10000, entropy_coef=0.0), AdvantageTracker(math.inf), rng
     )
     names = ["W_n", "b_n", "W_c", "b_c", "W1", "b1"]
     exact = exact_gradient_fd(model, sentence, table, names)
@@ -335,7 +337,8 @@ def test_entropy_gradient_zero_at_uniform():
         model.params["b_" + name][:] = 0.0
     rng = np.random.default_rng(4)
     grads, stats = estimate_policy_gradient(
-        model, sentence, lambda e: 0.0, 50, rng, entropy_coef=0.5
+        model, sentence, lambda e: 0.0, 0.0, PGConfig(samples=50, entropy_coef=0.5),
+        AdvantageTracker(math.inf), rng
     )
     # four uniform binary decisions: word 0's n and c, both words' u
     assert stats["entropy"] == pytest.approx(4 * math.log(2))
@@ -345,7 +348,7 @@ def test_entropy_gradient_zero_at_uniform():
 
 def test_zero_advantage_when_sample_equals_baseline():
     model, sentence, vocab = toy_policy()
-    baseline = model.clone()
+    baseline = copy.deepcopy(model)
     (gold,) = parse_bracketed("(S (PA a) (PB b))")
     config = PGConfig(samples=4, learning_rate=0.0, entropy_coef=0.0, seed=8)
     tracker = AdvantageTracker(burn_in=10**9)
@@ -360,7 +363,7 @@ def test_zero_advantage_when_sample_equals_baseline():
 def test_zero_learning_rate_changes_nothing():
     model, sentence, vocab = toy_policy()
     before = {k: v.copy() for k, v in model.params.items()}
-    baseline = model.clone()
+    baseline = copy.deepcopy(model)
     (gold,) = parse_bracketed("(S (PA a) (PB b))")
     config = PGConfig(samples=8, learning_rate=0.0, entropy_coef=0.01, seed=9)
     tracker = AdvantageTracker(burn_in=0)
@@ -380,7 +383,7 @@ def test_frozen_layers_and_baseline_untouched():
         corpus.append((enc.sentence, enc, {}))
     model = train_mtl(corpus, TrainConfig(word_dim=8, pos_dim=4, hidden_dim=12,
                                           window=1, dropout=0.0, epochs=3, seed=2))
-    baseline = model.clone()
+    baseline = copy.deepcopy(model)
     baseline_before = {k: v.copy() for k, v in baseline.params.items()}
     emb_before = {k: model.params[k].copy() for k in ("E_word", "E_pos")}
     config = PGConfig(samples=2, learning_rate=0.001, seed=17, epochs=2)
@@ -490,7 +493,8 @@ def recording_reward(model, sentence, gold, seen):
 def test_vectorised_sampler_matches_sequential_samples():
     model, sentence, gold = small_trained_policy()
     seen = []
-    estimate_policy_gradient(model, sentence, recording_reward(model, sentence, gold, seen), 8,
+    estimate_policy_gradient(model, sentence, recording_reward(model, sentence, gold, seen), 0.0,
+                             PGConfig(samples=8, entropy_coef=0.0), AdvantageTracker(math.inf),
                              np.random.default_rng(5))
     rng = np.random.default_rng(5)
     assert seen == [sample_sequence(model, sentence, rng)[0].labels for _ in range(8)]
@@ -500,14 +504,14 @@ def test_vectorised_sampler_matches_sequential_samples():
 def test_single_backward_equals_mean_of_sample_gradients():
     model, sentence, gold = small_trained_policy()
     reward = lambda ids: tree_reward(encoded_from_ids(model, sentence, ids), gold)
-    kwargs = dict(entropy_coef=0.05, baseline_reward=0.4)
     joint, stats = estimate_policy_gradient(
-        model, sentence, reward, 8, np.random.default_rng(6),
-        tracker=AdvantageTracker(burn_in=3), **kwargs)
+        model, sentence, reward, 0.4, PGConfig(samples=8, entropy_coef=0.05),
+        AdvantageTracker(burn_in=3), np.random.default_rng(6))
     rng = np.random.default_rng(6)
     tracker = AdvantageTracker(burn_in=3)
+    one = PGConfig(samples=1, entropy_coef=0.05)
     singles = [
-        estimate_policy_gradient(model, sentence, reward, 1, rng, tracker=tracker, **kwargs)
+        estimate_policy_gradient(model, sentence, reward, 0.4, one, tracker, rng)
         for _ in range(8)
     ]
     assert joint.keys() == singles[0][0].keys()
@@ -525,7 +529,8 @@ def test_noisy_samples_share_one_hidden_layer():
     model.forward = lambda *a, **kw: calls.append(a) or forward(*a, **kw)
     seen = []
     K, std = 4, 0.5
-    estimate_policy_gradient(model, sentence, recording_reward(model, sentence, gold, seen), K,
+    estimate_policy_gradient(model, sentence, recording_reward(model, sentence, gold, seen), 0.0,
+                             PGConfig(samples=K, entropy_coef=0.0), AdvantageTracker(math.inf),
                              np.random.default_rng(7), noise_std=std)
     assert len(calls) == 1
 
@@ -564,3 +569,32 @@ def test_finetune_scores_baseline_once(monkeypatch):
     assert len(calls) == 1
     for row in rows:
         assert row["baseline"] == pytest.approx(np.mean(expected), abs=1e-12)
+
+
+def test_noise_adapts_on_each_slice_of_updated_sentences(monkeypatch):
+    model, _, _ = small_trained_policy()
+    train = [(encode_relative(t).sentence, t) for t in sample_corpus(21, 19)]
+    index = {id(sentence): i for i, (sentence, _) in enumerate(train)}
+    update, adapt = pg.pg_update, pg.adapt_noise
+    events = []  # the index of each updated sentence; a list per adaptation
+    monkeypatch.setattr(pg, "pg_update", lambda policy, sentence, *a:
+                        events.append(index[id(sentence)]) or update(policy, sentence, *a))
+    monkeypatch.setattr(pg, "adapt_noise", lambda policy, config, std, sentences, rng:
+                        events.append([index[id(s)] for s in sentences])
+                        or adapt(policy, config, std, sentences, rng))
+    config = PGConfig(samples=2, epochs=2, seed=3, noise_enabled=True)
+    finetune_pg(model, train, config)
+
+    slices, updated = [], []
+    for event in events:
+        if isinstance(event, list):
+            # each slice is exactly the sentences updated since the last one
+            assert event == updated[sum(map(len, slices)):]
+            slices.append(event)
+        else:
+            updated.append(event)
+    assert [len(s) for s in slices] == [8, 8, 3] * config.epochs
+    assert len(updated) == sum(map(len, slices))
+    epochs = [updated[:19], updated[19:]]
+    assert all(sorted(order) == list(range(19)) for order in epochs)
+    assert epochs[0] != list(range(19)) and epochs[0] != epochs[1]

@@ -284,6 +284,36 @@ def test_read_seq_matches_the_old_reader(tmp_path_factory, text):
         assert got == outcome(_oracle_read_seq, path)
 
 
+# Texts the readers accept: a header they read, encodable labels, and a
+# DUMMY~DUMMY~u label last in each sentence.
+READABLE_HEADERS = ["# scheme=relative aux=", "# scheme=dynamic aux=n+1",
+                    "# scheme=absolute aux=dist,n+1"]
+WORDS = ["the", "dog", "DT", "NN", "PAD", "1", "é"]
+LABELS = ["r1~NP~NONE", "a2~S~NP+VP", "r-1~S~NONE"]
+LAST_LABELS = ["DUMMY~DUMMY~NONE", "DUMMY~DUMMY~NP+VP"]
+
+
+@st.composite
+def readable_texts(draw):
+    header = draw(st.sampled_from(READABLE_HEADERS))
+    width = WIDTHS[header] - 1
+    lines = [header]
+    for _ in range(draw(st.integers(1, 4))):
+        labels = draw(st.lists(st.sampled_from(LABELS), max_size=6))
+        for label in labels + [draw(st.sampled_from(LAST_LABELS))]:
+            fields = draw(st.lists(st.sampled_from(WORDS), min_size=width, max_size=width))
+            lines.append("\t".join(fields[:2] + [label] + fields[2:]))
+        lines += draw(st.lists(st.sampled_from(BLANKS), min_size=1, max_size=2))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(readable_texts())
+def test_read_seq_matches_the_old_reader_on_readable_texts(tmp_path_factory, text):
+    path = write(tmp_path_factory.mktemp("seq"), "x.seq", text)
+    assert outcome(read_seq, path) == outcome(_oracle_read_seq, path)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(texts(header=False))
 def test_read_tagged_matches_the_old_reader(tmp_path_factory, text):
