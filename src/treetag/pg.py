@@ -201,7 +201,7 @@ def pg_update(policy, sentence, gold_spans, baseline_reward, config, tracker, rn
         if not np.isfinite(g).all():
             raise RuntimeError("non-finite policy gradient for %r" % name)
         g *= config.learning_rate
-        policy.params[name] += g
+    policy.update(grads)
     stats["baseline"] = baseline_reward
     return stats
 

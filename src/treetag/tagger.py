@@ -7,16 +7,15 @@ windowed feedforward layer (word and POS embeddings of the surrounding
 tokens, concatenated, through one tanh layer); anything producing a hidden
 vector per token could replace it without touching the heads.
 
-A batch with few distinct words and tags, such as a prediction chunk of
-many sentences, skips the concatenated input: each distinct embedding is
-multiplied by each window slot's block of the hidden weights once, and
-every token sums the rows of its window (Chen & Manning, 2014).  The
-batch's own size and distinct-id counts pick this path or the direct
-product, so single sentences keep the direct one.
+Greedy prediction skips the concatenated input: each window slot's block
+of the hidden weights is multiplied by every word and POS embedding once
+per set of parameters, and every token adds up the rows of its window
+(the pre-computation of Chen & Manning, 2014).  A token's hidden layer is
+then the same in any batch, and a single sentence costs a few row reads.
 
-`TaggerModel.forward` is the one pass through the network and stops at the
-logits: only the loss, the PG sampler and the noise measure take a softmax,
-and greedy prediction decodes from the argmax ids of the logits.
+`TaggerModel.forward` is the training pass through the network and stops
+at the logits: only the loss, the PG sampler and the noise measure take a
+softmax, and greedy prediction decodes from the argmax ids of the logits.
 
 All tensors are float64 numpy arrays and every gradient is written out by
 hand, which keeps the whole model checkable against finite differences.
@@ -44,12 +43,9 @@ _CHECKPOINT_VERSION = 1
 # overhead, small enough to keep peak memory flat.
 TOKEN_BUDGET = 256
 
-# The hidden layer projects distinct ids (see TaggerModel._pre_activation)
-# when their embedding rows are at most this share of the batch's input,
-# in a batch of at least this many rows: below it, counting the ids costs
-# a single sentence more than projecting could save.
-PROJECT_SHARE = 0.25
-PROJECT_MIN_ROWS = 64
+# Bytes the prediction table may take (see TaggerModel._projection); a
+# model whose table would be larger predicts through forward's X @ W1.
+TABLE_BYTES = 64 * 2**20
 
 
 class Vocabularies:
@@ -158,8 +154,10 @@ def _param_shapes(vocab, config):
 class TaggerModel:
     """Shared encoder plus per-task affine heads.
 
-    Reading operations (forward, predict) are safe to call concurrently;
-    parameter updates must stay single-writer.
+    Reading operations (forward, prediction) are safe to call concurrently;
+    prediction builds its table on first read, and concurrent first reads
+    at worst each build the same one.  Parameter updates must stay
+    single-writer and go through `update`, which drops the table.
     """
 
     def __init__(self, vocab, config, scheme, rng=None, params=None):
@@ -179,10 +177,18 @@ class TaggerModel:
                     bound = 0.1 if name[0] == "E" else np.sqrt(6.0 / sum(shape))
                     params[name] = rng.uniform(-bound, bound, size=shape)
         self.params = params
+        self._table = None
 
     @property
     def tasks(self):
         return tuple(self.vocab.tasks.keys())
+
+    def update(self, steps):
+        """Add each array of `steps` to the parameter of its name in place,
+        and drop the prediction table the old values built."""
+        for name, step in steps.items():
+            self.params[name] += step
+        self._table = None
 
     def windows(self, sentences):
         """Window ids of `sentences`, stacked one row per token: the word
@@ -193,60 +199,48 @@ class TaggerModel:
         """The concatenated window embeddings X, one row per token."""
         P = self.params
         T, W = windows.shape[0], windows.shape[1] // 2
-        return np.concatenate(
-            [P["E_word"][windows[:, :W]].reshape(T, -1), P["E_pos"][windows[:, W:]].reshape(T, -1)],
-            axis=1,
-        )
+        words, tags = P["E_word"][windows[:, :W]], P["E_pos"][windows[:, W:]]
+        return np.concatenate([words.reshape(T, -1), tags.reshape(T, -1)], axis=1)
 
-    def _pre_activation(self, windows):
-        """The hidden layer's input X @ W1 + b1, and X (None if not built).
+    def _projection(self):
+        """The prediction table, built on first read, and the row offset of
+        each window column in it; None if it would exceed TABLE_BYTES.  Its
+        rows are E_word @ (word slot k's block of W1) for each k, then the
+        same for E_pos and the POS slots."""
+        if self._table is None:
+            P = self.params
+            W, H = 2 * self.config.window + 1, P["W1"].shape[1]
+            sizes = [len(P["E_word"])] * W + [len(P["E_pos"])] * W
+            if sum(sizes) * H * 8 > TABLE_BYTES:
+                return None
+            table = np.empty((sum(sizes), H))
+            split, words = W * self.config.word_dim, W * len(P["E_word"])
+            for E, block, part in ((P["E_word"], P["W1"][:split], table[:words]),
+                                   (P["E_pos"], P["W1"][split:], table[words:])):
+                np.matmul(E, block.reshape(W, -1, H), out=part.reshape(W, len(E), H))
+            self._table = table, np.cumsum([0] + sizes[:-1])
+        return self._table
 
-        A batch of at least PROJECT_MIN_ROWS rows whose distinct ids,
-        weighted by their embedding widths, come to at most PROJECT_SHARE
-        of its input rows never builds X: each distinct embedding is
-        multiplied by each window slot's block of W1 once, and every token
-        adds up the products of its window.  Single sentences take the
-        direct product without counting.
-        """
+    def predict_logits(self, windows):
+        """The main heads' logits of stacked windows for greedy prediction,
+        from pre-activations summed as b1 plus the table rows of the window,
+        word slots first; without a table, from forward's X @ W1."""
+        projection = self._projection()
+        if projection is None:
+            return self.forward(windows, heads=MAIN_TASKS)["logits"]
+        (table, offsets), T = projection, len(windows)
+        # BLAS sums a one-row product in another order than a matrix one
+        rows = (windows.repeat(1 + (T == 1), axis=0) + offsets).T
+        pre = table[rows[0]] + self.params["b1"]
+        for r in rows[1:]:
+            pre += table[r]
+        return {name: z[:T] for name, z in self._activate(pre, MAIN_TASKS)["logits"].items()}
+
+    def _activate(self, pre, heads, dropout_rng=None):
+        """tanh of the pre-activation `pre` (in place), inverted dropout with
+        `dropout_rng` (one draw over all rows), then the logits of `heads`:
+        the cache entries h_raw, h, mask and logits."""
         P = self.params
-        T, W = windows.shape[0], windows.shape[1] // 2
-        if T >= PROJECT_MIN_ROWS:
-            split = W * self.config.word_dim
-            budget = PROJECT_SHARE * T * (self.config.word_dim + self.config.pos_dim)
-            tables = []
-            for E, ids, block in (
-                (P["E_word"], windows[:, :W], P["W1"][:split]),
-                (P["E_pos"], windows[:, W:], P["W1"][split:]),
-            ):
-                seen = np.zeros(len(E), dtype=bool)
-                seen[ids] = True
-                budget -= np.count_nonzero(seen) * E.shape[1]
-                if budget < 0:
-                    break
-                tables.append((E, ids, block, np.flatnonzero(seen)))
-            else:
-                pre = np.tile(P["b1"], (T, 1))
-                for E, ids, block, distinct in tables:
-                    # products[k, i] = E[distinct[i]] @ (slot k's block of W1)
-                    products = E[distinct] @ block.reshape(W, E.shape[1], -1)
-                    row = np.empty(len(E), dtype=np.intp)
-                    row[distinct] = np.arange(len(distinct))
-                    rows = row[ids]
-                    for k in range(W):
-                        pre += products[k][rows[:, k]]
-                return pre, None
-        X = self._inputs(windows)
-        return X @ P["W1"] + P["b1"], X
-
-    def forward(self, windows, heads=None, dropout_rng=None):
-        """Per-head logits of stacked windows, in a cache for backward().
-
-        Only the tasks in `heads` (default: all) get logits.  With
-        `dropout_rng`, inverted dropout is applied to the hidden layer, one
-        draw over all rows.
-        """
-        P = self.params
-        pre, X = self._pre_activation(windows)
         h_raw = np.tanh(pre, out=pre)
         if not np.isfinite(h_raw).all():
             raise RuntimeError("non-finite hidden activations: check W1/b1/embeddings")
@@ -257,20 +251,22 @@ class TaggerModel:
             mask = (dropout_rng.random(h_raw.shape) < keep) / keep
             h = h_raw * mask
         logits = {}
-        for name in self.tasks if heads is None else heads:
+        for name in heads:
             z = h @ P["W_" + name]
             z += P["b_" + name]
             if not np.isfinite(z).all():
                 raise RuntimeError("non-finite logits in head %r" % name)
             logits[name] = z
-        return {
-            "windows": windows,
-            "X": X,
-            "h_raw": h_raw,
-            "h": h,
-            "mask": mask,
-            "logits": logits,
-        }
+        return {"h_raw": h_raw, "h": h, "mask": mask, "logits": logits}
+
+    def forward(self, windows, heads=None, dropout_rng=None):
+        """Logits of stacked windows for the tasks in `heads` (default: all),
+        in a cache for backward(); `dropout_rng` as in _activate."""
+        X = self._inputs(windows)
+        cache = self._activate(X @ self.params["W1"] + self.params["b1"],
+                               self.tasks if heads is None else heads, dropout_rng)
+        cache.update(windows=windows, X=X)
+        return cache
 
     def backward(self, cache, dlogits, frozen=()):
         """Propagate per-head logit gradients back to the parameters.
@@ -290,8 +286,7 @@ class TaggerModel:
         if cache["mask"] is not None:
             dh *= cache["mask"]
         dpre = dh * (1.0 - cache["h_raw"] ** 2)
-        X = cache["X"] if cache["X"] is not None else self._inputs(cache["windows"])
-        grads["W1"] = X.T @ dpre
+        grads["W1"] = cache["X"].T @ dpre
         grads["b1"] = dpre.sum(axis=0)
         if "E_word" not in frozen or "E_pos" not in frozen:
             windows = cache["windows"]
@@ -303,11 +298,14 @@ class TaggerModel:
                 ("E_pos", windows[:, W:], dX[:, split:]),
             ):
                 if name not in frozen:
-                    # one scatter over flat (id, column) indices, in row order
+                    # a scatter over flat (id, column) indices in row order,
+                    # about 2**14 at a time to keep the index arrays small
                     D = P[name].shape[1]
-                    flat = (win[..., None] * D + np.arange(D)).ravel()
                     g = np.zeros_like(P[name])
-                    np.add.at(g.reshape(-1), flat, dx.ravel())
+                    step = 1 + (1 << 14) // dx.shape[1]
+                    for s in range(0, len(win), step):
+                        flat = (win[s : s + step, :, None] * D + np.arange(D)).ravel()
+                        np.add.at(g.reshape(-1), flat, dx[s : s + step].ravel())
                     grads[name] = g
         return {k: g for k, g in grads.items() if k not in frozen}
 
@@ -460,7 +458,7 @@ def train_mtl(corpus, config, dev=None):
                 v *= config.momentum
                 g *= lr
                 v -= g
-                model.params[k] += v
+            model.update(velocity)
             del cache, dlogits  # free this batch's activations before the next forward
         mean_loss = epoch_loss / len(windows)
         if not np.isfinite(mean_loss):
@@ -474,8 +472,9 @@ def train_mtl(corpus, config, dev=None):
                 best_params = {k: v.copy() for k, v in model.params.items()}
         model.history.append(record)
 
-    if best_params is not None:
-        model.params = best_params
+    if best_params is not None:  # a new model, so without the last epoch's table
+        history, model = model.history, TaggerModel(vocab, config, scheme, params=best_params)
+        model.history = history
     return model
 
 
@@ -536,11 +535,11 @@ def predict_trees(model, sentences):
 
 def _predict_ids(model, sentences):
     """Greedy per-task label ids of each sentence, in input order: the
-    argmax of each main head's logits, one forward per batch of at most
-    TOKEN_BUDGET tokens (a longer sentence runs alone)."""
+    argmax of each main head's logits, one predict_logits per batch of at
+    most TOKEN_BUDGET tokens (a longer sentence runs alone)."""
     for start, stop in _chunks([len(s) for s in sentences]):
         chunk = sentences[start:stop]
-        logits = model.forward(model.windows(chunk), heads=MAIN_TASKS)["logits"]
+        logits = model.predict_logits(model.windows(chunk))
         ids = {name: z.argmax(axis=1) for name, z in logits.items()}
         end = 0
         for sentence in chunk:

@@ -7,11 +7,11 @@ import re
 import numpy as np
 import pytest
 
-from treetag import tagger
+from treetag import pg, tagger
 from treetag.trees import Sentence, parse_bracketed, sample_corpus
 from treetag.encodings import decode, encode_dynamic, encode_relative
 from treetag.auxtracks import make_track
-from treetag.metrics import corpus_bracket_score
+from treetag.metrics import corpus_bracket_score, labeled_spans
 from treetag.tagger import (
     BOS,
     EOS,
@@ -366,19 +366,28 @@ def test_embedding_gradients_equal_row_scatter_bytes():
 
 
 # ---------------------------------------------------------------------------
-# projected hidden layer
+# prediction table
 
 def repeated_instances(copies=22):
-    # one 3-word sentence stacked `copies` times: few distinct ids, and
-    # with the default 66 rows more than PROJECT_MIN_ROWS
+    # one 3-word sentence stacked `copies` times: few distinct ids
     (t,) = parse_bracketed("(S (NP (DT the) (NN dog)) (VB runs))")
     enc = encode_dynamic(t)
     instance = (enc.sentence, enc, {name: make_track(name, t, enc) for name in ("n+1", "dist")})
     return [instance] * copies
 
 
+def table_pre_activation(model, windows):
+    """The pre-activation predict_logits sums from the table."""
+    seen = []
+    activate = model._activate
+    model._activate = lambda pre, heads: seen.append(pre.copy()) or activate(pre, heads)
+    model.predict_logits(windows)
+    del model._activate
+    return seen[0][: len(windows)]
+
+
 @pytest.mark.parametrize("batch", ["repeated", "distinct"])
-def test_projected_and_direct_pre_activations_agree(monkeypatch, batch):
+def test_projected_and_direct_pre_activations_agree(batch):
     _, corpus = tiny_corpus(n=12)
     model = TaggerModel(Vocabularies.build(corpus), tiny_config(window=2), "dynamic")
     if batch == "repeated":
@@ -387,46 +396,111 @@ def test_projected_and_direct_pre_activations_agree(monkeypatch, batch):
         words = tuple(sorted(model.vocab.word2id)[3:])
         windows = model.windows([Sentence(words, ("NN",) * len(words))])
         assert len(np.unique(windows[:, 2])) == len(windows)
-    monkeypatch.setattr(tagger, "PROJECT_SHARE", 0.0)
-    direct, X = model._pre_activation(windows)
-    assert X is not None
-    monkeypatch.setattr(tagger, "PROJECT_SHARE", np.inf)
-    monkeypatch.setattr(tagger, "PROJECT_MIN_ROWS", 0)
-    projected, X = model._pre_activation(windows)
-    assert X is None
-    np.testing.assert_allclose(projected, direct, rtol=0, atol=1e-12)
+    direct = model._inputs(windows) @ model.params["W1"] + model.params["b1"]
+    np.testing.assert_allclose(table_pre_activation(model, windows), direct, rtol=0, atol=1e-12)
 
 
-def test_projected_gradients_match_finite_differences():
+def test_repeated_batch_gradients_match_finite_differences():
     instances = repeated_instances()
     model = TaggerModel(Vocabularies.build(instances[:1]), tiny_config(hidden_dim=5), "dynamic")
-    windows = model.windows([s for s, _, _ in instances])
-    assert model._pre_activation(windows)[1] is None
     assert_gradients_match_finite_differences(model, instances)
 
 
-def test_nonfinite_w1_faults_on_both_paths():
+def test_nonfinite_w1_faults_on_both_paths(monkeypatch):
+    # training and every prediction route, the table's and the capped one
     instances = repeated_instances()
     model = TaggerModel(Vocabularies.build(instances[:1]), tiny_config(), "dynamic")
     model.params["W1"][0, 0] = np.nan
-    single = model.windows([instances[0][0]])
-    batch = model.windows([s for s, _, _ in instances])
-    assert model._pre_activation(single)[1] is not None
-    assert model._pre_activation(batch)[1] is None
-    for windows in (single, batch):
-        with pytest.raises(RuntimeError):
-            model.forward(windows)
+    sentences = [s for s, _, _ in instances]
+    pairs = [(s, frozenset()) for s in sentences]
+    calls = (lambda: model.forward(model.windows(sentences)),
+             lambda: predict_greedy(model, sentences[0]),
+             lambda: predict_trees(model, sentences),
+             lambda: tagger.greedy_scores(model, pairs))
+    for cap in (tagger.TABLE_BYTES, 0):
+        monkeypatch.setattr(tagger, "TABLE_BYTES", cap)
+        for call in calls:
+            with pytest.raises(RuntimeError, match="^non-finite hidden activations"):
+                call()
 
 
-def test_single_distinct_sentence_takes_direct_path():
-    # default dimensions; 100 distinct words under a single POS tag
-    words = tuple("w%d" % i for i in range(100))
-    sentence = Sentence(words, ("NN",) * len(words))
-    (t,) = parse_bracketed("(S %s)" % " ".join("(NN %s)" % w for w in words))
-    enc = encode_relative(t)
-    model = TaggerModel(Vocabularies.build([(enc.sentence, enc, {})]), TrainConfig(), "relative")
-    assert len(sentence) >= tagger.PROJECT_MIN_ROWS
-    assert model.forward(model.windows([sentence]))["X"] is not None
+def random_sentences(model, rng, count=40):
+    words = sorted(model.vocab.word2id)[3:] + ["zzz"]
+    tags = sorted(model.vocab.pos2id)[3:]
+    return [
+        Sentence(tuple(rng.choice(words, n)), tuple(rng.choice(tags, n)))
+        for n in [1] + list(rng.integers(1, 12, size=count - 1))
+    ]
+
+
+def test_single_and_batched_logits_are_equal():
+    _, corpus = tiny_corpus()
+    model = train_mtl(corpus, tiny_config(epochs=2))
+    sentences = random_sentences(model, np.random.default_rng(4))
+    batched = model.predict_logits(model.windows(sentences))
+    single = [model.predict_logits(model.windows([s])) for s in sentences]
+    for name in MAIN_TASKS:
+        assert np.array_equal(np.concatenate([z[name] for z in single]), batched[name])
+
+
+def assert_table_matches_params(model, windows):
+    fresh = TaggerModel(model.vocab, model.config, model.scheme,
+                        params={k: v.copy() for k, v in model.params.items()})
+    expected = fresh.predict_logits(windows)
+    for name, z in model.predict_logits(windows).items():
+        assert np.array_equal(z, expected[name])
+
+
+@pytest.mark.parametrize("change", ["train_step", "best_params", "pg_update", "reload"])
+def test_stale_table_is_never_read(monkeypatch, tmp_path, change):
+    forest, corpus = tiny_corpus(n=8)
+    windows = TaggerModel(Vocabularies.build(corpus), tiny_config(), "dynamic").windows(
+        [s for s, _, _ in corpus])
+    if change in ("train_step", "best_params"):
+        # one step per epoch; each dev evaluation builds the table, which
+        # the next step and, with the first epoch scored best, the final
+        # restore must drop
+        dev_f1 = tagger._dev_f1
+        scores = iter([1.0, 0.0, 0.0] if change == "best_params" else [0.0, 1.0, 2.0])
+
+        def checked_dev_f1(model, dev):
+            assert_table_matches_params(model, windows)
+            dev_f1(model, dev)
+            assert model._table is not None
+            return next(scores)
+
+        monkeypatch.setattr(tagger, "_dev_f1", checked_dev_f1)
+        dev = [(s, t) for (s, _, _), t in zip(corpus, forest)]
+        model = train_mtl(corpus, tiny_config(epochs=3, batch_size=len(corpus)), dev=dev)
+        assert len(model.history) == 3
+    else:
+        model = train_mtl(corpus, tiny_config(epochs=2))
+        model.predict_logits(windows)
+        assert model._table is not None
+        if change == "pg_update":
+            config = pg.PGConfig(samples=2, learning_rate=0.5, seed=1)
+            before = model.params["W1"].copy()
+            pg.pg_update(model, corpus[0][0], labeled_spans(forest[0]), 0.0, config,
+                         pg.AdvantageTracker(0), np.random.default_rng(1))
+            assert not np.array_equal(model.params["W1"], before)
+        else:
+            save_model(tmp_path / "model.npz", model)
+            model = load_model(tmp_path / "model.npz")
+    assert_table_matches_params(model, windows)
+
+
+def test_capped_table_predicts_the_same_ids(monkeypatch):
+    _, corpus = tiny_corpus()
+    model = train_mtl(corpus, tiny_config(epochs=2))
+    sentences = random_sentences(model, np.random.default_rng(5))
+    expected = list(tagger._predict_ids(model, sentences))
+    capped = TaggerModel(model.vocab, model.config, model.scheme, params=model.params)
+    monkeypatch.setattr(tagger, "TABLE_BYTES", 0)
+    for got, want in zip(tagger._predict_ids(capped, sentences), expected):
+        for name in MAIN_TASKS:
+            np.testing.assert_array_equal(got[name], want[name])
+    assert predict_greedy(capped, sentences[1]).labels == predict_greedy(model, sentences[1]).labels
+    assert capped._table is None
 
 
 def test_encoded_from_gold_ids_gives_the_gold_labels():
@@ -580,9 +654,9 @@ def test_predict_trees_runs_one_forward_per_chunk(monkeypatch):
     chunks = list(tagger._chunks(lengths))
     assert len(chunks) > 1
     expected = [decode(predict_greedy(model, s)) for s in sentences]
-    forward = model.forward
+    activate = model._activate
     calls = []
-    model.forward = lambda windows, **kw: calls.append(len(windows)) or forward(windows, **kw)
+    model._activate = lambda pre, heads: calls.append(len(pre)) or activate(pre, heads)
     assert predict_trees(model, sentences) == expected
     assert calls == [sum(lengths[start:stop]) for start, stop in chunks]
 
@@ -600,7 +674,6 @@ def test_predicted_ids_are_the_argmax_of_probabilities(seed):
         Sentence(tuple(rng.choice(words, n)), tuple(rng.choice(tags, n)))
         for n in rng.integers(1, 12, size=40)
     ]
-    assert model._pre_activation(model.windows(sentences))[1] is None  # projected
     for batch in [sentences, sentences[:1]]:
         logits = model.forward(model.windows(batch))["logits"]
         probs = {name: _softmax(z) for name, z in logits.items()}
