@@ -60,6 +60,7 @@ def _config_from(config_class, args):
     return config_class(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config_class)})
 
 
+@functools.lru_cache(maxsize=None)  # one per process: each build costs milliseconds
 def build_parser():
     parser = _Parser(prog="treetag", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -242,18 +243,18 @@ def cmd_predict(args):
 def cmd_eval(args):
     if args.scheme and not args.per_n:
         raise _UsageError("--scheme needs --per-n")
-    gold = trees.load_trees(args.gold)
-    predicted = trees.load_trees(args.predicted)
+    skip = metrics.PUNCT_POS if args.strip_punctuation else ()
+    gold, predicted = (trees.load_trees(path, spans=True, skip=skip)
+                       for path in (args.gold, args.predicted))
     if len(gold) != len(predicted):
         raise ValueError("%s has %d trees, %s has %d"
                          % (args.gold, len(gold), args.predicted, len(predicted)))
-    scores = _each_tree(args.predicted, zip(gold, predicted),
-                        lambda pair: metrics.bracket_score(*pair, args.strip_punctuation))
+    scores = _each_tree(args.predicted, zip(gold, predicted), lambda p: metrics.read_score(*p))
     print(metrics.format_bracket_report(sum(scores, metrics.BracketScore(0, 0, 0))))
     if args.per_n:
         encode = functools.partial(encodings.encode, scheme=args.scheme or encodings.RELATIVE)
-        gold_enc = list(_each_tree(args.gold, gold, encode))
-        pred_enc = list(_each_tree(args.predicted, predicted, encode))
+        gold_enc, pred_enc = (list(_each_tree(path, trees.load_trees(path), encode))
+                              for path in (args.gold, args.predicted))
         table = metrics.per_n_f1(gold_enc, pred_enc)
         with open(args.per_n, "w", encoding="utf-8") as fh:
             fh.write("n_token\tprecision\trecall\tf1\n")
@@ -275,9 +276,8 @@ def _each_tree(path, forest, fn):
 
 
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)

@@ -35,57 +35,55 @@ class BracketScore:
 
 
 def labeled_spans(tree):
-    """Multiset of (label, start, end) spans of phrase nodes.
-
-    Preterminals are excluded; ``+``-joined labels contribute one span per
-    chain member over the same extent.
-    """
-    return _spans_and_leaves(tree, False)[0]
+    """Multiset (Counter) of the (label, start, end) spans of `tree`'s phrase
+    nodes, counted by span_counts; preterminals give none."""
+    return span_counts(_spans_and_leaves(tree)[0])
 
 
-def _spans_and_leaves(tree, strip_punctuation):
-    """labeled_spans(tree) and the raw leaf count, from one iterative walk.
-    With strip_punctuation, leaves whose POS is punctuation do not count
-    towards extents and nodes that cover only punctuation disappear."""
-    if isinstance(tree, Leaf):
-        return Counter(), 1
+def span_counts(spans):
+    """Counter of (label, start, end) spans, one per ``+``-joined member."""
+    return Counter([(part, i, j) for label, i, j in spans for part in label.split(CHAIN_SEP)])
+
+
+def _spans_and_leaves(tree):
+    """What `load_trees(path, spans=True)` reads for `tree`'s line: its
+    (label, start, end) spans in closing order and its leaf count."""
     spans = []
-    leaves = 0
-    i = 0  # words counted so far
-    # the innermost open phrase: its children still to visit, its label and
-    # its first word; `frames` holds the same for each enclosing one
-    children, label, start = iter(tree.children), tree.label, 0
+    i = 0  # leaves counted so far
+    # the innermost open phrase (first a label-less one around `tree`): its
+    # children left to visit, label and first leaf; `frames` holds the outer ones
+    children, label, start = iter((tree,)), None, 0
     frames = []
     while True:
         for node in children:
             if isinstance(node, Leaf):
-                leaves += 1
-                if not (strip_punctuation and node.pos in PUNCT_POS):
-                    i += 1
+                i += 1
             else:
                 frames.append((children, label, start))
                 children, label, start = iter(node.children), node.label, i
                 break
         else:
-            if i > start:
-                for part in label.split(CHAIN_SEP):
-                    spans.append((part, start, i))
             if not frames:
-                return Counter(spans), leaves
+                return spans, i
+            spans.append((label, start, i))
             children, label, start = frames.pop()
 
 
-def bracket_score(gold, predicted, strip_punctuation=False):
+def bracket_score(gold, predicted):
     """Precision/recall/F1 over labeled spans, as a BracketScore.
 
     Both trees must cover the same number of tokens.  Duplicate spans
     (from unary chains) match as multiset members.
     """
-    gold_spans, gold_leaves = _spans_and_leaves(gold, strip_punctuation)
-    pred_spans, pred_leaves = _spans_and_leaves(predicted, strip_punctuation)
+    return read_score(_spans_and_leaves(gold), _spans_and_leaves(predicted))
+
+
+def read_score(gold, predicted):
+    """bracket_score of two trees read as (spans, leaf count) by `load_trees`."""
+    (gold_spans, gold_leaves), (pred_spans, pred_leaves) = gold, predicted
     if gold_leaves != pred_leaves:
         raise ValueError("gold has %d leaves, prediction has %d" % (gold_leaves, pred_leaves))
-    return span_score(gold_spans, pred_spans)
+    return span_score(span_counts(gold_spans), span_counts(pred_spans))
 
 
 def span_score(gold_spans, pred_spans):

@@ -4,7 +4,7 @@ Trees are immutable once built, so they can be shared freely between
 threads.  The on-disk format is the usual one-tree-per-line bracketing
 (``(S (NP (D the) (N dog)) (VP (V barks)))``); literal parentheses inside
 tokens are expected to be pre-escaped as ``-LRB-``/``-RRB-`` and are kept
-verbatim.
+verbatim.  For bracket scoring, the reader can give spans in place of trees.
 """
 
 import random
@@ -115,7 +115,13 @@ class ParseError(ValueError):
         super().__init__("%s%s%s" % (where, at, message))
 
 
+# The tokens of _tokens(text) with their offsets, which only an error needs.
 _TOKEN_RE = re.compile(r"\(|\)|[^()\s]+")
+
+
+def _tokens(text):
+    return text.replace("(", " ( ").replace(")", " ) ").split()
+
 
 _FUNC_RE = re.compile(r"^([^-=]+)[-=]")
 
@@ -129,27 +135,32 @@ def strip_function(label):
     return m.group(1) if m else label
 
 
-def parse_bracketed(text, strip_functions=False):
+def parse_bracketed(text, strip_functions=False, spans=None, skip=()):
     """Parse zero or more bracketed trees from `text`.
 
     Tolerates arbitrary whitespace between tokens.  A label-less wrapper
     group ``( (S ...) )`` (as in raw PTB .mrg files) is unwrapped when it
     has a single child and labelled TOP otherwise.  Iterative, so nesting
     depth is not bounded by the recursion limit.
+
+    With `spans` (a list), build no tree: as each phrase closes, append its
+    (label, start, end) over the words (leaves whose POS is not in `skip`)
+    to `spans`, and return each tree as the leaf count at its end.
     """
-    tokens = _TOKEN_RE.findall(text)
+    tokens = _tokens(text)
     n = len(tokens)
     tokens += (None, None, None)  # lookahead past the end reads None
     trees = []
     out = trees  # finished children of the innermost open group
-    stack = []  # (label or None, its parent's `out`) per open group
+    stack = []  # (label or None, its parent's `out`, its first word) per open group
+    words = leaves = 0  # counted in span mode only (in tree mode, `words > start` never holds)
     i = 0
     while i < n:
         tok = tokens[i]
         if tok == "(":
             label = tokens[i + 1]
             if label == "(":  # a label-less wrapper group
-                stack.append((None, out))
+                stack.append((None, out, words))
                 out = []
                 i += 1
                 continue
@@ -158,19 +169,22 @@ def parse_bracketed(text, strip_functions=False):
             word = tokens[i + 2]
             if word == "(" or word == ")":
                 # a phrase: its children (or its closing bracket) follow
-                stack.append((label, out))
+                stack.append((label, out, words))
                 out = []
                 i += 2
                 continue
             if tokens[i + 3] != ")":
                 message = "unbalanced '('" if word is None else "expected ')' after leaf"
                 raise _error_at(text, i + 3, message)
-            out.append(Leaf(label, word))
+            if spans is not None:
+                leaves += 1
+                words += label not in skip
+            out.append(Leaf(label, word) if spans is None else leaves)
             i += 4
         elif tok == ")":
             if not stack:
                 raise _error_at(text, i, "expected '(', found %r" % tok)
-            label, parent = stack.pop()
+            label, parent, start = stack.pop()
             if not out:
                 raise _error_at(text, i, "constituent %r has no children" % label)
             if label is None and len(out) == 1:
@@ -180,7 +194,9 @@ def parse_bracketed(text, strip_functions=False):
                     label = "TOP"
                 if strip_functions:
                     label = strip_function(label)
-                parent.append(Internal(label, out))
+                if words > start:
+                    spans.append((label, start, words))
+                parent.append(Internal(label, out) if spans is None else leaves)
             out = parent
             i += 1
         else:
@@ -222,25 +238,26 @@ def serialize(tree):
             children = frames.pop()
 
 
-def load_trees(path, strip_functions=False):
-    """Read one tree per line; blank lines skipped.
-
-    Raises ParseError naming the file and line on malformed input, and
-    the file (at line 1) when it holds no tree.
+def load_trees(path, strip_functions=False, spans=False, skip=()):
+    """Read one tree per line; blank lines skipped.  With `spans`, build no
+    tree: read each line as (its spans, its leaf count), as parse_bracketed
+    does with `skip`.  Raises ParseError naming the file and line on
+    malformed input, and the file (at line 1) when it holds no tree.
     """
     trees = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            found = [] if spans else None
             try:
-                parsed = parse_bracketed(line, strip_functions=strip_functions)
+                parsed = parse_bracketed(line, strip_functions, found, skip)
             except ParseError as e:
                 raise ParseError(e.message, e.offset, lineno, path) from None
             if len(parsed) != 1:
                 message = "expected one tree per line, got %d" % len(parsed)
                 raise ParseError(message, 0, lineno, path)
-            trees.append(parsed[0])
+            trees.append(parsed[0] if found is None else (found, parsed[0]))
     if not trees:
         raise ParseError("file contains no trees", None, 1, path)
     return trees

@@ -1,12 +1,15 @@
 """End-to-end command-line tests (driving run() directly)."""
 
+import random
 import re
 
 import pytest
 
 from treetag.cli import run
-from treetag.trees import load_trees, save_trees, sample_corpus, serialize
+from treetag.metrics import corpus_bracket_score, format_bracket_report
+from treetag.trees import Sentence, load_trees, random_tree, save_trees, sample_corpus, serialize
 from treetag.seqfile import read_seq
+from test_metrics import LEAF_COUNT_MISMATCHES, PUNCTUATED_PAIR
 
 
 @pytest.fixture
@@ -616,3 +619,72 @@ def test_eval_per_n_report_in_the_chosen_scheme(tmp_path, forest_file):
                 "--scheme", "absolute"]) == 0
     tokens = [line.split("\t")[0] for line in report.read_text().splitlines()[1:]]
     assert tokens and all(tok == "DUMMY" or tok.startswith("a") for tok in tokens)
+
+
+def test_eval_strips_punctuation(tmp_path, capsys):
+    """test_metrics' punctuation case through `treetag eval`."""
+    gold, pred = write_pair(tmp_path, *(text + "\n" for text in PUNCTUATED_PAIR))
+    assert run(["eval", str(gold), str(pred)]) == 0
+    assert capsys.readouterr().out == "P 66.67 R 66.67 F1 66.67\n"
+    assert run(["eval", str(gold), str(pred), "--strip-punctuation"]) == 0
+    assert capsys.readouterr().out == "P 100.00 R 100.00 F1 100.00\n"
+
+
+@pytest.mark.parametrize("strip", [False, True])
+@pytest.mark.parametrize("gold_text, pred_text, counts", LEAF_COUNT_MISMATCHES)
+def test_eval_leaf_count_mismatch_counts_raw_leaves(tmp_path, capsys, gold_text, pred_text,
+                                                    counts, strip):
+    """Punctuation leaves count towards the check even when stripped."""
+    gold, pred = write_pair(tmp_path, gold_text + "\n", pred_text + "\n")
+    assert run(["eval", str(gold), str(pred)] + ["--strip-punctuation"] * strip) == 2
+    message = "gold has %d leaves, prediction has %d" % counts
+    assert capsys.readouterr().err == "error: %s: tree 1: %s\n" % (pred, message)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eval_report_is_the_corpus_score(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    alphabet = ["S", "NP", "VP", "NP+VP", "-NONE-"]
+    gold, pred = [], []
+    while len(gold) < 40:
+        g, p = (random_tree(rng.randrange(10**6), 12, 8, alphabet) for _ in range(2))
+        if len(Sentence.from_tree(g)) == len(Sentence.from_tree(p)):
+            gold.append(g)
+            pred.append(p)
+    save_trees(tmp_path / "gold.trees", gold)
+    save_trees(tmp_path / "pred.trees", pred)
+    assert run(["eval", str(tmp_path / "gold.trees"), str(tmp_path / "pred.trees")]) == 0
+    expected = format_bracket_report(corpus_bracket_score(gold, pred))
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_the_reused_parser_keeps_no_state(tmp_path, forest_file, small_model, captured_configs,
+                                          capsys):
+    """Every run reads its arguments with one parser: a flag of one run does
+    not reach the next, and no default is changed in place."""
+    from treetag import cli
+    from treetag.pg import PGConfig
+
+    parser = cli.build_parser()
+    aux_default = parser.parse_args(["encode", "in", "out"]).aux
+    seq = tmp_path / "out.seq"
+    assert run(["encode", str(forest_file), str(seq), "--aux", "dist"]) == 0
+    assert seq.read_text().splitlines()[0] == "# scheme=relative aux=dist"
+    assert run(["encode", str(forest_file), str(seq)]) == 0
+    assert seq.read_text().splitlines()[0] == "# scheme=relative aux="
+
+    _, trees_path, ckpt = small_model
+    finetune = ["finetune", str(ckpt), str(trees_path), str(trees_path), str(tmp_path / "t.npz")]
+    assert run(finetune + ["--noise"]) == 2
+    assert captured_configs["finetune"].noise_enabled
+    assert run(finetune) == 2
+    assert captured_configs["finetune"] == PGConfig()
+
+    gold, pred = write_pair(tmp_path, *(text + "\n" for text in PUNCTUATED_PAIR))
+    capsys.readouterr()
+    assert run(["eval", str(gold), str(pred), "--strip-punctuation"]) == 0
+    assert run(["eval", str(gold), str(pred)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "P 66.67 R 66.67 F1 66.67"
+
+    assert cli.build_parser() is parser
+    assert parser.parse_args(["encode", "in", "out"]).aux is aux_default == []

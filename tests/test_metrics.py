@@ -9,6 +9,7 @@ import pytest
 from treetag.trees import Internal, Leaf, parse_bracketed, random_tree
 from treetag.encodings import encode_relative, EncodedSentence, TagLabel, NComponent, RELATIVE
 from treetag.metrics import (
+    PUNCT_POS,
     BracketScore,
     bracket_score,
     corpus_bracket_score,
@@ -17,6 +18,7 @@ from treetag.metrics import (
     labeled_spans,
     n_token_sort_key,
     per_n_f1,
+    read_score,
 )
 
 ALPHABET = ["S", "NP", "VP", "PP", "ADJP", "ADVP"]
@@ -93,22 +95,28 @@ def test_leaf_count_mismatch_rejected():
         bracket_score(a, b)
 
 
+def read(text, strip):
+    """The span reader's (spans, leaf count) of the one tree in `text`."""
+    spans = []
+    (leaves,) = parse_bracketed(text, spans=spans, skip=PUNCT_POS if strip else ())
+    return spans, leaves
+
+
+LEAF_COUNT_MISMATCHES = [
+    ("(S (A a) (B b))", "(S (A a) (B b) (C c))", (2, 3)),
+    ("(S (NP (D the) (N dog)) (. .))", "(S (NP (D the) (N dog)))", (3, 2)),
+    ("(S (A a) (, ,) (B b))", "(S (A a) (, ,) (, ,) (B b) (. .))", (3, 5)),
+]
+
+
 @pytest.mark.parametrize("strip", [False, True])
-@pytest.mark.parametrize(
-    "gold, pred, counts",
-    [
-        ("(S (A a) (B b))", "(S (A a) (B b) (C c))", (2, 3)),
-        ("(S (NP (D the) (N dog)) (. .))", "(S (NP (D the) (N dog)))", (3, 2)),
-        ("(S (A a) (, ,) (B b))", "(S (A a) (, ,) (, ,) (B b) (. .))", (3, 5)),
-    ],
-)
+@pytest.mark.parametrize("gold, pred, counts", LEAF_COUNT_MISMATCHES)
 def test_leaf_count_mismatch_message_counts_raw_leaves(gold, pred, counts, strip):
-    """Punctuation leaves count towards the check even when stripped."""
-    (g,) = parse_bracketed(gold)
-    (p,) = parse_bracketed(pred)
+    """Punctuation leaves count towards the check even when stripped.
+    (tests/test_cli.py checks the same through `treetag eval`.)"""
     message = "gold has %d leaves, prediction has %d" % counts
     with pytest.raises(ValueError, match="^%s$" % message):
-        bracket_score(g, p, strip_punctuation=strip)
+        read_score(read(gold, strip), read(pred, strip))
 
 
 def test_unary_chain_spans_expand():
@@ -172,12 +180,16 @@ def test_f1_one_iff_span_multisets_equal():
         assert (s.f1 == 1.0) == (oracle_spans(gold) == oracle_spans(pred))
 
 
+PUNCTUATED_PAIR = ("(S (NP (D the) (N dog)) (, ,) (VP (V barks)))",
+                   "(S (NP (D the) (N dog)) (VP (, ,) (V barks)))")
+
+
 def test_punctuation_stripping():
-    (gold,) = parse_bracketed("(S (NP (D the) (N dog)) (, ,) (VP (V barks)))")
-    (pred,) = parse_bracketed("(S (NP (D the) (N dog)) (VP (, ,) (V barks)))")
-    plain = bracket_score(gold, pred)
+    """(tests/test_cli.py checks the same through `treetag eval`.)"""
+    gold, pred = PUNCTUATED_PAIR
+    plain = read_score(read(gold, False), read(pred, False))
     assert plain.f1 < 1.0  # VP spans differ when punctuation counts
-    stripped = bracket_score(gold, pred, strip_punctuation=True)
+    stripped = read_score(read(gold, True), read(pred, True))
     assert stripped.f1 == 1.0
 
 

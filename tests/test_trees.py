@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treetag import trees
+from treetag.metrics import PUNCT_POS, span_counts
 from treetag.trees import (
     Internal,
     Leaf,
@@ -19,6 +20,7 @@ from treetag.trees import (
     serialize,
     strip_function,
 )
+from test_walks import _oracle_spans_and_leaves
 
 THREE_LEAF = "(S (NP (D the) (N dog)) (VP (V barks)))"
 
@@ -261,7 +263,9 @@ def _outcome(call):
         return "error", str(e), e.offset, e.line
 
 
-_PIECES = ["(", ")", " ", "\n", "\t", "S", "NP-SBJ", "a", "\u00e9", "-LRB-"]
+# the last five are whitespace to `str.isspace`, and so to both tokenizers
+_PIECES = ["(", ")", " ", "\n", "\t", "S", "NP-SBJ", "a", "\u00e9", "-LRB-",
+           "\x0b", "\x1c", "\x85", "\xa0", "\u3000"]
 
 _FUNCTION_ALPHABET = ["S", "NP-SBJ", "VP=2", "PP", "-NONE-"]
 
@@ -300,9 +304,15 @@ def test_parser_matches_recursive_oracle(tmp_path_factory, text, strip):
     # through load_trees: the same trees, or the same error on the same line
     path = tmp_path_factory.mktemp("parse") / "t.trees"
     path.write_text("(S (A a))\n" + text + "\n", encoding="utf-8")
-    with mock.patch.object(trees, "parse_bracketed", _oracle_parse):
+    with mock.patch.object(trees, "parse_bracketed", _oracle_tree_mode):
         expected = _outcome(lambda: load_trees(path, strip))
     assert _outcome(lambda: load_trees(path, strip)) == expected
+
+
+def _oracle_tree_mode(text, strip_functions, spans, skip):
+    """_oracle_parse in load_trees' place: it reads trees only."""
+    assert spans is None
+    return _oracle_parse(text, strip_functions)
 
 
 def test_parser_has_no_nesting_limit():
@@ -325,3 +335,50 @@ def test_deep_trees_compare_and_hash():
     assert a == b and not a != b
     assert a != c and not a == c
     assert hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# The tokenizer: `str.split` around spaced-out brackets gives the tokens of
+# the pattern that places errors, on any text.
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.characters(), st.sampled_from(_PIECES))).map("".join))
+def test_split_tokens_match_the_token_pattern(text):
+    assert trees._tokens(text) == trees._TOKEN_RE.findall(text)
+
+
+def test_split_tokens_match_the_token_pattern_on_every_code_point():
+    text = "a".join(map(chr, range(0x110000)))
+    assert trees._tokens(text) == trees._TOKEN_RE.findall(text)
+
+
+# ---------------------------------------------------------------------------
+# The span reader against the tree reader: the same error, or the spans and
+# leaf count of the tree the tree reader reads.
+
+def _read_outcome(call):
+    try:
+        return "read", call()
+    except ParseError as e:
+        return "error", e.message, e.offset, e.line, e.path
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_bracketings(), st.booleans(), st.booleans())
+def test_span_reader_matches_the_tree_reader(tmp_path_factory, text, strip_functions,
+                                             strip_punctuation):
+    text = text.replace("P0", ",").replace("P1", "''")  # two POS tags become punctuation
+    path = tmp_path_factory.mktemp("spans") / "t.trees"
+    path.write_text(text + "\n", encoding="utf-8")
+    skip = PUNCT_POS if strip_punctuation else ()
+
+    def read_spans():
+        forest = load_trees(path, strip_functions, spans=True, skip=skip)
+        return [(list(span_counts(spans).items()), leaves) for spans, leaves in forest]
+
+    def read_trees():
+        forest = load_trees(path, strip_functions)
+        return [(list(spans.items()), leaves) for spans, leaves in
+                (_oracle_spans_and_leaves(tree, strip_punctuation) for tree in forest)]
+
+    assert _read_outcome(read_spans) == _read_outcome(read_trees)
