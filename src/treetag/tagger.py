@@ -9,9 +9,11 @@ vector per token could replace it without touching the heads.
 
 Greedy prediction skips the concatenated input: each window slot's block
 of the hidden weights is multiplied by every word and POS embedding once
-per set of parameters, and every token adds up the rows of its window
-(the pre-computation of Chen & Manning, 2014).  A token's hidden layer is
-then the same in any batch, and a single sentence costs a few row reads.
+per set of parameters, the hidden bias is added to the first slot's rows,
+and every token adds up the rows of its window (the pre-computation of
+Chen & Manning, 2014).  A token's hidden layer is then the same in any
+batch, and a single sentence costs a few row reads, at any vocabulary
+size; the table holds (2r+1)·(|words|+|POS|)·H floats.
 
 `TaggerModel.forward` is the training pass through the network and stops
 at the logits: only the loss, the PG sampler and the noise measure take a
@@ -42,10 +44,6 @@ _CHECKPOINT_VERSION = 1
 # Tokens per prediction batch: large enough to amortise the per-call
 # overhead, small enough to keep peak memory flat.
 TOKEN_BUDGET = 256
-
-# Bytes the prediction table may take (see TaggerModel._projection); a
-# model whose table would be larger predicts through forward's X @ W1.
-TABLE_BYTES = 64 * 2**20
 
 
 class Vocabularies:
@@ -155,7 +153,8 @@ class TaggerModel:
     """Shared encoder plus per-task affine heads.
 
     Reading operations (forward, prediction) are safe to call concurrently;
-    prediction builds its table on first read, and concurrent first reads
+    the first prediction after each parameter change builds the table
+    (float64, (2r+1)·(|words|+|POS|)·H entries), and concurrent first reads
     at worst each build the same one.  Parameter updates must stay
     single-writer and go through `update`, which drops the table.
     """
@@ -204,34 +203,30 @@ class TaggerModel:
 
     def _projection(self):
         """The prediction table, built on first read, and the row offset of
-        each window column in it; None if it would exceed TABLE_BYTES.  Its
-        rows are E_word @ (word slot k's block of W1) for each k, then the
-        same for E_pos and the POS slots."""
+        each window column in it.  Its rows are E_word @ (word slot k's
+        block of W1) for each k, b1 added to word slot 0's, then the same
+        for E_pos and the POS slots."""
         if self._table is None:
             P = self.params
             W, H = 2 * self.config.window + 1, P["W1"].shape[1]
             sizes = [len(P["E_word"])] * W + [len(P["E_pos"])] * W
-            if sum(sizes) * H * 8 > TABLE_BYTES:
-                return None
             table = np.empty((sum(sizes), H))
             split, words = W * self.config.word_dim, W * len(P["E_word"])
             for E, block, part in ((P["E_word"], P["W1"][:split], table[:words]),
                                    (P["E_pos"], P["W1"][split:], table[words:])):
                 np.matmul(E, block.reshape(W, -1, H), out=part.reshape(W, len(E), H))
+            table[: len(P["E_word"])] += P["b1"]
             self._table = table, np.cumsum([0] + sizes[:-1])
         return self._table
 
     def predict_logits(self, windows):
         """The main heads' logits of stacked windows for greedy prediction,
-        from pre-activations summed as b1 plus the table rows of the window,
-        word slots first; without a table, from forward's X @ W1."""
-        projection = self._projection()
-        if projection is None:
-            return self.forward(windows, heads=MAIN_TASKS)["logits"]
-        (table, offsets), T = projection, len(windows)
+        from pre-activations summed as the table rows of the window, word
+        slots first."""
+        (table, offsets), T = self._projection(), len(windows)
         # BLAS sums a one-row product in another order than a matrix one
         rows = (windows.repeat(1 + (T == 1), axis=0) + offsets).T
-        pre = table[rows[0]] + self.params["b1"]
+        pre = table[rows[0]]
         for r in rows[1:]:
             pre += table[r]
         return {name: z[:T] for name, z in self._activate(pre, MAIN_TASKS)["logits"].items()}

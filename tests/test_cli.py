@@ -3,6 +3,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 
 from treetag.cli import run
@@ -131,6 +132,30 @@ def test_full_pipeline(tmp_path, capsys):
                 "--log", str(log)]) == 0
     assert tuned.exists()
     assert log.read_text().startswith("epoch\t")
+
+
+def test_train_and_noisy_finetune_repeat_bit_for_bit(tmp_path):
+    """Rerun with the same seeds (and the same BLAS thread count), train and
+    finetune --noise write the same checkpoint arrays and the same log."""
+    trees_path = tmp_path / "small.trees"
+    save_trees(trees_path, sample_corpus(5, 16))
+    seq = tmp_path / "small.seq"
+    assert run(["encode", str(trees_path), str(seq), "--aux", "dist"]) == 0
+    for rerun in "ab":
+        ckpt, tuned = tmp_path / ("model_%s.npz" % rerun), tmp_path / ("tuned_%s.npz" % rerun)
+        assert run(["train", str(seq), str(seq), str(ckpt), "--epochs", "3", "--seed", "4",
+                    "--hidden-dim", "8", "--word-dim", "4", "--pos-dim", "4"]) == 0
+        assert run(["finetune", str(ckpt), str(trees_path), str(trees_path), str(tuned),
+                    "--epochs", "2", "--samples", "3", "--seed", "5", "--noise",
+                    "--log", str(tmp_path / ("pg_%s.tsv" % rerun))]) == 0
+    for name in ("model", "tuned"):
+        with np.load(tmp_path / ("%s_a.npz" % name)) as a, \
+                np.load(tmp_path / ("%s_b.npz" % name)) as b:
+            assert sorted(a.files) == sorted(b.files)
+            for key in a.files:
+                assert a[key].dtype == b[key].dtype and a[key].shape == b[key].shape
+                assert a[key].tobytes() == b[key].tobytes(), (name, key)
+    assert (tmp_path / "pg_a.tsv").read_bytes() == (tmp_path / "pg_b.tsv").read_bytes()
 
 
 @pytest.fixture

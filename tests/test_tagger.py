@@ -386,6 +386,25 @@ def table_pre_activation(model, windows):
     return seen[0][: len(windows)]
 
 
+@pytest.mark.parametrize("batch", ["corpus", "one_token"])
+def test_pre_activation_adds_b1_then_the_slots_in_order(batch):
+    # b1 sits in the table's word slot 0 rows, which must give the bits of
+    # b1 + slot 0's row, then each later slot's row added in window order
+    _, corpus = tiny_corpus(n=12)
+    model = train_mtl(corpus, tiny_config(window=2, epochs=1))
+    assert np.abs(model.params["b1"]).min() > 0
+    sentences = [s for s, _, _ in corpus] if batch == "corpus" else [Sentence(("dog",), ("NN",))]
+    windows = model.windows(sentences)
+    P, W = model.params, windows.shape[1] // 2
+    blocks = np.split(P["W1"], np.cumsum([model.config.word_dim] * W
+                                         + [model.config.pos_dim] * (W - 1)))
+    slots = [E @ block for E, block in zip([P["E_word"]] * W + [P["E_pos"]] * W, blocks)]
+    expected = P["b1"] + slots[0][windows[:, 0]]
+    for slot, column in zip(slots[1:], windows.T[1:]):
+        expected += slot[column]
+    assert np.array_equal(table_pre_activation(model, windows), expected)
+
+
 @pytest.mark.parametrize("batch", ["repeated", "distinct"])
 def test_projected_and_direct_pre_activations_agree(batch):
     _, corpus = tiny_corpus(n=12)
@@ -406,22 +425,18 @@ def test_repeated_batch_gradients_match_finite_differences():
     assert_gradients_match_finite_differences(model, instances)
 
 
-def test_nonfinite_w1_faults_on_both_paths(monkeypatch):
-    # training and every prediction route, the table's and the capped one
+def test_nonfinite_w1_faults_training_and_every_prediction():
     instances = repeated_instances()
     model = TaggerModel(Vocabularies.build(instances[:1]), tiny_config(), "dynamic")
     model.params["W1"][0, 0] = np.nan
     sentences = [s for s, _, _ in instances]
     pairs = [(s, frozenset()) for s in sentences]
-    calls = (lambda: model.forward(model.windows(sentences)),
-             lambda: predict_greedy(model, sentences[0]),
-             lambda: predict_trees(model, sentences),
-             lambda: tagger.greedy_scores(model, pairs))
-    for cap in (tagger.TABLE_BYTES, 0):
-        monkeypatch.setattr(tagger, "TABLE_BYTES", cap)
-        for call in calls:
-            with pytest.raises(RuntimeError, match="^non-finite hidden activations"):
-                call()
+    for call in (lambda: model.forward(model.windows(sentences)),
+                 lambda: predict_greedy(model, sentences[0]),
+                 lambda: predict_trees(model, sentences),
+                 lambda: tagger.greedy_scores(model, pairs)):
+        with pytest.raises(RuntimeError, match="^non-finite hidden activations"):
+            call()
 
 
 def random_sentences(model, rng, count=40):
@@ -451,7 +466,8 @@ def assert_table_matches_params(model, windows):
         assert np.array_equal(z, expected[name])
 
 
-@pytest.mark.parametrize("change", ["train_step", "best_params", "pg_update", "reload"])
+@pytest.mark.parametrize("change", ["train_step", "best_params", "pg_update", "b1_update",
+                                    "reload"])
 def test_stale_table_is_never_read(monkeypatch, tmp_path, change):
     forest, corpus = tiny_corpus(n=8)
     windows = TaggerModel(Vocabularies.build(corpus), tiny_config(), "dynamic").windows(
@@ -483,24 +499,30 @@ def test_stale_table_is_never_read(monkeypatch, tmp_path, change):
             pg.pg_update(model, corpus[0][0], labeled_spans(forest[0]), 0.0, config,
                          pg.AdvantageTracker(0), np.random.default_rng(1))
             assert not np.array_equal(model.params["W1"], before)
+        elif change == "b1_update":
+            before = model.predict_logits(windows)["n"].copy()
+            model.update({"b1": np.linspace(-0.5, 0.5, model.config.hidden_dim)})
+            assert not np.array_equal(model.predict_logits(windows)["n"], before)
         else:
             save_model(tmp_path / "model.npz", model)
             model = load_model(tmp_path / "model.npz")
     assert_table_matches_params(model, windows)
 
 
-def test_capped_table_predicts_the_same_ids(monkeypatch):
+def test_large_vocabulary_predicts_through_the_table():
+    # 14,000 words at the default sizes: a 68 MiB table, above the 64 MiB
+    # at which prediction used to fall back to forward
     _, corpus = tiny_corpus()
-    model = train_mtl(corpus, tiny_config(epochs=2))
+    small = Vocabularies.build(corpus)
+    words = [OOV, BOS, EOS] + ["w%05d" % i for i in range(14000)]
+    vocab = Vocabularies({w: i for i, w in enumerate(words)}, small.pos2id, small.tasks)
+    model = TaggerModel(vocab, TrainConfig(), "dynamic")
     sentences = random_sentences(model, np.random.default_rng(5))
-    expected = list(tagger._predict_ids(model, sentences))
-    capped = TaggerModel(model.vocab, model.config, model.scheme, params=model.params)
-    monkeypatch.setattr(tagger, "TABLE_BYTES", 0)
-    for got, want in zip(tagger._predict_ids(capped, sentences), expected):
-        for name in MAIN_TASKS:
-            np.testing.assert_array_equal(got[name], want[name])
-    assert predict_greedy(capped, sentences[1]).labels == predict_greedy(model, sentences[1]).labels
-    assert capped._table is None
+    batched = table_pre_activation(model, model.windows(sentences))
+    single = [table_pre_activation(model, model.windows([s])) for s in sentences]
+    assert np.array_equal(np.concatenate(single), batched)
+    table, _ = model._table
+    assert table.nbytes > 64 * 2**20
 
 
 def test_encoded_from_gold_ids_gives_the_gold_labels():
