@@ -23,7 +23,7 @@ def main():
     for tree in forest:
         encoded = encode_dynamic(tree)
         aux = {name: make_track(name, tree, encoded) for name in ("n+1", "dist")}
-        corpus.append((encoded.sentence, encoded, aux))
+        corpus.append((encoded, aux))
     print("training corpus: %d trees, e.g." % len(forest))
     print("  " + serialize(forest[0]))
     print()
@@ -33,13 +33,12 @@ def main():
     print()
 
     config = TrainConfig(epochs=40)
-    dev = [(c[0], t) for c, t in zip(corpus, forest)]
-    model = train_mtl(corpus, config, dev=dev)
+    model = train_mtl(corpus, config, dev=forest)
     for h in model.history[::8]:
         print("  epoch %3d  loss %.3f  F1 %.3f" % (h["epoch"], h["loss"], h["dev_f1"]))
     print()
 
-    predictions = [decode(predict_greedy(model, c[0])) for c in corpus]
+    predictions = [decode(predict_greedy(model, enc.sentence)) for enc, _ in corpus]
     score = corpus_bracket_score(forest, predictions)
     print("training-set score: %s" % format_bracket_report(score))
     print()

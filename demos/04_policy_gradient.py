@@ -22,15 +22,12 @@ from treetag import (
 
 def main():
     forest = sample_corpus(7, 120)
-    corpus = []
-    for tree in forest:
-        encoded = encode_dynamic(tree)
-        corpus.append((encoded.sentence, encoded, {}))
+    corpus = [(encode_dynamic(tree), {}) for tree in forest]
 
     # deliberately under-train so fine-tuning has headroom
     config = TrainConfig(epochs=6, hidden_dim=64, word_dim=32, pos_dim=8)
     model = train_mtl(corpus, config)
-    sentences = [c[0] for c in corpus]
+    sentences = [encoded.sentence for encoded, _ in corpus]
 
     def train_f1(m):
         return corpus_bracket_score(
@@ -42,8 +39,7 @@ def main():
     print()
 
     pg_config = PGConfig(epochs=6, seed=1)
-    model, rows = finetune_pg(model, list(zip(sentences, forest)), pg_config,
-                              dev=list(zip(sentences, forest)))
+    model, rows = finetune_pg(model, forest, pg_config, dev=forest)
     print("epoch  mean reward  baseline  entropy   dev F1")
     for row in rows:
         print("  %2d     %.4f     %.4f   %7.2f   %.4f"

@@ -31,7 +31,7 @@ def syntactic_distances(tree, cap=None, walk=None):
     already has it."""
     if cap is not None and cap < 1:
         raise ValueError("distance cap must be >= 1, got %r" % (cap,))
-    _, pairs = boundaries(tree) if walk is None else walk
+    _, _, pairs = boundaries(tree) if walk is None else walk
     return (*(str(p if cap is None else min(p, cap)) for _, _, p in pairs), PAD)
 
 

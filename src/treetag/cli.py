@@ -201,10 +201,9 @@ def cmd_train(args):
     train_corpus, train_aux, _ = seqfile.read_seq(args.train_seq)
     dev_corpus, _, _ = seqfile.read_seq(args.dev_seq)
     config = _config_from(tagging.TrainConfig, args)
-    train = [(enc.sentence, enc, aux) for enc, aux in zip(train_corpus, train_aux)]
-    dev = [(enc.sentence, encodings.decode(enc)) for enc in dev_corpus]
+    dev = [encodings.decode(enc) for enc in dev_corpus]
     try:
-        model = tagging.train_mtl(train, config, dev=dev)
+        model = tagging.train_mtl(list(zip(train_corpus, train_aux)), config, dev=dev)
     except RuntimeError as e:
         raise ValueError("%s: training failed: %s" % (args.train_seq, e)) from e
     tagging.save_model(args.output, model)
@@ -216,11 +215,9 @@ def cmd_train(args):
 
 def cmd_finetune(args):
     model = tagging.load_model(args.checkpoint)
-    train_forest = trees.load_trees(args.train_trees)
-    dev_forest = trees.load_trees(args.dev_trees)
+    train = trees.load_trees(args.train_trees)
+    dev = trees.load_trees(args.dev_trees)
     config = _config_from(pg.PGConfig, args)
-    train = [(trees.Sentence.from_tree(t), t) for t in train_forest]
-    dev = [(trees.Sentence.from_tree(t), t) for t in dev_forest]
     try:
         model, rows = pg.finetune_pg(model, train, config, dev=dev, log_path=args.log)
     except RuntimeError as e:

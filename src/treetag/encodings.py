@@ -21,10 +21,10 @@ Ancestors are counted on the unary-collapsed tree: a chain of
 single-child nonterminals counts as one ``+``-joined node, and a chain
 hanging over a single preterminal moves into ``u``; both are restored on
 decoding.  One walk over the original tree (``boundaries``) follows such
-chains inline and yields, per adjacent word pair, the shared count, the
-label of the node whose consecutive children the pair straddles (the LCA)
-and that node's split priority; the encoders and the distance track both
-read from it.  Nonterminals that would not survive the round trip (empty,
+chains inline and yields the leaves and, per adjacent word pair, the
+shared count, the label of the node whose consecutive children the pair
+straddles (the LCA) and that node's split priority; the encoders and the
+distance track both read from it.  Nonterminals that would not survive the round trip (empty,
 containing ``+`` or ``~``, or equal to ``DUMMY`` or ``NONE``) are rejected
 there with a ValueError.  No walk here recurses, so trees of any depth
 round-trip.
@@ -187,12 +187,13 @@ def _check_label(label):
 def boundaries(tree):
     """Everything the encoders and the distance track read off a tree.
 
-    Returns (u_chains, pairs): one leaf unary chain per leaf (``+``-joined
-    top-down, empty when absent), and for each adjacent leaf pair a triple
-    (shared-ancestor count, LCA label, LCA split priority), all counted on
-    the unary-collapsed tree.  Raises ValueError on a reserved or empty
-    nonterminal label.  Iterative, entering nodes in pre-order.
+    Returns (leaves, u_chains, pairs): the Leaf nodes, each leaf's unary
+    chain (``+``-joined top-down, empty when absent), and for each adjacent
+    leaf pair a triple (shared-ancestor count, LCA label, LCA split
+    priority), counted on the unary-collapsed tree.  Raises ValueError on a
+    reserved or empty nonterminal label.  Iterative, in pre-order.
     """
+    leaves = []
     u_chains = []
     lcas = []  # per adjacent leaf pair, the phrase whose children it straddles
     # open phrases as [children left to visit, label, depth, highest child
@@ -201,7 +202,7 @@ def boundaries(tree):
     frames = []  # the phrases enclosing `phrase`
     while True:
         for node in phrase[0]:
-            if len(u_chains) > phrase[4]:  # not the first child
+            if len(leaves) > phrase[4]:  # not the first child
                 lcas.append(phrase)
             chain = []
             while isinstance(node, Internal) and len(node.children) == 1:
@@ -209,16 +210,17 @@ def boundaries(tree):
                 chain.append(node.label)
                 node = node.children[0]
             if isinstance(node, Leaf):
+                leaves.append(node)
                 u_chains.append(CHAIN_SEP.join(chain))
                 continue
             _check_label(node.label)
             chain.append(node.label)
             frames.append(phrase)
-            phrase = [iter(node.children), CHAIN_SEP.join(chain), len(frames), 0, len(u_chains)]
+            phrase = [iter(node.children), CHAIN_SEP.join(chain), len(frames), 0, len(leaves)]
             break
         else:
             if not frames:
-                return u_chains, [(depth, label, priority) for _, label, depth, priority, _ in lcas]
+                return leaves, u_chains, [(d, label, p) for _, label, d, p, _ in lcas]
             phrase[3] += 1
             priority = phrase[3]
             phrase = frames.pop()
@@ -229,14 +231,15 @@ def boundaries(tree):
 # Encoders.
 
 def _encode(tree, scheme, walk, pick_n):
-    u_chains, pairs = boundaries(tree) if walk is None else walk
+    leaves, u_chains, pairs = boundaries(tree) if walk is None else walk
     labels = []
     prev = 0
     for (count, lca, _), u in zip(pairs, u_chains):
         labels.append(TagLabel(pick_n(count, prev), lca, u))
         prev = count
     labels.append(TagLabel.dummy(u_chains[-1]))
-    return EncodedSentence(Sentence.from_tree(tree), labels, scheme)
+    sentence = Sentence([leaf.word for leaf in leaves], [leaf.pos for leaf in leaves])
+    return EncodedSentence(sentence, labels, scheme)
 
 
 def encode_relative(tree, walk=None):

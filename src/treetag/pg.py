@@ -235,16 +235,17 @@ def adapt_noise(policy, config, std, sentences, rng):
 
 
 def finetune_pg(policy, train, config, dev=None, log_path=None):
-    """Fine-tune `policy` in place on (Sentence, gold Tree) pairs.
+    """Fine-tune `policy` in place on the sentences of gold Trees.
 
     The baseline of every update is the incoming policy's greedy F1 on the
     sentence, scored once for all sentences before the first step.  Per
     epoch the corpus is visited in a seeded shuffled order, in slices of
     NOISE_BATCH sentences; with noise enabled, the noise scale adapts on
-    each slice after its updates.  When `dev` is given its bracketing F1 is
-    evaluated after each epoch.  A TSV log (epoch, mean reward, mean
-    baseline, mean standardized advantage, entropy, dev F1, noise stddev)
-    is written to `log_path` when provided.  Returns (policy, log rows).
+    each slice after its updates.  `dev`, if given (gold Trees too), is
+    scored after each epoch; neither list may be empty.  A TSV log (epoch,
+    mean reward, mean baseline, mean standardized advantage, entropy, dev
+    F1, noise stddev) is written to `log_path` when provided.  Returns
+    (policy, log rows).
     """
     tracker = AdvantageTracker(config.burn_in)
     rng = np.random.default_rng(config.seed)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .encodings import NO_CHAIN, SCHEMES, EncodedSentence, NComponent, TagLabel
 from .encodings import decode_parts, decoded_spans
+from .trees import Sentence
 from . import metrics
 
 MAIN_TASKS = ("n", "c", "u")
@@ -63,15 +64,15 @@ class Vocabularies:
 
     @classmethod
     def build(cls, corpus):
-        """corpus: list of (Sentence, EncodedSentence, {aux name: track})."""
+        """corpus: list of (EncodedSentence, {aux name: track}) pairs."""
         words, pos = set(), set()
         labels = {name: set() for name in MAIN_TASKS}
-        aux_names = sorted(corpus[0][2].keys()) if corpus else []
+        aux_names = sorted(corpus[0][1].keys()) if corpus else []
         for name in aux_names:
             labels[name] = set()
-        for sentence, encoded, aux in corpus:
-            words.update(sentence.words)
-            pos.update(sentence.pos)
+        for encoded, aux in corpus:
+            words.update(encoded.sentence.words)
+            pos.update(encoded.sentence.pos)
             for lab in encoded.labels:
                 for name, part in zip(MAIN_TASKS, lab.parts()):
                     labels[name].add(part)
@@ -345,10 +346,10 @@ class TrainConfig:
 
 def _gold_ids(vocab, corpus):
     """Gold label ids per task over the stacked tokens of a corpus."""
-    parts = zip(*(lab.parts() for _, encoded, _ in corpus for lab in encoded.labels))
+    parts = zip(*(lab.parts() for encoded, _ in corpus for lab in encoded.labels))
     gold = {name: vocab.label_ids(name, tokens) for name, tokens in zip(MAIN_TASKS, parts)}
     for name in vocab.aux_tasks:
-        gold[name] = vocab.label_ids(name, [v for _, _, aux in corpus for v in aux[name]])
+        gold[name] = vocab.label_ids(name, [v for _, aux in corpus for v in aux[name]])
     return gold
 
 
@@ -378,56 +379,53 @@ def _chunks(lengths):
         yield start, len(lengths)
 
 
-def mtl_loss(model, corpus, beta=None):
-    """Mean per-token loss over a corpus, split into components.
+def mtl_loss(model, corpus):
+    """Mean per-token loss over (EncodedSentence, aux dict) pairs.
 
     Returns (total, components) where components maps each task to its
-    per-token mean cross-entropy and total equals
-    components[n] + components[c] + components[u] + beta * sum(aux).
+    per-token mean cross-entropy and total equals components[n] +
+    components[c] + components[u] + model.config.aux_weight * sum(aux).
     """
-    if beta is None:
-        beta = model.config.aux_weight
     sums = {name: 0.0 for name in model.tasks}
     tokens = 0
-    for start, stop in _chunks([len(s) for s, _, _ in corpus]):
+    for start, stop in _chunks([len(encoded) for encoded, _ in corpus]):
         part = corpus[start:stop]
-        cache = model.forward(model.windows([s for s, _, _ in part]))
+        cache = model.forward(model.windows([encoded.sentence for encoded, _ in part]))
         losses, _ = task_losses(cache, _gold_ids(model.vocab, part))
         for name, value in losses.items():
             sums[name] += value
         tokens += len(cache["h"])
     components = {name: value / tokens for name, value in sums.items()}
     total = sum(components[name] for name in MAIN_TASKS)
-    total += beta * sum(components[name] for name in model.vocab.aux_tasks)
+    total += model.config.aux_weight * sum(components[name] for name in model.vocab.aux_tasks)
     return total, components
 
 
 def train_mtl(corpus, config, dev=None):
-    """Train a tagger on (Sentence, EncodedSentence, aux dict) triples.
+    """Train a tagger on (EncodedSentence, aux dict) pairs.
 
     Mini-batch SGD with momentum on the summed cross-entropy of all heads
     (auxiliary heads weighted by config.aux_weight), normalised per token,
     with the learning rate decayed linearly in the epoch count.  Each
     mini-batch is one forward and one backward over the stacked tokens of
-    its sentences.  When `dev` (a list of (Sentence, gold Tree) pairs) is
-    given, each epoch's greedy predictions are decoded and scored, and the
+    its sentences.  When `dev` (a non-empty list of gold Trees) is given,
+    each epoch's greedy predictions on its sentences are scored, and the
     parameters with the best dev bracketing F1 are returned.
     """
     if not corpus:
         raise ValueError("empty training corpus")
     vocab = Vocabularies.build(corpus)
-    scheme = corpus[0][1].scheme
+    scheme = corpus[0][0].scheme
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     model = TaggerModel(vocab, config, scheme, rng=np.random.default_rng(seeds[0]))
     shuffle_rng = np.random.default_rng(seeds[1])
     dropout_rng = np.random.default_rng(seeds[2])
 
-    windows = model.windows([sentence for sentence, _, _ in corpus])
+    windows = model.windows([encoded.sentence for encoded, _ in corpus])
     if dev is not None:
         dev = with_gold_spans(dev)
     gold = _gold_ids(vocab, corpus)
-    ends = np.cumsum([len(sentence) for sentence, _, _ in corpus])
-    beta = config.aux_weight
+    ends = np.cumsum([len(encoded) for encoded, _ in corpus])
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
     best_f1 = -1.0
     best_params = None
@@ -445,7 +443,7 @@ def train_mtl(corpus, config, dev=None):
             cache = model.forward(windows[rows], dropout_rng=dropout_rng)
             losses, dlogits = task_losses(cache, {name: ids[rows] for name, ids in gold.items()})
             for name in dlogits:
-                w = 1.0 if name in MAIN_TASKS else beta
+                w = 1.0 if name in MAIN_TASKS else config.aux_weight
                 dlogits[name] *= w / len(rows)
                 epoch_loss += w * losses[name]
             for k, g in model.backward(cache, dlogits).items():
@@ -473,10 +471,12 @@ def train_mtl(corpus, config, dev=None):
     return model
 
 
-def with_gold_spans(pairs):
-    """(Sentence, gold Tree) pairs as (Sentence, gold labeled spans) pairs,
-    so each gold tree is walked once however often it is scored."""
-    return [(sentence, metrics.labeled_spans(tree)) for sentence, tree in pairs]
+def with_gold_spans(trees):
+    """The (Sentence, labeled spans) pair of each gold tree, taken once
+    however often it is scored; no trees (F1 0 or NaN) is a ValueError."""
+    if not trees:
+        raise ValueError("no gold trees to score against")
+    return [(Sentence.from_tree(tree), metrics.labeled_spans(tree)) for tree in trees]
 
 
 def greedy_scores(model, pairs):

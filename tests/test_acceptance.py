@@ -6,6 +6,7 @@ shared module-scoped fixtures, so the whole file runs in a few minutes.
 """
 
 import copy
+import dataclasses
 import math
 import os
 import time
@@ -26,7 +27,7 @@ from treetag.encodings import (
 )
 from treetag.auxtracks import PAD, make_track, syntactic_distances
 from treetag.metrics import bracket_score, corpus_bracket_score, label_space_stats
-from treetag.tagger import TrainConfig, mtl_loss, predict_greedy, train_mtl
+from treetag.tagger import TaggerModel, TrainConfig, mtl_loss, predict_greedy, train_mtl
 from treetag.pg import AdvantageTracker, PGConfig, estimate_policy_gradient, finetune_pg
 
 from test_encodings import oracle_pairs, oracle_paths
@@ -61,16 +62,15 @@ def training_setup():
     for t in forest:
         enc = encode_dynamic(t)
         aux = {name: make_track(name, t, enc) for name in ("n+1", "dist")}
-        corpus.append((enc.sentence, enc, aux))
+        corpus.append((enc, aux))
     return forest, corpus
 
 
 @pytest.fixture(scope="module")
 def trained(training_setup):
     forest, corpus = training_setup
-    dev = [(c[0], t) for c, t in zip(corpus, forest)]
     start = time.time()
-    model = train_mtl(corpus, TrainConfig(), dev=dev)
+    model = train_mtl(corpus, TrainConfig(), dev=forest)
     return model, time.time() - start
 
 
@@ -148,12 +148,12 @@ def test_syntactic_distances_oracle():
 def test_gradient_check():
     with criterion("gradient check"):
         from treetag.trees import parse_bracketed
-        from treetag.tagger import TaggerModel, Vocabularies
+        from treetag.tagger import Vocabularies
 
         (t,) = parse_bracketed("(S (NP (DT the) (NN dog)) (VB runs))")
         enc = encode_dynamic(t)
         aux = {name: make_track(name, t, enc) for name in ("n+1", "dist")}
-        instance = (enc.sentence, enc, aux)
+        instance = (enc, aux)
         vocab = Vocabularies.build([instance])
         model = TaggerModel(vocab, tiny_config(), "dynamic")
         grads = analytic_grads(model, instance)
@@ -183,8 +183,8 @@ def test_desk_scale_learning(training_setup, trained):
         model, train_time = trained
         correct = total = 0
         decoded = []
-        for sentence, encoded, _ in corpus:
-            pred = predict_greedy(model, sentence)
+        for encoded, _ in corpus:
+            pred = predict_greedy(model, encoded.sentence)
             for g, p in zip(encoded.labels, pred.labels):
                 correct += g == p
                 total += 1
@@ -203,7 +203,9 @@ def test_mtl_loss_composition(training_setup, trained):
         _, corpus = training_setup
         model, _ = trained
         for beta in (0.0, 0.1):
-            total, parts = mtl_loss(model, corpus[:40], beta=beta)
+            config = dataclasses.replace(model.config, aux_weight=beta)
+            weighted = TaggerModel(model.vocab, config, model.scheme, params=model.params)
+            total, parts = mtl_loss(weighted, corpus[:40])
             expected = parts["n"] + parts["c"] + parts["u"]
             expected += beta * sum(parts[k] for k in parts if k not in ("n", "c", "u"))
             assert abs(total - expected) <= 1e-9
@@ -233,15 +235,14 @@ def test_pg_non_deterioration(training_setup, trained):
         forest, corpus = training_setup
         model, _ = trained
         policy = copy.deepcopy(model)
-        sentences = [c[0] for c in corpus]
+        sentences = [enc.sentence for enc, _ in corpus]
         decoded = [decode(predict_greedy(model, s)) for s in sentences]
         before_f1 = corpus_bracket_score(forest, decoded).f1
         # the baseline is the incoming model's greedy F1 per sentence
         baseline = np.mean([bracket_score(t, tree).f1 for t, tree in zip(forest, decoded)])
 
-        train = list(zip(sentences, forest))
         config = PGConfig()  # samples=8, lr=5e-4, entropy 0.01, 10 epochs
-        policy, rows = finetune_pg(policy, train, config)
+        policy, rows = finetune_pg(policy, forest, config)
 
         after_f1 = corpus_bracket_score(
             forest, [decode(predict_greedy(policy, s)) for s in sentences]

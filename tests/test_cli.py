@@ -336,7 +336,7 @@ def test_distance_cap_without_dist_track_is_usage_error(tmp_path, forest_file, c
 @pytest.mark.parametrize("scheme", ["relative", "absolute", "dynamic"])
 @pytest.mark.parametrize("cap", [None, 3])
 def test_encode_shares_one_walk_per_tree(tmp_path, monkeypatch, scheme, cap):
-    from treetag import auxtracks, encodings
+    from treetag import auxtracks, encodings, trees
     from treetag.seqfile import write_seq
     from treetag.trees import random_tree
 
@@ -360,10 +360,15 @@ def test_encode_shares_one_walk_per_tree(tmp_path, monkeypatch, scheme, cap):
 
     monkeypatch.setattr(encodings, "boundaries", counting)
     monkeypatch.setattr(auxtracks, "boundaries", counting)
+    # the words come from the same walk, not from a second one
+    leaf_walks = []
+    walk_leaves = trees.leaves
+    monkeypatch.setattr(trees, "leaves", lambda tree: leaf_walks.append(tree) or walk_leaves(tree))
     out = tmp_path / "out.seq"
     argv = ["encode", str(path), str(out), "--scheme", scheme, "--aux", "n+1", "--aux", "dist"]
     assert run(argv + (["--distance-cap", str(cap)] if cap else [])) == 0
     assert calls == forest
+    assert leaf_walks == []
     assert out.read_bytes() == expected.read_bytes()
 
 

@@ -100,7 +100,7 @@ def random_forest(n, max_leaves=20, max_depth=10, seed0=0):
 
 def common_ancestors(tree, t):
     """Shared-ancestor count and LCA label of the pair (word t, word t+1)."""
-    return boundaries(tree)[1][t - 1][:2]
+    return boundaries(tree)[2][t - 1][:2]
 
 
 def test_common_ancestors_three_leaf():
@@ -117,16 +117,16 @@ def test_common_ancestors_root_only():
 def test_common_ancestors_out_of_range():
     # one pair per pair of adjacent words, and none for a single word
     (t,) = parse_bracketed("(X (A a) (B b))")
-    assert len(boundaries(t)[1]) == 1
+    assert len(boundaries(t)[2]) == 1
     (t,) = parse_bracketed("(X (Y (A a)))")
-    assert boundaries(t) == (["X+Y"], [])
+    assert boundaries(t) == ([Leaf("A", "a")], ["X+Y"], [])
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_common_ancestors_matches_oracle(seed):
     t = random_tree(seed, 15, 9, ALPHABET)
     expected = oracle_pairs(t)
-    assert len(boundaries(t)[1]) == len(expected)
+    assert len(boundaries(t)[2]) == len(expected)
     for i, pair in enumerate(expected, start=1):
         assert common_ancestors(t, i) == pair
 

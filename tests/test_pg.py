@@ -36,6 +36,7 @@ from treetag.tagger import (
     predict_greedy,
     spans_from_ids,
     train_mtl,
+    with_gold_spans,
 )
 from treetag import pg
 from treetag.pg import (
@@ -81,10 +82,10 @@ def toy_policy(u_labels=("",), seed=5):
     """
     sentence = Sentence(("a", "b"), ("PA", "PB"))
     labels = [TagLabel(NComponent(RELATIVE, 1), "S", u_labels[0]), TagLabel.dummy()]
-    corpus = [(sentence, EncodedSentence(sentence, labels, RELATIVE), {})]
+    corpus = [(EncodedSentence(sentence, labels, RELATIVE), {})]
     for extra in u_labels[1:]:
         lab2 = [TagLabel(NComponent(RELATIVE, 1), "S", extra), TagLabel.dummy()]
-        corpus.append((sentence, EncodedSentence(sentence, lab2, RELATIVE), {}))
+        corpus.append((EncodedSentence(sentence, lab2, RELATIVE), {}))
     vocab = Vocabularies.build(corpus)
     config = TrainConfig(word_dim=4, pos_dim=3, hidden_dim=6, window=1,
                          dropout=0.0, seed=seed)
@@ -178,7 +179,7 @@ def test_reward_of_a_deep_climb_is_a_score():
     # out the 2,999 unlabelled ones, so the reward is a score, not an error
     sentence = Sentence(("a", "b"), ("PA", "PB"))
     labels = [TagLabel(NComponent(ABSOLUTE, 3000), "S"), TagLabel.dummy()]
-    corpus = [(sentence, EncodedSentence(sentence, labels, DYNAMIC), {})]
+    corpus = [(EncodedSentence(sentence, labels, DYNAMIC), {})]
     vocab = Vocabularies.build(corpus)
     model = TaggerModel(vocab, TrainConfig(word_dim=4, pos_dim=3, hidden_dim=6, window=1),
                         DYNAMIC)
@@ -380,7 +381,7 @@ def test_frozen_layers_and_baseline_untouched():
     corpus = []
     for t in forest:
         enc = encode_relative(t)
-        corpus.append((enc.sentence, enc, {}))
+        corpus.append((enc, {}))
     model = train_mtl(corpus, TrainConfig(word_dim=8, pos_dim=4, hidden_dim=12,
                                           window=1, dropout=0.0, epochs=3, seed=2))
     baseline = copy.deepcopy(model)
@@ -389,8 +390,9 @@ def test_frozen_layers_and_baseline_untouched():
     config = PGConfig(samples=2, learning_rate=0.001, seed=17, epochs=2)
     tracker = AdvantageTracker(config.burn_in)
     rng = np.random.default_rng(17)
-    for sentence, _, _ in corpus:
-        gold = forest[[c[0] for c in corpus].index(sentence)]
+    sentences = [enc.sentence for enc, _ in corpus]
+    for sentence in sentences:
+        gold = forest[sentences.index(sentence)]
         pg_update(model, sentence, labeled_spans(gold), greedy_reward(baseline, sentence, gold),
                   config, tracker, rng)
     for k in emb_before:
@@ -451,13 +453,12 @@ def test_finetune_runs_and_logs(tmp_path):
     corpus = []
     for t in forest:
         enc = encode_relative(t)
-        corpus.append((enc.sentence, enc, {}))
+        corpus.append((enc, {}))
     model = train_mtl(corpus, TrainConfig(word_dim=8, pos_dim=4, hidden_dim=12,
                                           window=1, dropout=0.0, epochs=5, seed=4))
-    train = [(c[0], t) for c, t in zip(corpus, forest)]
     config = PGConfig(samples=2, epochs=2, seed=3)
     log = tmp_path / "pg.tsv"
-    model, rows = finetune_pg(model, train, config, dev=train, log_path=str(log))
+    model, rows = finetune_pg(model, forest, config, dev=forest, log_path=str(log))
     assert len(rows) == 2
     lines = log.read_text().splitlines()
     assert lines[0].split("\t") == [
@@ -474,10 +475,11 @@ def small_trained_policy():
     corpus = []
     for t in forest:
         enc = encode_relative(t)
-        corpus.append((enc.sentence, enc, {}))
+        corpus.append((enc, {}))
     model = train_mtl(corpus, TrainConfig(word_dim=8, pos_dim=4, hidden_dim=12,
                                           window=1, dropout=0.0, epochs=3, seed=2))
-    sentence, gold = max(zip([c[0] for c in corpus], forest), key=lambda p: len(p[0]))
+    sentence, gold = max(zip([enc.sentence for enc, _ in corpus], forest),
+                         key=lambda p: len(p[0]))
     return model, sentence, gold
 
 
@@ -561,11 +563,10 @@ def test_finetune_scores_baseline_once(monkeypatch):
 
     model, _, _ = small_trained_policy()
     forest = sample_corpus(21, 10)
-    train = [(encode_relative(t).sentence, t) for t in forest]
-    expected = [tree_reward(predict_greedy(model, s), t) for s, t in train]
+    expected = [tree_reward(predict_greedy(model, Sentence.from_tree(t)), t) for t in forest]
     calls = []
     monkeypatch.setattr(pg, "greedy_scores", lambda *a: calls.append(a) or greedy_scores(*a))
-    _, rows = finetune_pg(model, train, PGConfig(samples=2, epochs=2, seed=3))
+    _, rows = finetune_pg(model, forest, PGConfig(samples=2, epochs=2, seed=3))
     assert len(calls) == 1
     for row in rows:
         assert row["baseline"] == pytest.approx(np.mean(expected), abs=1e-12)
@@ -573,8 +574,10 @@ def test_finetune_scores_baseline_once(monkeypatch):
 
 def test_noise_adapts_on_each_slice_of_updated_sentences(monkeypatch):
     model, _, _ = small_trained_policy()
-    train = [(encode_relative(t).sentence, t) for t in sample_corpus(21, 19)]
-    index = {id(sentence): i for i, (sentence, _) in enumerate(train)}
+    forest = sample_corpus(21, 19)
+    scored = with_gold_spans(forest)  # the pairs finetune_pg walks, shared to compare by id
+    monkeypatch.setattr(pg, "with_gold_spans", lambda trees: scored)
+    index = {id(sentence): i for i, (sentence, _) in enumerate(scored)}
     update, adapt = pg.pg_update, pg.adapt_noise
     events = []  # the index of each updated sentence; a list per adaptation
     monkeypatch.setattr(pg, "pg_update", lambda policy, sentence, *a:
@@ -583,7 +586,7 @@ def test_noise_adapts_on_each_slice_of_updated_sentences(monkeypatch):
                         events.append([index[id(s)] for s in sentences])
                         or adapt(policy, config, std, sentences, rng))
     config = PGConfig(samples=2, epochs=2, seed=3, noise_enabled=True)
-    finetune_pg(model, train, config)
+    finetune_pg(model, forest, config)
 
     slices, updated = [], []
     for event in events:
@@ -598,3 +601,13 @@ def test_noise_adapts_on_each_slice_of_updated_sentences(monkeypatch):
     epochs = [updated[:19], updated[19:]]
     assert all(sorted(order) == list(range(19)) for order in epochs)
     assert epochs[0] != list(range(19)) and epochs[0] != epochs[1]
+
+
+@pytest.mark.parametrize("empty", ["train", "dev"])
+def test_finetune_rejects_an_empty_gold_set(empty):
+    # no training trees gave all-NaN log rows; no dev trees, a dev F1 of 0
+    model, _, _ = small_trained_policy()
+    forest = sample_corpus(21, 4)
+    train, dev = ([], forest) if empty == "train" else (forest, [])
+    with pytest.raises(ValueError, match="^no gold trees to score against$"):
+        finetune_pg(model, train, PGConfig(samples=2, epochs=1, seed=3), dev=dev)

@@ -56,7 +56,7 @@ def tiny_corpus(n=6, aux_names=("n+1", "dist"), cap=None):
     for t in forest:
         enc = encode_dynamic(t)
         aux = {name: make_track(name, t, enc, cap=cap) for name in aux_names}
-        corpus.append((enc.sentence, enc, aux))
+        corpus.append((enc, aux))
     return forest, corpus
 
 
@@ -136,8 +136,8 @@ def test_input_dim_r0():
     vocab = Vocabularies.build(corpus)
     cfg = tiny_config(window=0)
     model = TaggerModel(vocab, cfg, "dynamic")
-    X = model.forward(model.windows([corpus[0][0]]))["X"]
-    assert X.shape == (len(corpus[0][0]), cfg.word_dim + cfg.pos_dim)
+    X = model.forward(model.windows([corpus[0][0].sentence]))["X"]
+    assert X.shape == (len(corpus[0][0].sentence), cfg.word_dim + cfg.pos_dim)
 
 
 def test_input_dim_windowed():
@@ -145,7 +145,7 @@ def test_input_dim_windowed():
     vocab = Vocabularies.build(corpus)
     cfg = tiny_config(window=2)
     model = TaggerModel(vocab, cfg, "dynamic")
-    X = model.forward(model.windows([corpus[0][0]]))["X"]
+    X = model.forward(model.windows([corpus[0][0].sentence]))["X"]
     assert X.shape[1] == 5 * (cfg.word_dim + cfg.pos_dim)
 
 
@@ -166,7 +166,7 @@ def test_probabilities_sum_to_one():
     _, corpus = tiny_corpus()
     vocab = Vocabularies.build(corpus)
     model = TaggerModel(vocab, tiny_config(), "dynamic")
-    cache = model.forward(model.windows([corpus[0][0]]))
+    cache = model.forward(model.windows([corpus[0][0].sentence]))
     for name in model.tasks:
         np.testing.assert_allclose(_softmax(cache["logits"][name]).sum(axis=1), 1.0, atol=1e-9)
 
@@ -178,7 +178,7 @@ def test_zero_heads_give_uniform():
     for name in model.tasks:
         model.params["W_" + name][:] = 0.0
         model.params["b_" + name][:] = 0.0
-    cache = model.forward(model.windows([corpus[0][0]]))
+    cache = model.forward(model.windows([corpus[0][0].sentence]))
     for name in model.tasks:
         k = cache["logits"][name].shape[1]
         np.testing.assert_allclose(_softmax(cache["logits"][name]), 1.0 / k, atol=1e-12)
@@ -190,13 +190,13 @@ def test_nonfinite_parameters_fault():
     model = TaggerModel(vocab, tiny_config(), "dynamic")
     model.params["W1"][0, 0] = np.nan
     with pytest.raises(RuntimeError):
-        model.forward(model.windows([corpus[0][0]]))
+        model.forward(model.windows([corpus[0][0].sentence]))
 
 
 def test_nonfinite_head_faults_prediction():
     # one message, from forward, for every path that runs a head
     _, corpus = tiny_corpus()
-    sentences = [s for s, _, _ in corpus]
+    sentences = [enc.sentence for enc, _ in corpus]
     for head in ("u", "n"):
         model = TaggerModel(Vocabularies.build(corpus), tiny_config(), "dynamic")
         model.params["W_" + head][:, 0] = np.nan
@@ -210,7 +210,7 @@ def test_nonfinite_head_faults_prediction():
 def test_forward_cache_holds_logits_not_probabilities():
     _, corpus = tiny_corpus()
     model = TaggerModel(Vocabularies.build(corpus), tiny_config(), "dynamic")
-    cache = model.forward(model.windows([corpus[0][0]]))
+    cache = model.forward(model.windows([corpus[0][0].sentence]))
     assert set(cache) == {"windows", "X", "h_raw", "h", "mask", "logits"}
     assert set(cache["logits"]) == set(model.tasks)
 
@@ -219,7 +219,7 @@ def test_hard_sharing_head_independence():
     _, corpus = tiny_corpus()
     vocab = Vocabularies.build(corpus)
     model = TaggerModel(vocab, tiny_config(), "dynamic")
-    windows = model.windows([corpus[0][0]])
+    windows = model.windows([corpus[0][0].sentence])
     before = _softmax(model.forward(windows)["logits"]["n"])
     model.params["W_c"] += 0.5
     model.params["b_c"] -= 0.25
@@ -231,7 +231,7 @@ def test_argmax_invariant_under_logit_shift():
     _, corpus = tiny_corpus()
     vocab = Vocabularies.build(corpus)
     model = TaggerModel(vocab, tiny_config(), "dynamic")
-    s = corpus[0][0]
+    s = corpus[0][0].sentence
     base = predict_greedy(model, s)
     # adding a constant to all logits of one token == shifting head bias
     model.params["b_n"] += 3.7
@@ -245,7 +245,8 @@ def test_argmax_invariant_under_logit_shift():
 
 def analytic_grads(model, *instances, dropout_rng=None):
     # one forward/backward over the stacked tokens of all instances
-    cache = model.forward(model.windows([s for s, _, _ in instances]), dropout_rng=dropout_rng)
+    windows = model.windows([enc.sentence for enc, _ in instances])
+    cache = model.forward(windows, dropout_rng=dropout_rng)
     _, dlogits = task_losses(cache, _gold_ids(model.vocab, instances))
     beta = model.config.aux_weight
     for name in dlogits:
@@ -256,7 +257,7 @@ def analytic_grads(model, *instances, dropout_rng=None):
 
 def summed_loss(model, *instances):
     # un-normalised loss of the instances (matches analytic_grads)
-    cache = model.forward(model.windows([s for s, _, _ in instances]))
+    cache = model.forward(model.windows([enc.sentence for enc, _ in instances]))
     losses, _ = task_losses(cache, _gold_ids(model.vocab, instances))
     beta = model.config.aux_weight
     total = sum(losses[n] for n in MAIN_TASKS)
@@ -288,7 +289,7 @@ def test_gradients_match_finite_differences():
     (t,) = parse_bracketed("(S (NP (DT the) (NN dog)) (VB runs))")
     enc = encode_dynamic(t)
     aux = {name: make_track(name, t, enc) for name in ("n+1", "dist")}
-    instance = (enc.sentence, enc, aux)
+    instance = (enc, aux)
     vocab = Vocabularies.build([instance])
     model = TaggerModel(vocab, tiny_config(), "dynamic")
     assert_gradients_match_finite_differences(model, [instance])
@@ -299,7 +300,7 @@ def test_batched_gradients_match_finite_differences():
     for text in ("(S (NP (DT the) (NN dog)) (VB runs))", "(S (NN cats) (VP (VB sleep) (RB now)))"):
         (t,) = parse_bracketed(text)
         enc = encode_dynamic(t)
-        instances.append((enc.sentence, enc, {name: make_track(name, t, enc) for name in ("n+1", "dist")}))
+        instances.append((enc, {name: make_track(name, t, enc) for name in ("n+1", "dist")}))
     vocab = Vocabularies.build(instances)
     model = TaggerModel(vocab, tiny_config(hidden_dim=5), "dynamic")
     assert_gradients_match_finite_differences(model, instances)
@@ -324,7 +325,7 @@ def test_backward_skips_frozen_and_missing_heads():
     _, corpus = tiny_corpus()
     vocab = Vocabularies.build(corpus)
     model = TaggerModel(vocab, tiny_config(), "dynamic")
-    cache = model.forward(model.windows([corpus[0][0]]), heads=("n",))
+    cache = model.forward(model.windows([corpus[0][0].sentence]), heads=("n",))
     assert set(cache["logits"]) == {"n"}
     dlogits = {"n": _softmax(cache["logits"]["n"])}
     grads = model.backward(cache, dlogits, frozen=("E_word", "E_pos"))
@@ -345,7 +346,7 @@ def test_embedding_gradients_equal_row_scatter_bytes():
     _, corpus = tiny_corpus(n=4)
     model = TaggerModel(Vocabularies.build(corpus), tiny_config(window=2), "dynamic")
     instances = corpus * 3
-    cache = model.forward(model.windows([s for s, _, _ in instances]))
+    cache = model.forward(model.windows([enc.sentence for enc, _ in instances]))
     _, dlogits = task_losses(cache, _gold_ids(model.vocab, instances))
     grads = model.backward(cache, dlogits)
     P = model.params
@@ -372,7 +373,7 @@ def repeated_instances(copies=22):
     # one 3-word sentence stacked `copies` times: few distinct ids
     (t,) = parse_bracketed("(S (NP (DT the) (NN dog)) (VB runs))")
     enc = encode_dynamic(t)
-    instance = (enc.sentence, enc, {name: make_track(name, t, enc) for name in ("n+1", "dist")})
+    instance = (enc, {name: make_track(name, t, enc) for name in ("n+1", "dist")})
     return [instance] * copies
 
 
@@ -393,7 +394,8 @@ def test_pre_activation_adds_b1_then_the_slots_in_order(batch):
     _, corpus = tiny_corpus(n=12)
     model = train_mtl(corpus, tiny_config(window=2, epochs=1))
     assert np.abs(model.params["b1"]).min() > 0
-    sentences = [s for s, _, _ in corpus] if batch == "corpus" else [Sentence(("dog",), ("NN",))]
+    sentences = ([enc.sentence for enc, _ in corpus] if batch == "corpus"
+                 else [Sentence(("dog",), ("NN",))])
     windows = model.windows(sentences)
     P, W = model.params, windows.shape[1] // 2
     blocks = np.split(P["W1"], np.cumsum([model.config.word_dim] * W
@@ -410,7 +412,7 @@ def test_projected_and_direct_pre_activations_agree(batch):
     _, corpus = tiny_corpus(n=12)
     model = TaggerModel(Vocabularies.build(corpus), tiny_config(window=2), "dynamic")
     if batch == "repeated":
-        windows = model.windows([s for s, _, _ in corpus])
+        windows = model.windows([enc.sentence for enc, _ in corpus])
     else:
         words = tuple(sorted(model.vocab.word2id)[3:])
         windows = model.windows([Sentence(words, ("NN",) * len(words))])
@@ -429,7 +431,7 @@ def test_nonfinite_w1_faults_training_and_every_prediction():
     instances = repeated_instances()
     model = TaggerModel(Vocabularies.build(instances[:1]), tiny_config(), "dynamic")
     model.params["W1"][0, 0] = np.nan
-    sentences = [s for s, _, _ in instances]
+    sentences = [enc.sentence for enc, _ in instances]
     pairs = [(s, frozenset()) for s in sentences]
     for call in (lambda: model.forward(model.windows(sentences)),
                  lambda: predict_greedy(model, sentences[0]),
@@ -471,7 +473,7 @@ def assert_table_matches_params(model, windows):
 def test_stale_table_is_never_read(monkeypatch, tmp_path, change):
     forest, corpus = tiny_corpus(n=8)
     windows = TaggerModel(Vocabularies.build(corpus), tiny_config(), "dynamic").windows(
-        [s for s, _, _ in corpus])
+        [enc.sentence for enc, _ in corpus])
     if change in ("train_step", "best_params"):
         # one step per epoch; each dev evaluation builds the table, which
         # the next step and, with the first epoch scored best, the final
@@ -486,8 +488,7 @@ def test_stale_table_is_never_read(monkeypatch, tmp_path, change):
             return next(scores)
 
         monkeypatch.setattr(tagger, "_dev_f1", checked_dev_f1)
-        dev = [(s, t) for (s, _, _), t in zip(corpus, forest)]
-        model = train_mtl(corpus, tiny_config(epochs=3, batch_size=len(corpus)), dev=dev)
+        model = train_mtl(corpus, tiny_config(epochs=3, batch_size=len(corpus)), dev=forest)
         assert len(model.history) == 3
     else:
         model = train_mtl(corpus, tiny_config(epochs=2))
@@ -496,7 +497,7 @@ def test_stale_table_is_never_read(monkeypatch, tmp_path, change):
         if change == "pg_update":
             config = pg.PGConfig(samples=2, learning_rate=0.5, seed=1)
             before = model.params["W1"].copy()
-            pg.pg_update(model, corpus[0][0], labeled_spans(forest[0]), 0.0, config,
+            pg.pg_update(model, corpus[0][0].sentence, labeled_spans(forest[0]), 0.0, config,
                          pg.AdvantageTracker(0), np.random.default_rng(1))
             assert not np.array_equal(model.params["W1"], before)
         elif change == "b1_update":
@@ -532,7 +533,7 @@ def test_encoded_from_gold_ids_gives_the_gold_labels():
     assert "" in model.vocab.u_chains
     for instance in corpus:
         ids = _gold_ids(model.vocab, [instance])
-        assert tagger.encoded_from_ids(model, instance[0], ids) == instance[1]
+        assert tagger.encoded_from_ids(model, instance[0].sentence, ids) == instance[0]
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +544,7 @@ def test_loss_composition(beta):
     _, corpus = tiny_corpus()
     vocab = Vocabularies.build(corpus)
     model = TaggerModel(vocab, tiny_config(aux_weight=beta), "dynamic")
-    total, parts = mtl_loss(model, corpus, beta=beta)
+    total, parts = mtl_loss(model, corpus)
     expected = parts["n"] + parts["c"] + parts["u"]
     expected += beta * sum(parts[name] for name in vocab.aux_tasks)
     assert abs(total - expected) <= 1e-9
@@ -552,8 +553,8 @@ def test_loss_composition(beta):
 def test_loss_beta_zero_drops_aux():
     _, corpus = tiny_corpus()
     vocab = Vocabularies.build(corpus)
-    model = TaggerModel(vocab, tiny_config(), "dynamic")
-    total, parts = mtl_loss(model, corpus, beta=0.0)
+    model = TaggerModel(vocab, tiny_config(aux_weight=0.0), "dynamic")
+    total, parts = mtl_loss(model, corpus)
     assert total == pytest.approx(parts["n"] + parts["c"] + parts["u"])
 
 
@@ -562,7 +563,7 @@ def test_singleton_task_vocab_zero_entropy():
     # cross-entropy is exactly zero
     (t,) = parse_bracketed("(S (A a) (B b))")
     enc = encode_relative(t)
-    corpus = [(enc.sentence, enc, {})]
+    corpus = [(enc, {})]
     vocab = Vocabularies.build(corpus)
     assert len(vocab.tasks["u"]) == 1
     model = TaggerModel(vocab, tiny_config(), "relative")
@@ -576,6 +577,13 @@ def test_singleton_task_vocab_zero_entropy():
 def test_train_empty_corpus_rejected():
     with pytest.raises(ValueError):
         train_mtl([], tiny_config())
+
+
+def test_train_empty_dev_rejected():
+    # no dev trees would score F1 0 at every epoch and keep epoch 0's parameters
+    _, corpus = tiny_corpus()
+    with pytest.raises(ValueError, match="^no gold trees to score against$"):
+        train_mtl(corpus, tiny_config(epochs=2), dev=[])
 
 
 BAD_SETTINGS = [
@@ -628,7 +636,7 @@ def test_loss_decreases_early():
 def test_memorizes_repeated_tree():
     (t,) = parse_bracketed("(S (NP (DT the) (NN dog)) (VP (VB chases) (NP (DT a) (NN cat))))")
     enc = encode_relative(t)
-    corpus = [(enc.sentence, enc, {})] * 8
+    corpus = [(enc, {})] * 8
     cfg = tiny_config(epochs=200, learning_rate=0.1, dropout=0.0,
                       hidden_dim=16, word_dim=8, pos_dim=4)
     model = train_mtl(corpus, cfg)
@@ -640,18 +648,18 @@ def test_memorizes_repeated_tree():
 def test_predict_deterministic_and_decodable():
     _, corpus = tiny_corpus()
     model = train_mtl(corpus, tiny_config(epochs=2))
-    s = corpus[0][0]
+    s = corpus[0][0].sentence
     assert predict_greedy(model, s).labels == predict_greedy(model, s).labels
     # random parameters still yield decodable output
     fresh = TaggerModel(model.vocab, tiny_config(seed=99), "dynamic")
-    for sentence, _, _ in corpus:
+    for sentence in (enc.sentence for enc, _ in corpus):
         decode(predict_greedy(fresh, sentence))
 
 
 def test_predict_corpus_order_and_batching(monkeypatch):
     _, corpus = tiny_corpus(n=7)
     model = train_mtl(corpus, tiny_config(epochs=2))
-    sentences = [c[0] for c in corpus]
+    sentences = [enc.sentence for enc, _ in corpus]
     words = [w for s in sentences for w in s.words] * 8
     pos = [p for s in sentences for p in s.pos] * 8
     long = Sentence(tuple(words), tuple(pos))
@@ -670,7 +678,7 @@ def test_predict_corpus_order_and_batching(monkeypatch):
 def test_predict_trees_runs_one_forward_per_chunk(monkeypatch):
     _, corpus = tiny_corpus(n=12)
     model = TaggerModel(Vocabularies.build(corpus), tiny_config(), "dynamic")
-    sentences = [s for s, _, _ in corpus]
+    sentences = [enc.sentence for enc, _ in corpus]
     lengths = [len(s) for s in sentences]
     monkeypatch.setattr(tagger, "TOKEN_BUDGET", max(max(lengths), sum(lengths) // 3))
     chunks = list(tagger._chunks(lengths))
@@ -708,17 +716,16 @@ def test_predicted_ids_are_the_argmax_of_probabilities(seed):
 
 def test_dev_selection_keeps_best():
     forest, corpus = tiny_corpus(n=12)
-    dev = [(c[0], t) for c, t in zip(corpus, forest)]
-    model = train_mtl(corpus, tiny_config(epochs=8), dev=dev)
+    model = train_mtl(corpus, tiny_config(epochs=8), dev=forest)
     assert all("dev_f1" in h for h in model.history)
     best = max(h["dev_f1"] for h in model.history)
-    preds = [decode(predict_greedy(model, c[0])) for c in corpus]
+    preds = [decode(predict_greedy(model, enc.sentence)) for enc, _ in corpus]
     assert corpus_bracket_score(forest, preds).f1 == pytest.approx(best)
 
 
 def test_distance_cap_limits_aux_vocab():
     _, corpus = tiny_corpus(n=20, aux_names=("dist",))
-    raw = {v for _, _, aux in corpus for v in aux["dist"] if v != "PAD"}
+    raw = {v for _, aux in corpus for v in aux["dist"] if v != "PAD"}
     assert any(int(v) > 2 for v in raw)
     _, corpus = tiny_corpus(n=20, aux_names=("dist",), cap=2)
     model = train_mtl(corpus, tiny_config(epochs=1))
@@ -738,7 +745,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.scheme == model.scheme
     for name in model.params:
         np.testing.assert_array_equal(loaded.params[name], model.params[name])
-    for sentence, _, _ in corpus:
+    for sentence in (enc.sentence for enc, _ in corpus):
         assert predict_greedy(loaded, sentence).labels == predict_greedy(model, sentence).labels
 
 
@@ -807,5 +814,5 @@ def test_checkpoint_with_distance_cap_key_loads(saved_model):
     path, model, corpus = saved_model
     _rewrite_meta(path, lambda meta: meta["config"].update(distance_cap=None))
     loaded = load_model(path)
-    for sentence, _, _ in corpus:
+    for sentence in (enc.sentence for enc, _ in corpus):
         assert predict_greedy(loaded, sentence).labels == predict_greedy(model, sentence).labels

@@ -10,6 +10,7 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from treetag.trees import Internal, Leaf, demo_grammar, parse_bracketed, random_tree, serialize
+from treetag.trees import leaves as leaf_nodes
 from treetag.encodings import CHAIN_SEP, DUMMY, _check_label, boundaries
 from treetag.metrics import PUNCT_POS, _spans_and_leaves, span_counts
 
@@ -132,7 +133,8 @@ def _outcome(call):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(_trees())
 def test_walks_match_recursive_oracles(tree):
-    assert _outcome(lambda: boundaries(tree)) == _outcome(lambda: _oracle_boundaries(tree))
+    expected = _outcome(lambda: (list(leaf_nodes(tree)), *_oracle_boundaries(tree)))
+    assert _outcome(lambda: boundaries(tree)) == expected
     spans, leaves = _spans_and_leaves(tree)
     expected_spans, expected_leaves = _oracle_spans_and_leaves(tree, False)
     # the same spans in the same (post-order) order
