@@ -16,6 +16,7 @@ diagnostics where available).
 """
 
 import argparse
+import collections
 import dataclasses
 import functools
 import sys
@@ -176,8 +177,9 @@ def cmd_encode(args):
 
 def cmd_decode(args):
     corpus, _, _ = seqfile.read_seq(args.input)
-    trees.save_trees(args.output, [encodings.decode(encoded) for encoded in corpus])
-    print("decoded %d sentences to %s" % (len(corpus), args.output))
+    repairs = _write_lines(args.output, (encodings.decoded_line(
+        enc.sentence, *zip(*[(lab.n, lab.c, lab.u) for lab in enc.labels])) for enc in corpus))
+    print("decoded %d sentences to %s; %s" % (len(corpus), args.output, repairs))
     return 0
 
 
@@ -232,9 +234,20 @@ def cmd_finetune(args):
 def cmd_predict(args):
     model = tagging.load_model(args.checkpoint)
     sentences = seqfile.read_tagged(args.input)
-    trees.save_trees(args.output, tagging.predict_trees(model, sentences))
-    print("predicted %d sentences to %s" % (len(sentences), args.output))
+    repairs = _write_lines(args.output, tagging.predicted_lines(model, sentences))
+    print("predicted %d sentences to %s; %s" % (len(sentences), args.output, repairs))
     return 0
+
+
+def _write_lines(path, decoded):
+    """Write the line of each (line, RepairLog) pair to `path`; returns the
+    repairs summed per kind, as text."""
+    totals = collections.Counter(vars(encodings.RepairLog()))
+    with open(path, "w", encoding="utf-8") as fh:
+        for line, log in decoded:
+            fh.write(line + "\n")
+            totals.update(vars(log))
+    return "repairs: " + ", ".join("%s %d" % kind_count for kind_count in totals.items())
 
 
 def cmd_eval(args):

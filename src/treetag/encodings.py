@@ -29,9 +29,12 @@ containing ``+`` or ``~``, or equal to ``DUMMY`` or ``NONE``) are rejected
 there with a ValueError.  No walk here recurses, so trees of any depth
 round-trip.
 
-Everything here is pure and operates on immutable inputs.
+Everything here is pure and operates on immutable inputs; the encoders'
+process-wide, thread-safe label table (``_label``, an entry per distinct
+label) and the token text a label formats once are caches.
 """
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -82,10 +85,12 @@ class NComponent:
         return self.scale == "dummy"
 
     def token(self):
-        if self.is_dummy:
-            return DUMMY
+        return self._token
+
+    @functools.cached_property  # formatted at most once per instance
+    def _token(self):
         prefix = "r" if self.scale == RELATIVE else "a"
-        return "%s%d" % (prefix, self.value)
+        return DUMMY if self.is_dummy else "%s%d" % (prefix, self.value)
 
     @classmethod
     def from_token(cls, tok):
@@ -118,6 +123,10 @@ class TagLabel:
         return self.n.token(), self.c, self.u or NO_CHAIN
 
     def token(self):
+        return self._token
+
+    @functools.cached_property  # formatted at most once per instance
+    def _token(self):
         return FIELD_SEP.join(self.parts())
 
     @classmethod
@@ -230,26 +239,40 @@ def boundaries(tree):
 # ---------------------------------------------------------------------------
 # Encoders.
 
-def _encode(tree, scheme, walk, pick_n):
+_n_component = functools.lru_cache(maxsize=None)(NComponent)
+
+
+@functools.lru_cache(maxsize=None)
+def _label(scale, value, c, u):
+    """TagLabel(NComponent(scale, value), c, u), built once per process
+    and sharing its n with the other labels of that n."""
+    return TagLabel(_n_component(scale, value), c, u)
+
+
+def _encode(tree, scheme, walk):
     leaves, u_chains, pairs = boundaries(tree) if walk is None else walk
     labels = []
     prev = 0
     for (count, lca, _), u in zip(pairs, u_chains):
-        labels.append(TagLabel(pick_n(count, prev), lca, u))
+        if scheme == ABSOLUTE or (scheme == DYNAMIC and count <= _SWITCH_MAX_ABS
+                                  and count - prev <= _SWITCH_MAX_REL):
+            labels.append(_label(ABSOLUTE, count, lca, u))
+        else:
+            labels.append(_label(RELATIVE, count - prev, lca, u))
         prev = count
-    labels.append(TagLabel.dummy(u_chains[-1]))
+    labels.append(_label("dummy", None, DUMMY, u_chains[-1]))
     sentence = Sentence([leaf.word for leaf in leaves], [leaf.pos for leaf in leaves])
     return EncodedSentence(sentence, labels, scheme)
 
 
 def encode_relative(tree, walk=None):
     """n = change in shared-ancestor count versus the previous pair."""
-    return _encode(tree, RELATIVE, walk, lambda count, prev: NComponent(RELATIVE, count - prev))
+    return _encode(tree, RELATIVE, walk)
 
 
 def encode_absolute(tree, walk=None):
     """n = raw shared-ancestor count on the top-down scale."""
-    return _encode(tree, ABSOLUTE, walk, lambda count, prev: NComponent(ABSOLUTE, count))
+    return _encode(tree, ABSOLUTE, walk)
 
 
 def encode_dynamic(tree, walk=None):
@@ -259,13 +282,7 @@ def encode_dynamic(tree, walk=None):
     most the top 3 levels and the shared count just dropped by 2 or more.
     Both conditions are evaluated against the gold counts.
     """
-
-    def pick(count, prev):
-        if count <= _SWITCH_MAX_ABS and count - prev <= _SWITCH_MAX_REL:
-            return NComponent(ABSOLUTE, count)
-        return NComponent(RELATIVE, count - prev)
-
-    return _encode(tree, DYNAMIC, walk, pick)
+    return _encode(tree, DYNAMIC, walk)
 
 
 def encode(tree, scheme, walk=None):
@@ -337,20 +354,32 @@ def decode_parts(sentence, ns, cs, us):
 def decoded_spans(ns, cs, us):
     """labeled_spans(decode(·)) of a label sequence given as its n
     components, c labels and u chains, building neither labels nor tree."""
-    spans = []
+    spans = [(part, t, t + 1) for t, u in enumerate(us) if u for part in u.split(CHAIN_SEP)]
     _spine(ns, cs, us, RepairLog(), spans)
     return Counter(spans)
 
 
-def _spine(ns, cs, leaves, log, spans=None):
+def decoded_line(sentence, ns, cs, us):
+    """(serialize(tree), log) of decode_parts(·), written without building the tree."""
+    if not len(ns) == len(cs) == len(us) == len(sentence):
+        raise ValueError("%d labels for %d words" % (len(us), len(sentence)))
+    log, line = RepairLog(), []
+    words = zip(sentence.words, sentence.pos, map(_brackets, us))
+    _spine(ns, cs, [o + " (%s %s)" % (p, w) + c for w, p, (o, c) in words], log, line=line)
+    return "".join(line)[1:], log
+
+
+def _spine(ns, cs, leaves, log, spans=None, line=None):
     """The decoder's one pass along the rightmost spine.  Position t
     brings ns[t] and cs[t] (both ignored at the last position) and
-    leaves[t]: its wrapped leaf node or, when `spans` collects every
-    phrase's (label, start, end) instead of building the tree, its leaf
-    chain.  An open node is [label, start, children]; it is final, and
-    repaired, once it leaves the spine.  Returns the tree when building."""
+    leaves[t]: its wrapped leaf node; its leaf chain, when `spans` collects
+    every phrase's (label, start, end) instead; or its wrapped leaf's text,
+    when `line` collects the parts of the tree's bracketed line instead.
+    An open node is [label, start, children], start being its first word or
+    the slot in `line` its opening text fills; it is final, and repaired,
+    once it leaves the spine.  Returns the tree when building."""
     last = len(leaves) - 1
-    spine = [[None, 0, []]]
+    spine = []
 
     def close(end):
         label, start, kids = spine.pop()
@@ -363,7 +392,11 @@ def _spine(ns, cs, leaves, log, spans=None):
             if label is None:
                 label = PLACEHOLDER
                 log.placeholders += 1
-            if spans is None:
+            if line is not None:
+                node = True
+                line[start], closing = _brackets(label)
+                line.append(closing)
+            elif spans is None:
                 node = _wrap_chain(label, kids)
             else:
                 node = True
@@ -398,18 +431,27 @@ def _spine(ns, cs, leaves, log, spans=None):
             count = raw if raw > 0 else 1
             if count != raw:
                 log.clamped += 1
-        while len(spine) < count:
-            spine.append([None, t, []])
+        if line is None:
+            while len(spine) < count:
+                spine.append([None, t, []])
+        else:
+            while len(spine) < count:
+                spine.append([None, len(line), []])
+                line.append("")  # stays empty if the node is spliced
+            line.append(leaf)
         spine[-1][2].append(leaf)
-        if spans is not None and leaf:
-            for part in leaf.split(CHAIN_SEP):
-                spans.append((part, t, t + 1))
         share = count
     if not last:
         return leaves[0]
     while spine:
         tree = close(last + 1)
     return tree
+
+
+def _brackets(chain):
+    """The text opening and closing the nodes of a ``+``-joined chain."""
+    return ((" (" + chain.replace(CHAIN_SEP, " ("), ")" * (chain.count(CHAIN_SEP) + 1))
+            if chain else ("", ""))
 
 
 def _wrap_chain(chain, children):

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .trees import Leaf
 from .encodings import ABSOLUTE, CHAIN_SEP, RELATIVE, NComponent
@@ -88,7 +89,7 @@ def read_score(gold, predicted):
 
 def span_score(gold_spans, pred_spans):
     """BracketScore of two span multisets (Counters) over the same words."""
-    matched = sum(min(n, gold_spans.get(span, 0)) for span, n in pred_spans.items())
+    matched = sum(map(min, pred_spans.values(), map(gold_spans.get, pred_spans, repeat(0))))
     return BracketScore(matched, sum(gold_spans.values()), sum(pred_spans.values()))
 
 

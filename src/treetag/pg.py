@@ -144,7 +144,8 @@ def estimate_policy_gradient(policy, sentence, reward_fn, baseline_reward, confi
     """Ascent-direction parameter gradients from config.samples samples.
 
     For each sample: advantage = reward_fn(ids) - baseline_reward (ids
-    maps each main task to the sample's per-token label ids), standardised
+    maps each main task to the sample's per-token label ids, and each
+    distinct sample is scored once), standardised
     through `tracker`; the gradient accumulates advantage * grad log-prob
     of the sampled decisions plus config.entropy_coef * grad entropy of the
     (possibly noise-perturbed) policy.  The final token's n and c
@@ -156,7 +157,10 @@ def estimate_policy_gradient(policy, sentence, reward_fn, baseline_reward, confi
     K = config.samples
     cache = policy.forward(policy.windows([sentence]), heads=MAIN_TASKS)
     probs, picks = _sample(cache, K, rng, noise_std)
-    rewards = [reward_fn({name: picks[name][k] for name in MAIN_TASKS}) for k in range(K)]
+    samples = [{name: picks[name][k] for name in MAIN_TASKS} for k in range(K)]
+    keys = [b"".join([ids.tobytes() for ids in sample.values()]) for sample in samples]
+    scored = {key: reward_fn(sample) for key, sample in dict(zip(keys, samples)).items()}
+    rewards = [scored[key] for key in keys]
     advantages = [reward - baseline_reward for reward in rewards]
     standardized = []
     for adv in advantages:

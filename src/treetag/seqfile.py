@@ -42,11 +42,9 @@ def write_seq(path, encoded_corpus, aux_corpus=None):
         fh.write("# scheme=%s aux=%s\n" % (scheme, ",".join(aux_names)))
         for i, encoded in enumerate(encoded_corpus):
             tracks = [aux_corpus[i][name] for name in aux_names]
-            for cols in zip(encoded.sentence.words, encoded.sentence.pos, encoded.tokens(),
-                            *tracks, strict=True):
-                fh.write("\t".join(cols))
-                fh.write("\n")
-            fh.write("\n")
+            fh.write("\n".join(map("\t".join, zip(encoded.sentence.words, encoded.sentence.pos,
+                                                  encoded.tokens(), *tracks, strict=True))))
+            fh.write("\n\n")
 
 
 def read_seq(path):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import NO_CHAIN, SCHEMES, EncodedSentence, NComponent, TagLabel
-from .encodings import decode_parts, decoded_spans
+from .encodings import decode_parts, decoded_line, decoded_spans
 from .trees import Sentence
 from . import metrics
 
@@ -526,6 +526,12 @@ def predict_trees(model, sentences):
     decoded straight from the label ids without building labels."""
     ids = _predict_ids(model, sentences)
     return [decode_parts(s, *_label_parts(model.vocab, i))[0] for s, i in zip(sentences, ids)]
+
+
+def predicted_lines(model, sentences):
+    """(serialize(tree), RepairLog) of each tree predict_trees returns, built by decoded_line."""
+    ids = _predict_ids(model, sentences)
+    return [decoded_line(s, *_label_parts(model.vocab, i)) for s, i in zip(sentences, ids)]
 
 
 def _predict_ids(model, sentences):

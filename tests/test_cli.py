@@ -372,6 +372,62 @@ def test_encode_shares_one_walk_per_tree(tmp_path, monkeypatch, scheme, cap):
     assert out.read_bytes() == expected.read_bytes()
 
 
+REPAIRS = ("repairs: clamped %d, interior_dummies %d, label_conflicts %d, placeholders %d, "
+           "spliced %d")
+
+
+def test_decode_and_predict_build_no_tree(tmp_path, small_model, monkeypatch, capsys):
+    from treetag import trees
+    from treetag.encodings import decode_with_repairs
+    from treetag.seqfile import read_tagged
+    from treetag.tagger import load_model, predict_greedy
+
+    _, trees_path, ckpt = small_model
+    forest = [random_tree(seed, 15, 8, ["S", "NP", "VP"]) for seed in range(40)]
+    gold, seq = tmp_path / "gold.trees", tmp_path / "gold.seq"
+    save_trees(gold, forest)
+    assert run(["encode", "--scheme", "dynamic", "--aux", "n+1", str(gold), str(seq)]) == 0
+    tagged, expected = tmp_path / "in.tagged", tmp_path / "expected.trees"
+    write_tagged(tagged, load_trees(trees_path) + forest)
+    model = load_model(ckpt)
+    predicted = [decode_with_repairs(predict_greedy(model, s)) for s in read_tagged(tagged)]
+    save_trees(expected, [tree for tree, _ in predicted])
+    counts = [sum(getattr(log, kind) for _, log in predicted) for kind in
+              ("clamped", "interior_dummies", "label_conflicts", "placeholders", "spliced")]
+    capsys.readouterr()
+
+    built = []
+    for cls in (trees.Leaf, trees.Internal):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__",
+                            lambda self, *args, init=init: built.append(args) or init(self, *args))
+    monkeypatch.setattr(trees, "serialize", lambda tree: built.append(tree))
+    back, out = tmp_path / "back.trees", tmp_path / "out.trees"
+    assert run(["decode", str(seq), str(back)]) == 0
+    assert run(["predict", str(ckpt), str(tagged), str(out)]) == 0
+    assert built == []
+    assert back.read_bytes() == gold.read_bytes()
+    assert out.read_bytes() == expected.read_bytes()
+    assert capsys.readouterr().out.splitlines() == [
+        "decoded 40 sentences to %s; %s" % (back, REPAIRS % (0, 0, 0, 0, 0)),
+        "predicted %d sentences to %s; %s" % (len(predicted), out, REPAIRS % tuple(counts)),
+    ]
+
+
+def test_decode_prints_the_summed_repairs(tmp_path, capsys):
+    seq, out = tmp_path / "in.seq", tmp_path / "out.trees"
+    seq.write_text("# scheme=dynamic aux=\n"
+                   "a\tP\tr-3~S~A+B\nb\tP\tDUMMY~DUMMY~NONE\n\n"  # clamped
+                   "a\tP\ta3~S~NONE\nb\tP\tr1~NP~NONE\nc\tP\tDUMMY~DUMMY~NONE\n\n"  # 2 spliced
+                   "a\tP\tr1~S~NONE\nb\tP\tr0~NP~NONE\nc\tP\tDUMMY~DUMMY~NONE\n\n",  # conflict
+                   encoding="utf-8")
+    assert run(["decode", str(seq), str(out)]) == 0
+    assert capsys.readouterr().out == "decoded 3 sentences to %s; %s\n" % (
+        out, REPAIRS % (1, 0, 1, 0, 2))
+    assert out.read_text() == ("(S (A (B (P a))) (P b))\n(S (P a) (NP (P b) (P c)))\n"
+                               "(S (P a) (P b) (P c))\n")
+
+
 DEEP = 5000
 
 

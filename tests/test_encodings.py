@@ -5,13 +5,15 @@ root-to-leaf label paths by hand (including its own unary-chain handling)
 and intersects them, rather than reusing the library's counting code.
 """
 
+import copy
 import dataclasses
+import pickle
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treetag.trees import Internal, Leaf, Sentence, parse_bracketed, random_tree
+from treetag.trees import Internal, Leaf, Sentence, parse_bracketed, random_tree, serialize
 from treetag.seqfile import read_seq, write_seq
 from treetag.encodings import (
     ABSOLUTE,
@@ -28,6 +30,7 @@ from treetag.encodings import (
     decode,
     decode_parts,
     decode_with_repairs,
+    decoded_line,
     encode,
     encode_absolute,
     encode_dynamic,
@@ -491,6 +494,47 @@ def test_decode_matches_recursive_oracle(parts):
     sentence = Sentence(tuple("w%d" % i for i in range(T)), tuple("P" for _ in range(T)))
     encoded = EncodedSentence(sentence, [TagLabel(n, c, u) for n, c, u in parts], DYNAMIC)
     assert decode_with_repairs(encoded) == oracle_decode(encoded)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            label_tokens,
+            st.sampled_from(["S", "NP", "X+Y", DUMMY, ""]),
+            st.sampled_from(["", "NP", "X+Y", "A+B+C"]),
+        ),
+        min_size=1,
+        max_size=14,
+    )
+)
+def test_decoded_line_is_the_serialized_tree(parts):
+    # arbitrary labels: interior dummies, clamped counts, conflicting c, +
+    # chains and one-word sentences, so every repair kind occurs
+    T = len(parts)
+    sentence = Sentence(tuple("w%d" % i for i in range(T)), tuple("P%d" % i for i in range(T)))
+    ns, cs, us = zip(*parts)
+    tree, log = decode_parts(sentence, ns, cs, us)
+    assert decoded_line(sentence, ns, cs, us) == (serialize(tree), log)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_encoded_labels_are_the_labels_built_directly(scheme):
+    forest = random_forest(20)
+    for tree in forest:
+        labels = encode(tree, scheme).labels
+        assert all(a is b for a, b in zip(labels, encode(tree, scheme).labels))  # one table
+        for label in labels:
+            assert label.token() and label.n.token()  # copied below with the text cached
+            direct = TagLabel(NComponent(label.n.scale, label.n.value), label.c, label.u)
+            for same in (direct, pickle.loads(pickle.dumps(label)), copy.copy(label),
+                         copy.deepcopy(label)):
+                assert same == label and hash(same) == hash(label) and repr(same) == repr(label)
+                assert (same.token(), same.n.token()) == (label.token(), label.n.token())
+    assert [(f.name, f.type, f.default) for f in dataclasses.fields(TagLabel)] == [
+        ("n", NComponent, dataclasses.MISSING), ("c", str, dataclasses.MISSING), ("u", str, "")]
+    assert [(f.name, f.type, f.default) for f in dataclasses.fields(NComponent)] == [
+        ("scale", str, dataclasses.MISSING), ("value", int, None)]
 
 
 def _leaves(tree):

@@ -331,6 +331,27 @@ def test_reinforce_matches_enumerated_gradient():
     assert rel_err < 0.05, rel_err
 
 
+def test_each_distinct_sample_is_scored_once():
+    model, sentence, vocab = toy_policy()
+    reward = table_reward_fn(model, sentence, reward_table(vocab))
+    scored = {}
+
+    def scoring(ids):
+        key = tuple(tuple(ids[name].tolist()) for name in MAIN_TASKS)
+        assert key not in scored
+        scored[key] = reward(ids)
+        return scored[key]
+
+    _, stats = estimate_policy_gradient(model, sentence, scoring, 0.0,
+                                        PGConfig(samples=50, entropy_coef=0.0),
+                                        AdvantageTracker(math.inf), np.random.default_rng(8))
+    cache = model.forward(model.windows([sentence]), heads=MAIN_TASKS)
+    _, picks = pg._sample(cache, 50, np.random.default_rng(8))  # the same draws
+    samples = [tuple(tuple(picks[name][k].tolist()) for name in MAIN_TASKS) for k in range(50)]
+    assert scored.keys() == set(samples) and len(scored) < len(samples)
+    assert stats["reward"] == pytest.approx(np.mean([scored[s] for s in samples]), abs=1e-12)
+
+
 def test_entropy_gradient_zero_at_uniform():
     model, sentence, vocab = toy_policy(u_labels=("", "NP"))
     for name in ("n", "c", "u"):
