@@ -176,9 +176,9 @@ def cmd_encode(args):
 
 
 def cmd_decode(args):
-    corpus, _, _ = seqfile.read_seq(args.input)
+    corpus, parts, _, _ = seqfile.read_seq_parts(args.input)
     repairs = _write_lines(args.output, (encodings.decoded_line(
-        enc.sentence, *zip(*[(lab.n, lab.c, lab.u) for lab in enc.labels])) for enc in corpus))
+        sentence, *zip(*map(parts.get, tokens))) for sentence, tokens in corpus))
     print("decoded %d sentences to %s; %s" % (len(corpus), args.output, repairs))
     return 0
 

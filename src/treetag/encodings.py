@@ -29,16 +29,16 @@ containing ``+`` or ``~``, or equal to ``DUMMY`` or ``NONE``) are rejected
 there with a ValueError.  No walk here recurses, so trees of any depth
 round-trip.
 
-Everything here is pure and operates on immutable inputs; the encoders'
-process-wide, thread-safe label table (``_label``, an entry per distinct
-label) and the token text a label formats once are caches.
+Everything here is pure and operates on immutable inputs.  The process-wide,
+thread-safe tables (labels, n components, checked nonterminals, chain bracket
+text: one entry per distinct one) and a label's formatted token are caches.
 """
 
 import functools
 from collections import Counter
 from dataclasses import dataclass
 
-from .trees import Internal, Leaf, Sentence
+from .trees import CHAIN_SEP, Internal, Leaf, Sentence
 
 RELATIVE = "relative"
 ABSOLUTE = "absolute"
@@ -47,7 +47,6 @@ SCHEMES = (RELATIVE, ABSOLUTE, DYNAMIC)
 
 DUMMY = "DUMMY"
 NO_CHAIN = "NONE"
-CHAIN_SEP = "+"
 FIELD_SEP = "~"
 PLACEHOLDER = "X"
 
@@ -55,6 +54,8 @@ PLACEHOLDER = "X"
 _SWITCH_MAX_ABS = 3
 # ...while the count dropped by at least this much
 _SWITCH_MAX_REL = -2
+
+_CHECKED = set()  # the nonterminals boundaries() has passed: one check each per process
 
 
 @dataclass(frozen=True)
@@ -95,15 +96,7 @@ class NComponent:
     @classmethod
     def from_token(cls, tok):
         """The n component whose token() is `tok`; other text raises ValueError."""
-        if tok == DUMMY:
-            return cls("dummy")
-        try:
-            n = cls({"r": RELATIVE, "a": ABSOLUTE}.get(tok[:1]), int(tok[1:]))
-            if n.token() == tok:
-                return n
-        except ValueError:
-            pass
-        raise ValueError("bad n token %r" % tok)
+        return _n_component(*_n_args(tok))
 
 
 @dataclass(frozen=True)
@@ -133,21 +126,7 @@ class TagLabel:
     def from_token(cls, tok):
         """The label whose token() is `tok`, as the encoders write it;
         other text raises ValueError."""
-        parts = tok.split(FIELD_SEP)
-        if len(parts) != 3:
-            raise ValueError("bad label token %r" % tok)
-        n, c, u = parts
-        label = cls(NComponent.from_token(n), c, "" if u == NO_CHAIN else u)
-        if label.n.is_dummy != (c == DUMMY):
-            raise ValueError("bad label token %r: n and c must both be %s or neither" % (tok, DUMMY))
-        try:
-            for chain, reserved in ((c, DUMMY), (u, NO_CHAIN)):
-                if chain != reserved:
-                    for part in chain.split(CHAIN_SEP):
-                        _check_label(part)
-        except ValueError as e:
-            raise ValueError("bad label token %r: %s" % (tok, e)) from None
-        return label
+        return cls(*token_parts(tok))
 
     @classmethod
     def dummy(cls, u=""):
@@ -179,6 +158,41 @@ class EncodedSentence:
 
     def tokens(self):
         return [lab.token() for lab in self.labels]
+
+
+def _n_args(tok):
+    """The (scale, value) of NComponent.from_token(tok), read off the text."""
+    if tok == DUMMY:
+        return "dummy", None
+    scale = {"r": RELATIVE, "a": ABSOLUTE}.get(tok[:1])
+    try:
+        value = int(tok[1:])
+        if scale and str(value) == tok[1:] and (scale == RELATIVE or value >= 1):
+            return scale, value
+    except ValueError:
+        pass
+    raise ValueError("bad n token %r" % tok)
+
+
+def token_parts(tok):
+    """The (n, c, u) parts of TagLabel.from_token(tok), building no label:
+    n from the process-wide _n_component, u empty for NO_CHAIN.  Other text
+    raises ValueError before any table is touched."""
+    parts = tok.split(FIELD_SEP)
+    if len(parts) != 3:
+        raise ValueError("bad label token %r" % tok)
+    n, c, u = parts
+    scale, value = _n_args(n)
+    if (scale == "dummy") != (c == DUMMY):
+        raise ValueError("bad label token %r: n and c must both be %s or neither" % (tok, DUMMY))
+    try:
+        for chain, reserved in ((c, DUMMY), (u, NO_CHAIN)):
+            if chain != reserved:
+                for part in chain.split(CHAIN_SEP):
+                    _check_label(part)
+    except ValueError as e:
+        raise ValueError("bad label token %r: %s" % (tok, e)) from None
+    return _n_component(scale, value), c, "" if u == NO_CHAIN else u
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +227,21 @@ def boundaries(tree):
         for node in phrase[0]:
             if len(leaves) > phrase[4]:  # not the first child
                 lcas.append(phrase)
-            chain = []
-            while isinstance(node, Internal) and len(node.children) == 1:
-                _check_label(node.label)
-                chain.append(node.label)
+            label = ""  # the labels of `node` and the unary chain below it, joined top-down
+            while isinstance(node, Internal):
+                if node.label not in _CHECKED:
+                    _check_label(node.label)
+                    _CHECKED.add(node.label)
+                label = label + CHAIN_SEP + node.label if label else node.label
+                if len(node.children) > 1:
+                    break
                 node = node.children[0]
             if isinstance(node, Leaf):
                 leaves.append(node)
-                u_chains.append(CHAIN_SEP.join(chain))
+                u_chains.append(label)
                 continue
-            _check_label(node.label)
-            chain.append(node.label)
             frames.append(phrase)
-            phrase = [iter(node.children), CHAIN_SEP.join(chain), len(frames), 0, len(leaves)]
+            phrase = [iter(node.children), label, len(frames), 0, len(leaves)]
             break
         else:
             if not frames:
@@ -448,6 +464,7 @@ def _spine(ns, cs, leaves, log, spans=None, line=None):
     return tree
 
 
+@functools.lru_cache(maxsize=None)  # one entry per chain decoded in this process
 def _brackets(chain):
     """The text opening and closing the nodes of a ``+``-joined chain."""
     return ((" (" + chain.replace(CHAIN_SEP, " ("), ")" * (chain.count(CHAIN_SEP) + 1))

@@ -37,18 +37,13 @@ class BracketScore:
 
 def labeled_spans(tree):
     """Multiset (Counter) of the (label, start, end) spans of `tree`'s phrase
-    nodes, counted by span_counts; preterminals give none."""
-    return span_counts(_spans_and_leaves(tree)[0])
-
-
-def span_counts(spans):
-    """Counter of (label, start, end) spans, one per ``+``-joined member."""
-    return Counter([(part, i, j) for label, i, j in spans for part in label.split(CHAIN_SEP)])
+    nodes, one per member of a ``+``-joined label; preterminals give none."""
+    return Counter(_spans_and_leaves(tree)[0])
 
 
 def _spans_and_leaves(tree):
-    """What `load_trees(path, spans=True)` reads for `tree`'s line: its
-    (label, start, end) spans in closing order and its leaf count."""
+    """What `load_trees(path, spans=True)` reads for `tree`'s line: its spans
+    (one per ``+``-joined member) in closing order and its leaf count."""
     spans = []
     i = 0  # leaves counted so far
     # the innermost open phrase (first a label-less one around `tree`): its
@@ -66,7 +61,8 @@ def _spans_and_leaves(tree):
         else:
             if not frames:
                 return spans, i
-            spans.append((label, start, i))
+            spans += ([(part, start, i) for part in label.split(CHAIN_SEP)]
+                      if CHAIN_SEP in label else [(label, start, i)])
             children, label, start = frames.pop()
 
 
@@ -84,7 +80,7 @@ def read_score(gold, predicted):
     (gold_spans, gold_leaves), (pred_spans, pred_leaves) = gold, predicted
     if gold_leaves != pred_leaves:
         raise ValueError("gold has %d leaves, prediction has %d" % (gold_leaves, pred_leaves))
-    return span_score(span_counts(gold_spans), span_counts(pred_spans))
+    return span_score(Counter(gold_spans), Counter(pred_spans))
 
 
 def span_score(gold_spans, pred_spans):

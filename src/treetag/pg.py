@@ -109,16 +109,16 @@ def _sample(cache, n_samples, rng, noise_std=0.0):
     Every head is sampled per token, from one draw of (sample, head, token)
     uniforms.  With noise, each sample perturbs the logits of the shared
     hidden layer with its own noise.  Returns (probs, picks): probs maps
-    task -> (K, T, k) sampling distributions and picks task -> (K, T) ids.
+    task -> (K, T, k) sampling distributions (without noise, the one (T, k)
+    distribution every sample shares) and picks task -> (K, T) ids.
     """
     K = n_samples
     probs = {}
     for name in MAIN_TASKS:
         z = cache["logits"][name]
         if noise_std > 0:
-            probs[name] = _softmax(z + rng.normal(0.0, noise_std, size=(K,) + z.shape))
-        else:
-            probs[name] = np.broadcast_to(_softmax(z), (K,) + z.shape)
+            z = z + rng.normal(0.0, noise_std, size=(K,) + z.shape)
+        probs[name] = _softmax(z)
     draws = rng.random((K, len(MAIN_TASKS), len(cache["h"])))
     picks = {}
     for j, name in enumerate(MAIN_TASKS):
@@ -177,8 +177,8 @@ def estimate_policy_gradient(policy, sentence, reward_fn, baseline_reward, confi
         d = (weights * (onehot - p) + config.entropy_coef * ent_d).sum(axis=0)
         if name != "u":
             d[-1, :] = 0.0
-            ent_rows = ent_rows[:, :-1]
-        entropies += ent_rows.sum(axis=1)
+            ent_rows = ent_rows[..., :-1]
+        entropies += ent_rows.sum(axis=-1)
         dlogits[name] = d / K
     grads = policy.backward(cache, dlogits, FROZEN)
     stats = {

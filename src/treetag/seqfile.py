@@ -13,7 +13,7 @@ POS only, for prediction input.
 import re
 
 from .trees import Sentence
-from .encodings import DUMMY, SCHEMES, EncodedSentence, TagLabel
+from .encodings import DUMMY, SCHEMES, EncodedSentence, TagLabel, token_parts
 
 
 # A field must be a token the bracket reader reads back whole.  The signs
@@ -54,6 +54,15 @@ def read_seq(path):
     scheme).  As the encoders write it, each sentence's last label and no
     other has a DUMMY n and c.
     """
+    corpus, parts, aux_corpus, scheme = read_seq_parts(path)
+    labels = {tok: TagLabel(*label) for tok, label in parts.items()}
+    return ([EncodedSentence(sentence, [labels[tok] for tok in tokens], scheme)
+             for sentence, tokens in corpus], aux_corpus, scheme)
+
+
+def read_seq_parts(path):
+    """read_seq(path) building no labels: returns ((Sentence, label tokens)
+    pairs, {token: token_parts(token)} parsed once per token, aux dicts, scheme)."""
     with open(path, encoding="utf-8") as fh:
         header, _, body = fh.read().partition("\n")
     if not header.startswith("#"):
@@ -62,29 +71,28 @@ def read_seq(path):
     n_cols = 3 + len(aux_names)
     corpus = []
     aux_corpus = []
-    parsed = {}  # label token -> TagLabel, each distinct token checked once
+    parts = {}  # label token -> (n, c, u)
     dummies = set()  # the parsed tokens whose n and c are DUMMY
     for first, rows in _blocks(path, body, 2, n_cols, "expected %d columns, got {}" % n_cols):
         words, pos, tokens, *aux = zip(*rows)
         for lineno, tok in enumerate(tokens, start=first):
-            if tok not in parsed:
+            if tok not in parts:
                 try:
-                    parsed[tok] = TagLabel.from_token(tok)
+                    parts[tok] = token_parts(tok)
                 except ValueError as e:
                     raise SeqFormatError(path, lineno, str(e)) from None
-                if parsed[tok].c == DUMMY:
+                if parts[tok][1] == DUMMY:
                     dummies.add(tok)
         last = len(tokens) - 1
         if tokens[last] not in dummies or not dummies.isdisjoint(tokens[:last]):
             t = next(t for t, tok in enumerate(tokens) if (tok in dummies) != (t == last))
             raise SeqFormatError(path, first + t, "label %r: n and c are %s in a sentence's "
                                  "last label and only there" % (tokens[t], DUMMY))
-        labels = [parsed[tok] for tok in tokens]
-        corpus.append(EncodedSentence(Sentence(words, pos), labels, scheme))
+        corpus.append((Sentence(words, pos), tokens))
         aux_corpus.append(dict(zip(aux_names, aux)))
     if not corpus:
         raise SeqFormatError(path, 1, "file contains no sentences")
-    return corpus, aux_corpus, scheme
+    return corpus, parts, aux_corpus, scheme
 
 
 def _parse_header(path, header):

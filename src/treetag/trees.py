@@ -11,6 +11,8 @@ import random
 import re
 from dataclasses import dataclass
 
+CHAIN_SEP = "+"  # joins the labels of a unary chain read as one node
+
 
 class Leaf:
     """A preterminal: POS tag over a single word."""
@@ -144,8 +146,8 @@ def parse_bracketed(text, strip_functions=False, spans=None, skip=()):
     depth is not bounded by the recursion limit.
 
     With `spans` (a list), build no tree: as each phrase closes, append its
-    (label, start, end) over the words (leaves whose POS is not in `skip`)
-    to `spans`, and return each tree as the leaf count at its end.
+    (label, start, end) over the words (leaves whose POS is not in `skip`),
+    one per ``+``-joined member, to `spans`; return each tree as its leaf count.
     """
     tokens = _tokens(text)
     n = len(tokens)
@@ -195,7 +197,8 @@ def parse_bracketed(text, strip_functions=False, spans=None, skip=()):
                 if strip_functions:
                     label = strip_function(label)
                 if words > start:
-                    spans.append((label, start, words))
+                    spans += ([(part, start, words) for part in label.split(CHAIN_SEP)]
+                              if CHAIN_SEP in label else [(label, start, words)])
                 parent.append(Internal(label, out) if spans is None else leaves)
             out = parent
             i += 1

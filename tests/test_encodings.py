@@ -26,6 +26,11 @@ from treetag.encodings import (
     NComponent,
     RepairLog,
     TagLabel,
+    _brackets,
+    _check_label,
+    _CHECKED,
+    _label,
+    _n_component,
     boundaries,
     decode,
     decode_parts,
@@ -35,6 +40,7 @@ from treetag.encodings import (
     encode_absolute,
     encode_dynamic,
     encode_relative,
+    token_parts,
 )
 
 ALPHABET = ["S", "NP", "VP", "PP", "ADJP", "ADVP", "SBAR"]
@@ -580,6 +586,96 @@ def test_only_the_encoders_spelling_is_read(text):
         except ValueError:
             continue
         assert parsed.token() == text
+
+
+# The token parsers as they were before token_parts read a token's text
+# once: NComponent.from_token and TagLabel.from_token, kept as oracles.
+
+def _oracle_n_from_token(tok):
+    if tok == DUMMY:
+        return NComponent("dummy")
+    try:
+        n = NComponent({"r": RELATIVE, "a": ABSOLUTE}.get(tok[:1]), int(tok[1:]))
+        if n.token() == tok:
+            return n
+    except ValueError:
+        pass
+    raise ValueError("bad n token %r" % tok)
+
+
+def _oracle_label_from_token(tok):
+    parts = tok.split("~")
+    if len(parts) != 3:
+        raise ValueError("bad label token %r" % tok)
+    n, c, u = parts
+    label = TagLabel(_oracle_n_from_token(n), c, "" if u == "NONE" else u)
+    if label.n.is_dummy != (c == DUMMY):
+        raise ValueError("bad label token %r: n and c must both be %s or neither" % (tok, DUMMY))
+    try:
+        for chain, reserved in ((c, DUMMY), (u, "NONE")):
+            if chain != reserved:
+                for part in chain.split("+"):
+                    _check_label(part)
+    except ValueError as e:
+        raise ValueError("bad label token %r: %s" % (tok, e)) from None
+    return label
+
+
+def _outcome(call, text):
+    try:
+        return "read", call(text)
+    except ValueError as e:
+        return "error", str(e)
+
+
+def _tables():
+    """The size of every process-wide table the label code keeps."""
+    return (_n_component.cache_info().currsize, _label.cache_info().currsize,
+            _brackets.cache_info().currsize, frozenset(_CHECKED))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.one_of(st.text(), N_TEXT, LABEL_TEXT))
+def test_token_parts_reads_what_the_old_parsers_read(text):
+    assert _outcome(NComponent.from_token, text) == _outcome(_oracle_n_from_token, text)
+    expected = _outcome(_oracle_label_from_token, text)
+    assert _outcome(TagLabel.from_token, text) == expected
+    before = _tables()
+    got = _outcome(token_parts, text)
+    if expected[0] == "read":
+        label = expected[1]
+        assert got == ("read", (label.n, label.c, label.u))
+        assert got[1][0] is _n_component(label.n.scale, label.n.value)
+    else:
+        assert got == expected
+        assert _tables() == before
+
+
+@pytest.mark.parametrize("tok", ["r987654321~NONE~NONE", "a987654321~FRESH~DUMMY",
+                                 "r987654321~FRESH+~NONE", "DUMMY~DUMMY~FRESH+NONE"])
+def test_a_rejected_token_leaves_the_tables_alone(tok):
+    # an n and a nonterminal no other test reads: a table that took them
+    # in before the token was rejected would grow here
+    before = _tables()
+    with pytest.raises(ValueError, match="bad label token"):
+        token_parts(tok)
+    assert _tables() == before
+
+
+def test_boundaries_checks_each_nonterminal_once_and_keeps_only_encodable_ones(monkeypatch):
+    from treetag import encodings
+
+    checked = []
+    check = encodings._check_label
+    monkeypatch.setattr(encodings, "_check_label", lambda label: checked.append(label) or check(label))
+    (tree,) = parse_bracketed("(FRESH1 (FRESH2 (FRESH3 (A a)) (B b)) (FRESH1 (C c) (D d)))")
+    assert boundaries(tree) == boundaries(tree)
+    assert checked == ["FRESH1", "FRESH2", "FRESH3"]  # in pre-order, once each
+    (bad,) = parse_bracketed("(FRESH4 (N~P (A a)) (B b))")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="'N~P' cannot be encoded"):
+            boundaries(bad)
+    assert "FRESH4" in _CHECKED and "N~P" not in _CHECKED
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RepairLog)])

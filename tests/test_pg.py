@@ -63,16 +63,22 @@ def sample_sequence(policy, sentence, rng, noise_std=0.0):
     Every head is sampled per token except the final token's n and c,
     which are forced to the dummy and contribute no log-probability (its u
     is still a real decision).  Returns (EncodedSentence, total
-    log-probability of the sampled decisions).
+    log-probability of the sampled decisions, the sampled ids per task).
     """
     cache = policy.forward(policy.windows([sentence]), heads=MAIN_TASKS)
     probs, picks = pg._sample(cache, 1, rng, noise_std)
     logprob = 0.0
     for name in MAIN_TASKS:
-        chosen = np.take_along_axis(probs[name][0], picks[name][0][:, None], axis=1)
+        p = np.broadcast_to(probs[name], picks[name].shape + probs[name].shape[-1:])[0]
+        chosen = np.take_along_axis(p, picks[name][0][:, None], axis=1)
         logprob += float(np.log(chosen if name == "u" else chosen[:-1]).sum())
     ids = {name: picks[name][0] for name in MAIN_TASKS}
-    return encoded_from_ids(policy, sentence, ids), logprob
+    return encoded_from_ids(policy, sentence, ids), logprob, ids
+
+
+def sample_key(ids):
+    """What tells two samples apart: their ids on every head and token."""
+    return tuple(tuple(ids[name].tolist()) for name in MAIN_TASKS)
 
 
 def toy_policy(u_labels=("",), seed=5):
@@ -107,7 +113,7 @@ def test_sample_matches_greedy_when_saturated():
     greedy = predict_greedy(model, sentence)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        sampled, _ = sample_sequence(model, sentence, rng)
+        sampled, _, _ = sample_sequence(model, sentence, rng)
         assert sampled.labels == greedy.labels
 
 
@@ -120,7 +126,7 @@ def test_sample_frequencies_near_uniform():
     r1 = vocab.tasks["n"]["r1"]
     hits = 0
     for _ in range(10000):
-        sampled, _ = sample_sequence(model, sentence, rng)
+        sampled, _, _ = sample_sequence(model, sentence, rng)
         hits += sampled.labels[0].n == NComponent(RELATIVE, 1)
     assert abs(hits / 10000 - 0.5) < 0.02
 
@@ -129,7 +135,7 @@ def test_sample_logprob_recomputation():
     model, sentence, vocab = toy_policy(u_labels=("", "NP"))
     rng = np.random.default_rng(3)
     for _ in range(20):
-        sampled, logprob = sample_sequence(model, sentence, rng)
+        sampled, logprob, _ = sample_sequence(model, sentence, rng)
         logits = model.forward(model.windows([sentence]))["logits"]
         probs = {name: _softmax(z) for name, z in logits.items()}
         expected = 0.0
@@ -146,7 +152,7 @@ def test_sampled_last_token_forced_dummy():
     model, sentence, _ = toy_policy()
     rng = np.random.default_rng(11)
     for _ in range(20):
-        sampled, _ = sample_sequence(model, sentence, rng)
+        sampled, _, _ = sample_sequence(model, sentence, rng)
         assert sampled.labels[-1].n.is_dummy
         assert sampled.labels[-1].c == "DUMMY"
 
@@ -162,7 +168,7 @@ def test_reward_perfect_and_range():
     rng = np.random.default_rng(1)
     (gold,) = parse_bracketed("(S (PA a) (PB b))")
     for _ in range(30):
-        sampled, _ = sample_sequence(model, sentence, rng)
+        sampled, _, _ = sample_sequence(model, sentence, rng)
         assert 0.0 <= tree_reward(sampled, gold) <= 1.0
 
 
@@ -513,15 +519,38 @@ def recording_reward(model, sentence, gold, seen):
     return fn
 
 
-def test_vectorised_sampler_matches_sequential_samples():
+def sampled_and_scored(peak, seed):
+    """The samples one estimate_policy_gradient call scores, in call order;
+    the distinct samples the sequential oracle draws from the same seed, in
+    first-seen order; and the advantage tracker.  `peak` scales the head
+    weights: a peaked policy draws repeats."""
     model, sentence, gold = small_trained_policy()
+    for name in MAIN_TASKS:
+        model.params["W_" + name] *= peak
+        model.params["b_" + name] *= peak
     seen = []
+    tracker = AdvantageTracker(math.inf)
     estimate_policy_gradient(model, sentence, recording_reward(model, sentence, gold, seen), 0.0,
-                             PGConfig(samples=8, entropy_coef=0.0), AdvantageTracker(math.inf),
-                             np.random.default_rng(5))
-    rng = np.random.default_rng(5)
-    assert seen == [sample_sequence(model, sentence, rng)[0].labels for _ in range(8)]
+                             PGConfig(samples=8, entropy_coef=0.0), tracker,
+                             np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    distinct = {}
+    for encoded, _, ids in (sample_sequence(model, sentence, rng) for _ in range(8)):
+        distinct.setdefault(sample_key(ids), encoded.labels)
+    return seen, list(distinct.values()), tracker
+
+
+def test_vectorised_sampler_matches_sequential_samples():
+    seen, distinct, _ = sampled_and_scored(1.0, 5)
+    assert seen == distinct
     assert len(set(seen)) > 1
+
+
+def test_repeated_samples_take_one_reward_call_and_an_advantage_each():
+    seen, distinct, tracker = sampled_and_scored(4.0, 5)
+    assert seen == distinct
+    assert 1 < len(seen) < 8
+    assert tracker.count == 8  # one advantage per sample, repeats included
 
 
 def test_single_backward_equals_mean_of_sample_gradients():
@@ -566,17 +595,26 @@ def test_noisy_samples_share_one_hidden_layer():
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         probs[name] = e / e.sum(axis=-1, keepdims=True)
     draws = rng.random((K, 3, len(sentence)))
+    replayed = [
+        {name: np.minimum((draws[k, j, :, None] > probs[name][k].cumsum(axis=1)).sum(axis=1),
+                          probs[name].shape[-1] - 1) for j, name in enumerate(("n", "c", "u"))}
+        for k in range(K)
+    ]
+    # the reward sees each distinct sample once: map each call to the
+    # index of the first sample drawn with its ids
+    first = {}
+    for k, ids in enumerate(replayed):
+        first.setdefault(sample_key(ids), k)
+    assert len(seen) == len(first)
     vocab = model.vocab
-    for k, labels in enumerate(seen):
+    for k, labels in zip(first.values(), seen):
         got = {
             "n": [vocab.tasks["n"][lab.n.token()] for lab in labels[:-1]],
             "c": [vocab.tasks["c"][lab.c] for lab in labels[:-1]],
             "u": [vocab.tasks["u"][lab.u if lab.u else "NONE"] for lab in labels],
         }
-        for j, name in enumerate(("n", "c", "u")):
-            p = probs[name][k]
-            ids = np.minimum((draws[k, j, :, None] > p.cumsum(axis=1)).sum(axis=1), p.shape[1] - 1)
-            assert got[name] == list(ids[: len(got[name])])
+        for name in ("n", "c", "u"):
+            assert got[name] == list(replayed[k][name][: len(got[name])])
 
 
 def test_finetune_scores_baseline_once(monkeypatch):

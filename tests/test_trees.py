@@ -1,10 +1,11 @@
+from collections import Counter
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treetag import trees
-from treetag.metrics import PUNCT_POS, span_counts
+from treetag.metrics import PUNCT_POS
 from treetag.trees import (
     Internal,
     Leaf,
@@ -374,7 +375,7 @@ def test_span_reader_matches_the_tree_reader(tmp_path_factory, text, strip_funct
 
     def read_spans():
         forest = load_trees(path, strip_functions, spans=True, skip=skip)
-        return [(list(span_counts(spans).items()), leaves) for spans, leaves in forest]
+        return [(list(Counter(spans).items()), leaves) for spans, leaves in forest]
 
     def read_trees():
         forest = load_trees(path, strip_functions)

@@ -2,7 +2,10 @@
 they replaced (``encodings.boundaries``, ``metrics._spans_and_leaves`` and
 ``trees.serialize``), kept here verbatim as oracles.  The spans oracle also
 checks the span reader (``trees.parse_bracketed`` with ``spans``), which
-took over punctuation stripping from the walk."""
+took over punctuation stripping from the walk.  ``metrics.span_counts``,
+which split each whole-label span into its ``+``-joined members as it
+counted, is kept here too: the reader, the walk and the decoder now split
+as they emit, and must count the same."""
 
 import random
 from collections import Counter
@@ -11,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from treetag.trees import Internal, Leaf, demo_grammar, parse_bracketed, random_tree, serialize
 from treetag.trees import leaves as leaf_nodes
-from treetag.encodings import CHAIN_SEP, DUMMY, _check_label, boundaries
-from treetag.metrics import PUNCT_POS, _spans_and_leaves, span_counts
+from treetag.encodings import CHAIN_SEP, DUMMY, RELATIVE, _check_label, boundaries, encode
+from treetag.encodings import decoded_spans
+from treetag.metrics import PUNCT_POS, _spans_and_leaves
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +77,30 @@ def _oracle_spans_and_leaves(tree, strip_punctuation):
 
     walk(tree, 0)
     return Counter(spans), leaves
+
+
+def _oracle_whole_spans(tree, skip=()):
+    """The (label, start, end) span of each phrase node of `tree` over the
+    leaves whose POS is not in `skip`, labels left whole, in post-order."""
+    spans = []
+
+    def walk(node, i):
+        if isinstance(node, Leaf):
+            return i + (node.pos not in skip)
+        j = i
+        for child in node.children:
+            j = walk(child, j)
+        if j > i:
+            spans.append((node.label, i, j))
+        return j
+
+    walk(tree, 0)
+    return spans
+
+
+def _oracle_span_counts(spans):
+    """Counter of (label, start, end) spans, one per ``+``-joined member."""
+    return Counter([(part, i, j) for label, i, j in spans for part in label.split(CHAIN_SEP)])
 
 
 def _oracle_serialize(tree):
@@ -138,7 +166,7 @@ def test_walks_match_recursive_oracles(tree):
     spans, leaves = _spans_and_leaves(tree)
     expected_spans, expected_leaves = _oracle_spans_and_leaves(tree, False)
     # the same spans in the same (post-order) order
-    assert list(span_counts(spans).items()) == list(expected_spans.items())
+    assert list(Counter(spans).items()) == list(expected_spans.items())
     assert leaves == expected_leaves
     text = serialize(tree)
     assert text == _oracle_serialize(tree)
@@ -148,5 +176,34 @@ def test_walks_match_recursive_oracles(tree):
             spans = []
             (leaves,) = parse_bracketed(text, spans=spans, skip=PUNCT_POS if strip else ())
             expected_spans, expected_leaves = _oracle_spans_and_leaves(tree, strip)
-            assert list(span_counts(spans).items()) == list(expected_spans.items())
+            assert list(Counter(spans).items()) == list(expected_spans.items())
             assert leaves == expected_leaves
+
+
+# ---------------------------------------------------------------------------
+# Spans one per chain member, as they are emitted.
+
+PLUS = ["NP+", "+", "NP+VP", "S+PP+ADJP"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.lists(st.sampled_from(PLUS), min_size=1, max_size=2),
+       st.sampled_from([0.0, 0.3]))
+def test_spans_are_split_where_they_are_emitted(seed, plus, share):
+    """Counting the spans the reader, the walk and the decoder emit gives
+    what splitting whole-label spans while counting gave, in the same
+    insertion order for the reader and the walk."""
+    tree = _punctuate(random_tree(seed, 12, 8, ALPHABET + plus), random.Random(seed), share)
+    for skip in ((), PUNCT_POS):
+        spans = []
+        parse_bracketed(serialize(tree), spans=spans, skip=skip)
+        expected = _oracle_span_counts(_oracle_whole_spans(tree, skip))
+        assert list(Counter(spans).items()) == list(expected.items())
+    expected = _oracle_span_counts(_oracle_whole_spans(tree))
+    assert list(Counter(_spans_and_leaves(tree)[0]).items()) == list(expected.items())
+    # the decoder reads ``+``-joined c labels and u chains off an encodable
+    # tree's labels; it emits leaf chains first, so only the multiset agrees
+    clean = random_tree(seed, 12, 8, ALPHABET)
+    labels = encode(clean, RELATIVE).labels
+    spans = decoded_spans(*zip(*[(lab.n, lab.c, lab.u) for lab in labels]))
+    assert spans == _oracle_span_counts(_oracle_whole_spans(clean))
