@@ -31,7 +31,6 @@ from .encodings import (
     NComponent,
     TagLabel,
     decode,
-    decode_parts,
     decode_with_repairs,
     encode,
     encode_absolute,
@@ -53,9 +52,7 @@ from .tagger import (
     Vocabularies,
     featurize,
     load_model,
-    mtl_loss,
     predict_greedy,
-    predict_trees,
     save_model,
     train_mtl,
 )

@@ -350,21 +350,10 @@ def decode_with_repairs(encoded):
     single phrase child are artifacts of an overlong climb and are spliced
     out.  The final position's n and c are ignored (dummy by contract).
     """
-    labels = encoded.labels
-    return decode_parts(encoded.sentence, [lab.n for lab in labels], [lab.c for lab in labels],
-                        [lab.u for lab in labels])
-
-
-def decode_parts(sentence, ns, cs, us):
-    """decode_with_repairs() of a label sequence given as its n
-    components, c labels and u chains, building no labels."""
-    if not len(ns) == len(cs) == len(us) == len(sentence):
-        raise ValueError("%d labels for %d words" % (len(us), len(sentence)))
-    log = RepairLog()
-    wrapped = [
-        _wrap_chain(u, [Leaf(pos, word)]) for word, pos, u in zip(sentence.words, sentence.pos, us)
-    ]
-    return _spine(ns, cs, wrapped, log), log
+    sentence, labels, log = encoded.sentence, encoded.labels, RepairLog()
+    wrapped = [_wrap_chain(lab.u, [Leaf(pos, word)])
+               for lab, word, pos in zip(labels, sentence.words, sentence.pos)]
+    return _spine([lab.n for lab in labels], [lab.c for lab in labels], wrapped, log), log
 
 
 def decoded_spans(ns, cs, us):
@@ -376,7 +365,9 @@ def decoded_spans(ns, cs, us):
 
 
 def decoded_line(sentence, ns, cs, us):
-    """(serialize(tree), log) of decode_parts(·), written without building the tree."""
+    """(serialize(tree), log) of decode_with_repairs() of a label sequence
+    given as its n components, c labels and u chains, written without
+    building labels or the tree."""
     if not len(ns) == len(cs) == len(us) == len(sentence):
         raise ValueError("%d labels for %d words" % (len(us), len(sentence)))
     log, line = RepairLog(), []

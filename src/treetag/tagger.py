@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import NO_CHAIN, SCHEMES, EncodedSentence, NComponent, TagLabel
-from .encodings import decode_parts, decoded_line, decoded_spans
+from .encodings import decoded_line, decoded_spans
 from .trees import Sentence
 from . import metrics
 
@@ -379,28 +379,6 @@ def _chunks(lengths):
         yield start, len(lengths)
 
 
-def mtl_loss(model, corpus):
-    """Mean per-token loss over (EncodedSentence, aux dict) pairs.
-
-    Returns (total, components) where components maps each task to its
-    per-token mean cross-entropy and total equals components[n] +
-    components[c] + components[u] + model.config.aux_weight * sum(aux).
-    """
-    sums = {name: 0.0 for name in model.tasks}
-    tokens = 0
-    for start, stop in _chunks([len(encoded) for encoded, _ in corpus]):
-        part = corpus[start:stop]
-        cache = model.forward(model.windows([encoded.sentence for encoded, _ in part]))
-        losses, _ = task_losses(cache, _gold_ids(model.vocab, part))
-        for name, value in losses.items():
-            sums[name] += value
-        tokens += len(cache["h"])
-    components = {name: value / tokens for name, value in sums.items()}
-    total = sum(components[name] for name in MAIN_TASKS)
-    total += model.config.aux_weight * sum(components[name] for name in model.vocab.aux_tasks)
-    return total, components
-
-
 def train_mtl(corpus, config, dev=None):
     """Train a tagger on (EncodedSentence, aux dict) pairs.
 
@@ -521,15 +499,9 @@ def predict_greedy(model, sentence):
     return encoded_from_ids(model, sentence, next(_predict_ids(model, [sentence])))
 
 
-def predict_trees(model, sentences):
-    """decode(predict_greedy(model, s)) for each sentence, in input order,
-    decoded straight from the label ids without building labels."""
-    ids = _predict_ids(model, sentences)
-    return [decode_parts(s, *_label_parts(model.vocab, i))[0] for s, i in zip(sentences, ids)]
-
-
 def predicted_lines(model, sentences):
-    """(serialize(tree), RepairLog) of each tree predict_trees returns, built by decoded_line."""
+    """(serialize(tree), RepairLog) of decode_with_repairs(predict_greedy(model, s))
+    for each sentence, in input order, written by decoded_line from the label ids."""
     ids = _predict_ids(model, sentences)
     return [decoded_line(s, *_label_parts(model.vocab, i)) for s, i in zip(sentences, ids)]
 

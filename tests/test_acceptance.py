@@ -27,13 +27,13 @@ from treetag.encodings import (
 )
 from treetag.auxtracks import PAD, make_track, syntactic_distances
 from treetag.metrics import bracket_score, corpus_bracket_score, label_space_stats
-from treetag.tagger import TaggerModel, TrainConfig, mtl_loss, predict_greedy, train_mtl
+from treetag.tagger import TaggerModel, TrainConfig, predict_greedy, train_mtl
 from treetag.pg import AdvantageTracker, PGConfig, estimate_policy_gradient, finetune_pg
 
 from test_encodings import oracle_pairs, oracle_paths
 from test_metrics import make_pair, oracle_score
 from test_auxtracks import oracle_distances
-from test_tagger import analytic_grads, summed_loss, tiny_config
+from test_tagger import analytic_grads, mean_loss, summed_loss, tiny_config
 from test_pg import exact_gradient_fd, reward_table, table_reward_fn, toy_policy
 
 ALPHABET = ["S", "NP", "VP", "PP", "ADJP", "ADVP", "SBAR"]
@@ -205,7 +205,7 @@ def test_mtl_loss_composition(training_setup, trained):
         for beta in (0.0, 0.1):
             config = dataclasses.replace(model.config, aux_weight=beta)
             weighted = TaggerModel(model.vocab, config, model.scheme, params=model.params)
-            total, parts = mtl_loss(weighted, corpus[:40])
+            total, parts = mean_loss(weighted, corpus[:40])
             expected = parts["n"] + parts["c"] + parts["u"]
             expected += beta * sum(parts[k] for k in parts if k not in ("n", "c", "u"))
             assert abs(total - expected) <= 1e-9

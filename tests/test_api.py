@@ -12,13 +12,12 @@ PUBLIC_NAMES = [
     "Internal", "LabelSpaceStats", "Leaf", "NComponent", "PCFG", "PGConfig",
     "ParseError", "RELATIVE", "SCHEMES", "Sentence", "TagLabel", "TaggerModel",
     "TrainConfig", "Vocabularies", "adapt_noise", "bracket_score",
-    "corpus_bracket_score", "decode", "decode_parts", "decode_with_repairs",
-    "demo_grammar", "encode", "encode_absolute", "encode_dynamic", "encode_relative",
-    "featurize", "finetune_pg", "label_space_stats", "leaves", "load_model",
-    "load_trees", "mtl_loss", "parse_bracketed", "per_n_f1", "pg_update",
-    "predict_greedy", "predict_trees", "random_tree", "sample_corpus", "save_model",
-    "save_trees", "serialize", "shifted_n", "syntactic_distances", "train_mtl",
-    "tree_reward",
+    "corpus_bracket_score", "decode", "decode_with_repairs", "demo_grammar", "encode",
+    "encode_absolute", "encode_dynamic", "encode_relative", "featurize", "finetune_pg",
+    "label_space_stats", "leaves", "load_model", "load_trees", "parse_bracketed",
+    "per_n_f1", "pg_update", "predict_greedy", "random_tree", "sample_corpus",
+    "save_model", "save_trees", "serialize", "shifted_n", "syntactic_distances",
+    "train_mtl", "tree_reward",
 ]
 
 PUBLIC_SIGNATURES = {
@@ -53,7 +52,6 @@ PUBLIC_SIGNATURES = {
     "bracket_score": "(gold, predicted)",
     "corpus_bracket_score": "(gold_trees, predicted_trees)",
     "decode": "(encoded)",
-    "decode_parts": "(sentence, ns, cs, us)",
     "decode_with_repairs": "(encoded)",
     "demo_grammar": "()",
     "encode": "(tree, scheme, walk=None)",
@@ -66,7 +64,6 @@ PUBLIC_SIGNATURES = {
     "leaves": "(tree)",
     "load_model": "(path)",
     "load_trees": "(path, strip_functions=False, spans=False, skip=())",
-    "mtl_loss": "(model, corpus)",
     "parse_bracketed": "(text, strip_functions=False, spans=None, skip=())",
     "per_n_f1": "(gold_corpus, pred_corpus)",
     "pg_update": (
@@ -74,7 +71,6 @@ PUBLIC_SIGNATURES = {
         "noise_std=0.0)"
     ),
     "predict_greedy": "(model, sentence)",
-    "predict_trees": "(model, sentences)",
     "random_tree": "(rng_seed, max_leaves, max_depth, nonterminal_alphabet)",
     "sample_corpus": "(rng_seed, count)",
     "save_model": "(path, model)",

@@ -33,7 +33,6 @@ from treetag.encodings import (
     _n_component,
     boundaries,
     decode,
-    decode_parts,
     decode_with_repairs,
     decoded_line,
     encode,
@@ -364,7 +363,7 @@ def test_decode_length_mismatch_rejected():
     with pytest.raises(ValueError):
         EncodedSentence(sentence, [TagLabel.dummy()], RELATIVE)
     with pytest.raises(ValueError, match="1 labels for 2 words"):
-        decode_parts(sentence, [NComponent("dummy")], [DUMMY], [""])
+        decoded_line(sentence, [NComponent("dummy")], [DUMMY], [""])
 
 
 label_tokens = st.one_of(
@@ -520,7 +519,8 @@ def test_decoded_line_is_the_serialized_tree(parts):
     T = len(parts)
     sentence = Sentence(tuple("w%d" % i for i in range(T)), tuple("P%d" % i for i in range(T)))
     ns, cs, us = zip(*parts)
-    tree, log = decode_parts(sentence, ns, cs, us)
+    encoded = EncodedSentence(sentence, [TagLabel(n, c, u) for n, c, u in parts], DYNAMIC)
+    tree, log = decode_with_repairs(encoded)
     assert decoded_line(sentence, ns, cs, us) == (serialize(tree), log)
 
 

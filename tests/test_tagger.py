@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from treetag import pg, tagger
-from treetag.trees import Sentence, parse_bracketed, sample_corpus
-from treetag.encodings import decode, encode_dynamic, encode_relative
+from treetag.trees import Sentence, parse_bracketed, sample_corpus, serialize
+from treetag.encodings import decode, decode_with_repairs, encode_dynamic, encode_relative
 from treetag.auxtracks import make_track
 from treetag.metrics import corpus_bracket_score, labeled_spans
 from treetag.tagger import (
@@ -25,9 +25,8 @@ from treetag.tagger import (
     encoded_from_ids,
     featurize,
     load_model,
-    mtl_loss,
     predict_greedy,
-    predict_trees,
+    predicted_lines,
     save_model,
     task_losses,
     train_mtl,
@@ -202,7 +201,7 @@ def test_nonfinite_head_faults_prediction():
         model.params["W_" + head][:, 0] = np.nan
         for call in (lambda: model.forward(model.windows(sentences)),
                      lambda: predict_greedy(model, sentences[0]),
-                     lambda: predict_trees(model, sentences)):
+                     lambda: predicted_lines(model, sentences)):
             with pytest.raises(RuntimeError, match="^non-finite logits in head %r$" % head):
                 call()
 
@@ -435,7 +434,7 @@ def test_nonfinite_w1_faults_training_and_every_prediction():
     pairs = [(s, frozenset()) for s in sentences]
     for call in (lambda: model.forward(model.windows(sentences)),
                  lambda: predict_greedy(model, sentences[0]),
-                 lambda: predict_trees(model, sentences),
+                 lambda: predicted_lines(model, sentences),
                  lambda: tagger.greedy_scores(model, pairs)):
         with pytest.raises(RuntimeError, match="^non-finite hidden activations"):
             call()
@@ -539,12 +538,34 @@ def test_encoded_from_gold_ids_gives_the_gold_labels():
 # ---------------------------------------------------------------------------
 # loss composition
 
+def mean_loss(model, corpus):
+    """Mean per-token loss over (EncodedSentence, aux dict) pairs, from
+    forward and task_losses over chunks of at most TOKEN_BUDGET tokens.
+
+    Returns (total, components): components maps each task to its mean
+    cross-entropy; total is the mean of the per-token losses weighted as
+    train_mtl weights them (aux heads by model.config.aux_weight).
+    """
+    sums = {name: 0.0 for name in model.tasks}
+    weighted = 0.0
+    tokens = 0
+    for start, stop in tagger._chunks([len(encoded) for encoded, _ in corpus]):
+        part = corpus[start:stop]
+        cache = model.forward(model.windows([encoded.sentence for encoded, _ in part]))
+        losses, _ = task_losses(cache, _gold_ids(model.vocab, part))
+        for name, value in losses.items():
+            sums[name] += value
+            weighted += value * (1.0 if name in MAIN_TASKS else model.config.aux_weight)
+        tokens += len(cache["h"])
+    return weighted / tokens, {name: value / tokens for name, value in sums.items()}
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.1])
 def test_loss_composition(beta):
     _, corpus = tiny_corpus()
     vocab = Vocabularies.build(corpus)
     model = TaggerModel(vocab, tiny_config(aux_weight=beta), "dynamic")
-    total, parts = mtl_loss(model, corpus)
+    total, parts = mean_loss(model, corpus)
     expected = parts["n"] + parts["c"] + parts["u"]
     expected += beta * sum(parts[name] for name in vocab.aux_tasks)
     assert abs(total - expected) <= 1e-9
@@ -554,7 +575,7 @@ def test_loss_beta_zero_drops_aux():
     _, corpus = tiny_corpus()
     vocab = Vocabularies.build(corpus)
     model = TaggerModel(vocab, tiny_config(aux_weight=0.0), "dynamic")
-    total, parts = mtl_loss(model, corpus)
+    total, parts = mean_loss(model, corpus)
     assert total == pytest.approx(parts["n"] + parts["c"] + parts["u"])
 
 
@@ -567,8 +588,19 @@ def test_singleton_task_vocab_zero_entropy():
     vocab = Vocabularies.build(corpus)
     assert len(vocab.tasks["u"]) == 1
     model = TaggerModel(vocab, tiny_config(), "relative")
-    _, parts = mtl_loss(model, corpus)
+    _, parts = mean_loss(model, corpus)
     assert parts["u"] == 0.0
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1])
+def test_recorded_epoch_loss_is_the_mean_loss(beta):
+    # at learning rate 0 the parameters never move, so the loss train_mtl
+    # records over its mini-batches is the loss of the model it returns
+    _, corpus = tiny_corpus(n=40)
+    config = tiny_config(aux_weight=beta, learning_rate=0.0, dropout=0.0, epochs=1)
+    model = train_mtl(corpus, config)
+    total, _ = mean_loss(model, corpus)
+    assert abs(model.history[0]["loss"] - total) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +688,13 @@ def test_predict_deterministic_and_decodable():
         decode(predict_greedy(fresh, sentence))
 
 
+def greedy_lines(model, sentences):
+    """(serialize(tree), log) of decode_with_repairs(predict_greedy(model, s))
+    for each sentence: what predicted_lines must return."""
+    pairs = (decode_with_repairs(predict_greedy(model, s)) for s in sentences)
+    return [(serialize(tree), log) for tree, log in pairs]
+
+
 def test_predict_corpus_order_and_batching(monkeypatch):
     _, corpus = tiny_corpus(n=7)
     model = train_mtl(corpus, tiny_config(epochs=2))
@@ -666,16 +705,16 @@ def test_predict_corpus_order_and_batching(monkeypatch):
     assert len(long) > tagger.TOKEN_BUDGET
     sentences = sentences[:3] + [long] + sentences[3:]
     expected = [predict_greedy(model, s).labels for s in sentences]
-    trees = [decode(predict_greedy(model, s)) for s in sentences]
+    lines = greedy_lines(model, sentences)
     for budget in (1, 10, tagger.TOKEN_BUDGET):
         monkeypatch.setattr(tagger, "TOKEN_BUDGET", budget)
         ids = tagger._predict_ids(model, sentences)
         assert [encoded_from_ids(model, s, i).labels for s, i in zip(sentences, ids)] == expected
-        assert predict_trees(model, sentences) == trees
-    assert predict_trees(model, []) == []
+        assert predicted_lines(model, sentences) == lines
+    assert predicted_lines(model, []) == []
 
 
-def test_predict_trees_runs_one_forward_per_chunk(monkeypatch):
+def test_predicted_lines_runs_one_forward_per_chunk(monkeypatch):
     _, corpus = tiny_corpus(n=12)
     model = TaggerModel(Vocabularies.build(corpus), tiny_config(), "dynamic")
     sentences = [enc.sentence for enc, _ in corpus]
@@ -683,11 +722,11 @@ def test_predict_trees_runs_one_forward_per_chunk(monkeypatch):
     monkeypatch.setattr(tagger, "TOKEN_BUDGET", max(max(lengths), sum(lengths) // 3))
     chunks = list(tagger._chunks(lengths))
     assert len(chunks) > 1
-    expected = [decode(predict_greedy(model, s)) for s in sentences]
+    expected = greedy_lines(model, sentences)
     activate = model._activate
     calls = []
     model._activate = lambda pre, heads: calls.append(len(pre)) or activate(pre, heads)
-    assert predict_trees(model, sentences) == expected
+    assert predicted_lines(model, sentences) == expected
     assert calls == [sum(lengths[start:stop]) for start, stop in chunks]
 
 
@@ -711,7 +750,7 @@ def test_predicted_ids_are_the_argmax_of_probabilities(seed):
         for name in MAIN_TASKS:
             got = np.concatenate([sentence_ids[name] for sentence_ids in ids])
             np.testing.assert_array_equal(got, probs[name].argmax(axis=1))
-        assert predict_trees(model, batch) == [decode(predict_greedy(model, s)) for s in batch]
+        assert predicted_lines(model, batch) == greedy_lines(model, batch)
 
 
 def test_dev_selection_keeps_best():
