@@ -351,7 +351,7 @@ def decode_with_repairs(encoded):
     out.  The final position's n and c are ignored (dummy by contract).
     """
     sentence, labels, log = encoded.sentence, encoded.labels, RepairLog()
-    wrapped = [_wrap_chain(lab.u, [Leaf(pos, word)])
+    wrapped = [_wrap_chain(lab.u, [Leaf(pos, word)]) if lab.u else Leaf(pos, word)
                for lab, word, pos in zip(labels, sentence.words, sentence.pos)]
     return _spine([lab.n for lab in labels], [lab.c for lab in labels], wrapped, log), log
 

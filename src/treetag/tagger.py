@@ -12,12 +12,14 @@ of the hidden weights is multiplied by every word and POS embedding once
 per set of parameters, the hidden bias is added to the first slot's rows,
 and every token adds up the rows of its window (the pre-computation of
 Chen & Manning, 2014).  A token's hidden layer is then the same in any
-batch, and a single sentence costs a few row reads, at any vocabulary
-size; the table holds (2r+1)·(|words|+|POS|)·H floats.
+batch, and a single sentence costs one gather and one reduce of its
+window rows, at any vocabulary size; the table holds
+(2r+1)·(|words|+|POS|)·H floats.  Predicted labels are the encoders' own.
 
 `TaggerModel.forward` is the training pass through the network and stops
 at the logits: only the loss, the PG sampler and the noise measure take a
 softmax, and greedy prediction decodes from the argmax ids of the logits.
+Both check the hidden layer for finiteness only once a head's logits fail.
 
 All tensors are float64 numpy arrays and every gradient is written out by
 hand, which keeps the whole model checkable against finite differences.
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import NO_CHAIN, SCHEMES, EncodedSentence, NComponent, TagLabel
-from .encodings import decoded_line, decoded_spans
+from .encodings import DUMMY, NO_CHAIN, SCHEMES, EncodedSentence, NComponent
+from .encodings import _label, decoded_line, decoded_spans
 from .trees import Sentence
 from . import metrics
 
@@ -45,6 +47,11 @@ _CHECKPOINT_VERSION = 1
 # Tokens per prediction batch: large enough to amortise the per-call
 # overhead, small enough to keep peak memory flat.
 TOKEN_BUDGET = 256
+
+# Rows up to which predict_logits sums the table rows in one gather and one
+# reduce: at H = 128, r = 2, 3 us against 10 for 2 rows, 13 against 20 for
+# 17, but its (2(2r+1), rows, H) temporary leaves the cache past about 64.
+_SHORT_BATCH = 64
 
 
 class Vocabularies:
@@ -105,17 +112,19 @@ def _window_rows(sentences, vocab, r):
     """Window ids of `sentences`, one row per token: the word ids of
     positions t-r..t+r (BOS/EOS outside the sentence), then their POS ids,
     read with one fancy index from one padded id list of all sentences."""
-    lengths = [len(s) for s in sentences]
     padded = []
     for table, rows in ((vocab.word2id, [s.words for s in sentences]),
                         (vocab.pos2id, [s.pos for s in sentences])):
         bos, eos, oov = [table[BOS]] * r, [table[EOS]] * r, table[OOV]
         for row in rows:
             padded += bos + [table.get(x, oov) for x in row] + eos
-    starts = np.arange(sum(lengths)) + 2 * r * np.repeat(np.arange(len(lengths)), lengths)
-    span = np.arange(2 * r + 1)
-    index = starts[:, None] + np.concatenate([span, span + len(padded) // 2])
-    return np.array(padded, dtype=np.int64)[index]
+    lengths, k = [len(s) for s in sentences], 2 * r + 1
+    starts = np.arange(sum(lengths))
+    if len(lengths) > 1:  # skip each earlier sentence's padding
+        starts += 2 * r * np.repeat(np.arange(len(lengths)), lengths)
+    half = len(padded) // 2
+    columns = np.array([*range(k), *range(half, half + k)])
+    return np.array(padded, dtype=np.int64)[starts[:, None] + columns]
 
 
 def featurize(sentence, vocab, r):
@@ -225,21 +234,24 @@ class TaggerModel:
         from pre-activations summed as the table rows of the window, word
         slots first."""
         (table, offsets), T = self._projection(), len(windows)
-        # BLAS sums a one-row product in another order than a matrix one
+        # BLAS sums a one-row product, and numpy a one-row reduce, in
+        # another order than a matrix one
         rows = (windows.repeat(1 + (T == 1), axis=0) + offsets).T
-        pre = table[rows[0]]
-        for r in rows[1:]:
-            pre += table[r]
+        if rows.shape[1] <= _SHORT_BATCH:  # the adds of the loop below, in order
+            pre = np.add.reduce(table.take(rows, axis=0), axis=0)
+        else:
+            pre = table.take(rows[0], axis=0)
+            for r in rows[1:]:
+                pre += table.take(r, axis=0)
         return {name: z[:T] for name, z in self._activate(pre, MAIN_TASKS)["logits"].items()}
 
     def _activate(self, pre, heads, dropout_rng=None):
         """tanh of the pre-activation `pre` (in place), inverted dropout with
         `dropout_rng` (one draw over all rows), then the logits of `heads`:
-        the cache entries h_raw, h, mask and logits."""
+        the cache entries h_raw, h, mask and logits.  A NaN hidden unit
+        reaches every logit of its row, so h_raw is checked only then."""
         P = self.params
         h_raw = np.tanh(pre, out=pre)
-        if not np.isfinite(h_raw).all():
-            raise RuntimeError("non-finite hidden activations: check W1/b1/embeddings")
         mask = None
         h = h_raw
         if dropout_rng is not None and self.config.dropout > 0:
@@ -251,6 +263,8 @@ class TaggerModel:
             z = h @ P["W_" + name]
             z += P["b_" + name]
             if not np.isfinite(z).all():
+                if not np.isfinite(h_raw).all():
+                    raise RuntimeError("non-finite hidden activations: check W1/b1/embeddings")
                 raise RuntimeError("non-finite logits in head %r" % name)
             logits[name] = z
         return {"h_raw": h_raw, "h": h, "mask": mask, "logits": logits}
@@ -480,10 +494,11 @@ def _label_parts(vocab, ids):
 def encoded_from_ids(model, sentence, ids):
     """EncodedSentence from per-token (n, c, u) label ids; the last
     token's n and c are forced to the dummy so the output always decodes
-    (interior dummies are legal input to decode() and kept as-is)."""
+    (interior dummies are legal input to decode() and kept as-is).  Labels
+    come from, and so enter, the process-wide _label table (at most n x c x u)."""
     ns, cs, us = _label_parts(model.vocab, ids)
-    labels = [TagLabel(n, c, u) for n, c, u in zip(ns[:-1], cs[:-1], us[:-1])]
-    labels.append(TagLabel.dummy(us[-1]))
+    labels = [_label(n.scale, n.value, c, u) for n, c, u in zip(ns[:-1], cs, us)]
+    labels.append(_label("dummy", None, DUMMY, us[-1]))
     return EncodedSentence(sentence, labels, model.scheme)
 
 

@@ -3,12 +3,14 @@ gradient check, loss composition, and desk-scale memorization."""
 
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from treetag import pg, tagger
+from treetag import encodings, pg, tagger
 from treetag.trees import Sentence, parse_bracketed, sample_corpus, serialize
+from treetag.encodings import NO_CHAIN, NComponent, TagLabel
 from treetag.encodings import decode, decode_with_repairs, encode_dynamic, encode_relative
 from treetag.auxtracks import make_track
 from treetag.metrics import corpus_bracket_score, labeled_spans
@@ -440,6 +442,39 @@ def test_nonfinite_w1_faults_training_and_every_prediction():
             call()
 
 
+def test_hidden_fault_is_named_before_any_head_fault():
+    # the hidden layer is checked only once a head's logits are not
+    # finite; a NaN hidden unit makes every head's logits NaN, so its
+    # message still wins over a head's own fault
+    _, corpus = tiny_corpus()
+    sentences = [enc.sentence for enc, _ in corpus]
+
+    def calls(model, sentences):
+        pairs = [(s, Counter()) for s in sentences]
+        return (lambda: model.forward(model.windows(sentences)),
+                lambda: predict_greedy(model, sentences[0]),
+                lambda: predicted_lines(model, sentences),
+                lambda: tagger.greedy_scores(model, pairs))
+
+    for faults, message in ((("b1", "W_c"), "^non-finite hidden activations"),
+                            (("W_c",), "^non-finite logits in head 'c'$")):
+        model = TaggerModel(Vocabularies.build(corpus), tiny_config(), "dynamic")
+        for name in faults:
+            model.params[name][..., 0] = np.nan
+        for call in calls(model, sentences):
+            with pytest.raises(RuntimeError, match=message):
+                call()
+    # a NaN in an embedding row that no window reads is never seen
+    model = TaggerModel(Vocabularies.build(corpus), tiny_config(), "dynamic")
+    read = sentences[:2]
+    unread = sorted(set(model.vocab.word2id) - {OOV, BOS, EOS}
+                    - {w for s in read for w in s.words})
+    model.params["E_word"][model.vocab.word2id[unread[0]]] = np.nan
+    for call in calls(model, read):
+        call()
+    assert np.isnan(model._table[0]).any()
+
+
 def random_sentences(model, rng, count=40):
     words = sorted(model.vocab.word2id)[3:] + ["zzz"]
     tags = sorted(model.vocab.pos2id)[3:]
@@ -457,6 +492,45 @@ def test_single_and_batched_logits_are_equal():
     single = [model.predict_logits(model.windows([s])) for s in sentences]
     for name in MAIN_TASKS:
         assert np.array_equal(np.concatenate([z[name] for z in single]), batched[name])
+
+
+def sequential_pre_activation(model, windows):
+    """The table rows of each window added one slot at a time, word slots
+    first: the loop predict_logits runs on long batches."""
+    table, offsets = model._projection()
+    rows = (windows + offsets).T
+    pre = table[rows[0]]
+    for r in rows[1:]:
+        pre += table[r]
+    return pre
+
+
+@pytest.mark.parametrize("hidden_dim", [1, 8])
+@pytest.mark.parametrize("tokens", [1, 2, tagger._SHORT_BATCH, tagger._SHORT_BATCH + 1,
+                                    tagger.TOKEN_BUDGET])
+def test_both_gather_forms_give_the_same_bits(tokens, hidden_dim):
+    # a batch of at most _SHORT_BATCH rows is summed in one gather and one
+    # reduce, a longer one slot by slot; one word is summed as two rows
+    _, corpus = tiny_corpus()
+    model = train_mtl(corpus, tiny_config(window=2, hidden_dim=hidden_dim, epochs=1))
+    rng = np.random.default_rng(tokens)
+    words, tags = sorted(model.vocab.word2id)[3:] + ["zzz"], sorted(model.vocab.pos2id)[3:]
+    lengths = []
+    while sum(lengths) < tokens:
+        lengths.append(min(int(rng.integers(1, 12)), tokens - sum(lengths)))
+    sentences = [Sentence(tuple(rng.choice(words, n)), tuple(rng.choice(tags, n)))
+                 for n in lengths]
+    windows = model.windows(sentences)
+    oracle = sequential_pre_activation(model, windows)
+    assert np.array_equal(table_pre_activation(model, windows), oracle)
+    batched = model.predict_logits(windows)
+    end = 0
+    for sentence in sentences:
+        first, end = end, end + len(sentence)
+        single = model.windows([sentence])
+        assert np.array_equal(table_pre_activation(model, single), oracle[first:end])
+        for name, z in model.predict_logits(single).items():
+            assert np.array_equal(z, batched[name][first:end])
 
 
 def assert_table_matches_params(model, windows):
@@ -533,6 +607,34 @@ def test_encoded_from_gold_ids_gives_the_gold_labels():
     for instance in corpus:
         ids = _gold_ids(model.vocab, [instance])
         assert tagger.encoded_from_ids(model, instance[0].sentence, ids) == instance[0]
+
+
+def old_predicted_labels(model, ids):
+    """The labels greedy prediction assembled before it took them from the
+    encoders' table: a new TagLabel per token, read off the vocabulary,
+    and TagLabel.dummy for the last."""
+    names = model.vocab.task_labels
+    labels = []
+    for n, c, u in zip(ids["n"].tolist(), ids["c"].tolist(), ids["u"].tolist()):
+        u = "" if names["u"][u] == NO_CHAIN else names["u"][u]
+        labels.append(TagLabel(NComponent.from_token(names["n"][n]), names["c"][c], u))
+    labels[-1] = TagLabel.dummy(labels[-1].u)
+    return labels
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_predicted_labels_are_the_encoders_labels(seed):
+    _, corpus = tiny_corpus()
+    model = TaggerModel(Vocabularies.build(corpus), tiny_config(seed=seed), "dynamic")
+    rng = np.random.default_rng(seed)
+    for name in model.tasks:  # biases start at zero
+        model.params["b_" + name] = rng.normal(size=model.params["b_" + name].shape)
+    for sentence in random_sentences(model, rng):
+        ids = next(tagger._predict_ids(model, [sentence]))
+        labels = predict_greedy(model, sentence).labels
+        assert list(labels) == old_predicted_labels(model, ids)
+        for label in labels:
+            assert label is encodings._label(label.n.scale, label.n.value, label.c, label.u)
 
 
 # ---------------------------------------------------------------------------
