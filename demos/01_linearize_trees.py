@@ -14,6 +14,7 @@ from treetag import (
     parse_bracketed,
     serialize,
 )
+from treetag.encodings import DUMMY
 from treetag.trees import Sentence
 
 TREE = "(S (NP (NP (D a) (N b)) (PP (P c) (NP (D d) (N e)))) (VP (V f)))"
@@ -50,7 +51,7 @@ def main():
     sentence = Sentence(("w0", "w1"), ("P0", "P1"))
     nonsense = EncodedSentence(
         sentence,
-        [TagLabel(NComponent("relative", 5), "C"), TagLabel.dummy()],
+        [TagLabel(NComponent("relative", 5), "C"), TagLabel(NComponent("dummy"), DUMMY)],
         "relative",
     )
     repaired, log = decode_with_repairs(nonsense)

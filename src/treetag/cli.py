@@ -17,6 +17,7 @@ diagnostics where available).
 
 import argparse
 import collections
+import csv
 import dataclasses
 import functools
 import sys
@@ -221,9 +222,14 @@ def cmd_finetune(args):
     dev = trees.load_trees(args.dev_trees)
     config = _config_from(pg.PGConfig, args)
     try:
-        model, rows = pg.finetune_pg(model, train, config, dev=dev, log_path=args.log)
+        model, rows = pg.finetune_pg(model, train, config, dev=dev)
     except RuntimeError as e:
         raise ValueError("%s: fine-tuning failed: %s" % (args.checkpoint, e)) from e
+    if args.log:
+        with open(args.log, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()), delimiter="\t")
+            writer.writeheader()
+            writer.writerows(rows)
     tagging.save_model(args.output, model)
     last = rows[-1]
     print("fine-tuned %d epochs; dev F1 %.4f; saved %s"

@@ -128,10 +128,6 @@ class TagLabel:
         other text raises ValueError."""
         return cls(*token_parts(tok))
 
-    @classmethod
-    def dummy(cls, u=""):
-        return cls(NComponent("dummy"), DUMMY, u)
-
 
 @dataclass(frozen=True)
 class EncodedSentence:

@@ -17,7 +17,6 @@ scale adapts multiplicatively towards a target amount of induced
 distribution change.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -238,7 +237,7 @@ def adapt_noise(policy, config, std, sentences, rng):
     return std / config.noise_adapt, d
 
 
-def finetune_pg(policy, train, config, dev=None, log_path=None):
+def finetune_pg(policy, train, config, dev=None):
     """Fine-tune `policy` in place on the sentences of gold Trees.
 
     The baseline of every update is the incoming policy's greedy F1 on the
@@ -246,10 +245,9 @@ def finetune_pg(policy, train, config, dev=None, log_path=None):
     epoch the corpus is visited in a seeded shuffled order, in slices of
     NOISE_BATCH sentences; with noise enabled, the noise scale adapts on
     each slice after its updates.  `dev`, if given (gold Trees too), is
-    scored after each epoch; neither list may be empty.  A TSV log (epoch,
-    mean reward, mean baseline, mean standardized advantage, entropy, dev
-    F1, noise stddev) is written to `log_path` when provided.  Returns
-    (policy, log rows).
+    scored after each epoch; neither list may be empty.  Returns (policy,
+    log rows), one row per epoch: epoch, mean reward, mean baseline, mean
+    standardized advantage, entropy, dev F1 and noise stddev.
     """
     tracker = AdvantageTracker(config.burn_in)
     rng = np.random.default_rng(config.seed)
@@ -278,9 +276,4 @@ def finetune_pg(policy, train, config, dev=None, log_path=None):
         row["dev_f1"] = _dev_f1(policy, dev) if dev is not None else ""
         row["noise_std"] = std
         rows.append(row)
-    if log_path:
-        with open(log_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()), delimiter="\t")
-            writer.writeheader()
-            writer.writerows(rows)
     return policy, rows

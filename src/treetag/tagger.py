@@ -308,15 +308,11 @@ class TaggerModel:
                 ("E_pos", windows[:, W:], dX[:, split:]),
             ):
                 if name not in frozen:
-                    # a scatter over flat (id, column) indices in row order,
-                    # about 2**14 at a time to keep the index arrays small
-                    D = P[name].shape[1]
-                    g = np.zeros_like(P[name])
-                    step = 1 + (1 << 14) // dx.shape[1]
-                    for s in range(0, len(win), step):
-                        flat = (win[s : s + step, :, None] * D + np.arange(D)).ravel()
-                        np.add.at(g.reshape(-1), flat, dx[s : s + step].ravel())
-                    grads[name] = g
+                    # bincount adds in input order, giving a row-wise np.add.at's
+                    # bits; keep it one call, as chunk sums would re-associate
+                    V, D = P[name].shape
+                    flat = (win[:, :, None] * D + np.arange(D)).ravel()
+                    grads[name] = np.bincount(flat, dx.ravel(), V * D).reshape(V, D)
         return {k: g for k, g in grads.items() if k not in frozen}
 
 

@@ -147,7 +147,9 @@ def parse_bracketed(text, strip_functions=False, spans=None, skip=()):
 
     With `spans` (a list), build no tree: as each phrase closes, append its
     (label, start, end) over the words (leaves whose POS is not in `skip`),
-    one per ``+``-joined member, to `spans`; return each tree as its leaf count.
+    one per ``+``-joined member, to `spans`; return one leaf count per tree.
+    Word offsets and leaf counts run on across the trees of `text`: two
+    2-word trees give [2, 4], and the second tree's spans start at 2.
     """
     tokens = _tokens(text)
     n = len(tokens)

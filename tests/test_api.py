@@ -59,7 +59,7 @@ PUBLIC_SIGNATURES = {
     "encode_dynamic": "(tree, walk=None)",
     "encode_relative": "(tree, walk=None)",
     "featurize": "(sentence, vocab, r)",
-    "finetune_pg": "(policy, train, config, dev=None, log_path=None)",
+    "finetune_pg": "(policy, train, config, dev=None)",
     "label_space_stats": "(corpus, decomposed=False)",
     "leaves": "(tree)",
     "load_model": "(path)",

@@ -131,7 +131,11 @@ def test_full_pipeline(tmp_path, capsys):
                 "--epochs", "1", "--samples", "2", "--seed", "2",
                 "--log", str(log)]) == 0
     assert tuned.exists()
-    assert log.read_text().startswith("epoch\t")
+    lines = log.read_text().splitlines()
+    assert lines[0].split("\t") == [
+        "epoch", "reward", "baseline", "standardized", "entropy", "dev_f1", "noise_std",
+    ]
+    assert len(lines) == 2 and lines[1].startswith("0\t")
 
 
 def test_train_and_noisy_finetune_repeat_bit_for_bit(tmp_path):

@@ -164,7 +164,7 @@ def test_encode_single_word_tree():
     (t,) = parse_bracketed("(X (N a))")
     enc = encode_relative(t)
     assert len(enc) == 1
-    assert enc.labels[0] == TagLabel.dummy("X")
+    assert enc.labels[0] == TagLabel(NComponent("dummy"), DUMMY, "X")
     assert decode(enc) == t
 
 
@@ -316,7 +316,7 @@ def two_word_sentence():
 def test_decode_repairs_overlong_climb_to_flat():
     labels = [
         TagLabel(NComponent(RELATIVE, 5), "C"),
-        TagLabel.dummy(),
+        TagLabel(NComponent("dummy"), DUMMY),
     ]
     enc = EncodedSentence(two_word_sentence(), labels, RELATIVE)
     tree, log = decode_with_repairs(enc)
@@ -327,7 +327,7 @@ def test_decode_repairs_overlong_climb_to_flat():
 def test_decode_clamps_negative_counts():
     labels = [
         TagLabel(NComponent(RELATIVE, -4), "C"),
-        TagLabel.dummy(),
+        TagLabel(NComponent("dummy"), DUMMY),
     ]
     enc = EncodedSentence(two_word_sentence(), labels, RELATIVE)
     tree, log = decode_with_repairs(enc)
@@ -340,7 +340,7 @@ def test_decode_first_assignment_wins():
     labels = [
         TagLabel(NComponent(RELATIVE, 1), "FIRST"),
         TagLabel(NComponent(RELATIVE, 0), "SECOND"),
-        TagLabel.dummy(),
+        TagLabel(NComponent("dummy"), DUMMY),
     ]
     tree, log = decode_with_repairs(EncodedSentence(sentence, labels, RELATIVE))
     assert tree.label == "FIRST"
@@ -351,7 +351,7 @@ def test_decode_placeholder_label():
     sentence = Sentence(("a", "b"), ("PA", "PB"))
     labels = [
         TagLabel(NComponent(RELATIVE, 1), DUMMY),
-        TagLabel.dummy(),
+        TagLabel(NComponent("dummy"), DUMMY),
     ]
     tree, log = decode_with_repairs(EncodedSentence(sentence, labels, RELATIVE))
     assert tree.label == "X"
@@ -361,7 +361,7 @@ def test_decode_placeholder_label():
 def test_decode_length_mismatch_rejected():
     sentence = Sentence(("a", "b"), ("PA", "PB"))
     with pytest.raises(ValueError):
-        EncodedSentence(sentence, [TagLabel.dummy()], RELATIVE)
+        EncodedSentence(sentence, [TagLabel(NComponent("dummy"), DUMMY)], RELATIVE)
     with pytest.raises(ValueError, match="1 labels for 2 words"):
         decoded_line(sentence, [NComponent("dummy")], [DUMMY], [""])
 
@@ -387,14 +387,14 @@ def test_decode_total_on_arbitrary_labels(parts):
     T = len(parts)
     sentence = Sentence(tuple("w%d" % i for i in range(T)), tuple("P" for _ in range(T)))
     labels = [TagLabel(n, c, u) for n, c, u in parts[:-1]]
-    labels.append(TagLabel.dummy(parts[-1][2]))
+    labels.append(TagLabel(NComponent("dummy"), DUMMY, parts[-1][2]))
     tree = decode(EncodedSentence(sentence, labels, DYNAMIC))
     assert [l.word for l in _leaves(tree)] == list(sentence.words)
 
 
 def test_decode_deep_climb_returns_a_tree():
     # 3,000 open levels close one by one, with no recursion
-    labels = [TagLabel(NComponent(ABSOLUTE, 3000), "S"), TagLabel.dummy()]
+    labels = [TagLabel(NComponent(ABSOLUTE, 3000), "S"), TagLabel(NComponent("dummy"), DUMMY)]
     tree, log = decode_with_repairs(EncodedSentence(two_word_sentence(), labels, DYNAMIC))
     assert tree == Internal("S", [Leaf("P0", "w0"), Leaf("P1", "w1")])
     assert log == RepairLog(spliced=2999)
@@ -566,7 +566,7 @@ def test_label_token_surface_forms():
     lab2 = TagLabel(NComponent(ABSOLUTE, 1), "S", "NP")
     assert lab2.token() == "a1~S~NP"
     assert TagLabel.from_token("a1~S~NP") == lab2
-    assert TagLabel.from_token("DUMMY~DUMMY~NONE") == TagLabel.dummy()
+    assert TagLabel.from_token("DUMMY~DUMMY~NONE") == TagLabel(NComponent("dummy"), DUMMY)
 
 
 # near misses of the encoders' spelling, beside arbitrary text
@@ -687,7 +687,7 @@ def test_repair_log_is_clean_only_without_repairs(field):
 def test_label_parts_are_the_sublabel_tokens():
     assert TagLabel(NComponent(RELATIVE, -3), "S", "").parts() == ("r-3", "S", "NONE")
     assert TagLabel(NComponent(ABSOLUTE, 1), "S", "NP").parts() == ("a1", "S", "NP")
-    assert TagLabel.dummy().parts() == ("DUMMY", "DUMMY", "NONE")
+    assert TagLabel(NComponent("dummy"), DUMMY).parts() == ("DUMMY", "DUMMY", "NONE")
 
 
 def test_ncomponent_validation():

@@ -8,6 +8,7 @@ import pytest
 
 from treetag.trees import Internal, Leaf, parse_bracketed, random_tree
 from treetag.encodings import encode_relative, EncodedSentence, TagLabel, NComponent, RELATIVE
+from treetag.encodings import DUMMY
 from treetag.metrics import (
     PUNCT_POS,
     BracketScore,
@@ -324,7 +325,7 @@ def test_label_space_small_example():
     from treetag.trees import Sentence
 
     sentence = Sentence(("a", "b"), ("PA", "PB"))
-    labels = [TagLabel(NComponent(RELATIVE, 2), "NP"), TagLabel.dummy()]
+    labels = [TagLabel(NComponent(RELATIVE, 2), "NP"), TagLabel(NComponent("dummy"), DUMMY)]
     corpus = [EncodedSentence(sentence, labels, RELATIVE)]
     full = label_space_stats(corpus, decomposed=False)
     assert full.total_distinct == 2

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from treetag.trees import Sentence, parse_bracketed, sample_corpus
 from treetag.encodings import (
     ABSOLUTE,
+    DUMMY,
     DYNAMIC,
     RELATIVE,
     EncodedSentence,
@@ -87,10 +88,11 @@ def toy_policy(u_labels=("",), seed=5):
     The only free decisions are word 0's n and c picks: 4 outcomes.
     """
     sentence = Sentence(("a", "b"), ("PA", "PB"))
-    labels = [TagLabel(NComponent(RELATIVE, 1), "S", u_labels[0]), TagLabel.dummy()]
+    last = TagLabel(NComponent("dummy"), DUMMY)
+    labels = [TagLabel(NComponent(RELATIVE, 1), "S", u_labels[0]), last]
     corpus = [(EncodedSentence(sentence, labels, RELATIVE), {})]
     for extra in u_labels[1:]:
-        lab2 = [TagLabel(NComponent(RELATIVE, 1), "S", extra), TagLabel.dummy()]
+        lab2 = [TagLabel(NComponent(RELATIVE, 1), "S", extra), last]
         corpus.append((EncodedSentence(sentence, lab2, RELATIVE), {}))
     vocab = Vocabularies.build(corpus)
     config = TrainConfig(word_dim=4, pos_dim=3, hidden_dim=6, window=1,
@@ -184,7 +186,7 @@ def test_reward_of_a_deep_climb_is_a_score():
     # every sample's first label climbs 3,000 levels; the decoder splices
     # out the 2,999 unlabelled ones, so the reward is a score, not an error
     sentence = Sentence(("a", "b"), ("PA", "PB"))
-    labels = [TagLabel(NComponent(ABSOLUTE, 3000), "S"), TagLabel.dummy()]
+    labels = [TagLabel(NComponent(ABSOLUTE, 3000), "S"), TagLabel(NComponent("dummy"), DUMMY)]
     corpus = [(EncodedSentence(sentence, labels, DYNAMIC), {})]
     vocab = Vocabularies.build(corpus)
     model = TaggerModel(vocab, TrainConfig(word_dim=4, pos_dim=3, hidden_dim=6, window=1),
@@ -475,7 +477,7 @@ def test_noise_divergence_reaches_band():
 # ---------------------------------------------------------------------------
 # fine-tuning driver
 
-def test_finetune_runs_and_logs(tmp_path):
+def test_finetune_runs_and_logs():
     forest = sample_corpus(33, 8)
     corpus = []
     for t in forest:
@@ -484,14 +486,11 @@ def test_finetune_runs_and_logs(tmp_path):
     model = train_mtl(corpus, TrainConfig(word_dim=8, pos_dim=4, hidden_dim=12,
                                           window=1, dropout=0.0, epochs=5, seed=4))
     config = PGConfig(samples=2, epochs=2, seed=3)
-    log = tmp_path / "pg.tsv"
-    model, rows = finetune_pg(model, forest, config, dev=forest, log_path=str(log))
+    model, rows = finetune_pg(model, forest, config, dev=forest)
     assert len(rows) == 2
-    lines = log.read_text().splitlines()
-    assert lines[0].split("\t") == [
+    assert [list(row) for row in rows] == [[
         "epoch", "reward", "baseline", "standardized", "entropy", "dev_f1", "noise_std",
-    ]
-    assert len(lines) == 3
+    ]] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from treetag import encodings, pg, tagger
 from treetag.trees import Sentence, parse_bracketed, sample_corpus, serialize
-from treetag.encodings import NO_CHAIN, NComponent, TagLabel
+from treetag.encodings import DUMMY, NO_CHAIN, NComponent, TagLabel
 from treetag.encodings import decode, decode_with_repairs, encode_dynamic, encode_relative
 from treetag.auxtracks import make_track
 from treetag.metrics import corpus_bracket_score, labeled_spans
@@ -342,29 +342,40 @@ def test_backward_skips_frozen_and_missing_heads():
 
 
 def test_embedding_gradients_equal_row_scatter_bytes():
-    # a batch repeating every id: the flat scatter must add each row's
-    # contributions in np.add.at's order, so the sums match to the bit
+    # a batch repeating every id: each table's gradient must add each row's
+    # contributions in np.add.at's order, so the sums match to the bit.  The
+    # 40-copy batches hold many times 2**14 flat (id, column) indices per
+    # table, the chunk size the sum was once split into: adding per-chunk
+    # partial sums re-associates the float adds and changes the bits, so
+    # each table must stay one sum in input order
     _, corpus = tiny_corpus(n=4)
-    model = TaggerModel(Vocabularies.build(corpus), tiny_config(window=2), "dynamic")
-    instances = corpus * 3
-    cache = model.forward(model.windows([enc.sentence for enc, _ in instances]))
-    _, dlogits = task_losses(cache, _gold_ids(model.vocab, instances))
-    grads = model.backward(cache, dlogits)
-    P = model.params
-    dh = np.zeros_like(cache["h"])
-    for name, dz in dlogits.items():
-        dh += dz @ P["W_" + name].T
-    dX = (dh * (1.0 - cache["h_raw"] ** 2)) @ P["W1"].T
-    W = cache["windows"].shape[1] // 2
-    split = W * model.config.word_dim
-    for name, win, dx in (
-        ("E_word", cache["windows"][:, :W], dX[:, :split]),
-        ("E_pos", cache["windows"][:, W:], dX[:, split:]),
-    ):
-        assert len(np.unique(win)) < win.size
-        expected = np.zeros_like(P[name])
-        np.add.at(expected, win, dx.reshape(win.shape + (-1,)))
-        assert grads[name].tobytes() == expected.tobytes()
+    big = dict(word_dim=100, pos_dim=20)
+    for copies, dims, frozen in ((3, {}, ()), (40, big, ()), (40, big, ("E_word",)),
+                                 (40, big, ("E_pos",))):
+        model = TaggerModel(Vocabularies.build(corpus), tiny_config(window=2, **dims), "dynamic")
+        instances = corpus * copies
+        cache = model.forward(model.windows([enc.sentence for enc, _ in instances]))
+        _, dlogits = task_losses(cache, _gold_ids(model.vocab, instances))
+        grads = model.backward(cache, dlogits, frozen=frozen)
+        P = model.params
+        dh = np.zeros_like(cache["h"])
+        for name, dz in dlogits.items():
+            dh += dz @ P["W_" + name].T
+        dX = (dh * (1.0 - cache["h_raw"] ** 2)) @ P["W1"].T
+        W = cache["windows"].shape[1] // 2
+        split = W * model.config.word_dim
+        for name, win, dx in (
+            ("E_word", cache["windows"][:, :W], dX[:, :split]),
+            ("E_pos", cache["windows"][:, W:], dX[:, split:]),
+        ):
+            assert len(np.unique(win)) < win.size
+            assert copies < 40 or dx.size > 4 << 14
+            if name in frozen:
+                assert name not in grads
+                continue
+            expected = np.zeros_like(P[name])
+            np.add.at(expected, win, dx.reshape(win.shape + (-1,)))
+            assert grads[name].tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +623,13 @@ def test_encoded_from_gold_ids_gives_the_gold_labels():
 def old_predicted_labels(model, ids):
     """The labels greedy prediction assembled before it took them from the
     encoders' table: a new TagLabel per token, read off the vocabulary,
-    and TagLabel.dummy for the last."""
+    and a dummy-n, DUMMY-c label for the last."""
     names = model.vocab.task_labels
     labels = []
     for n, c, u in zip(ids["n"].tolist(), ids["c"].tolist(), ids["u"].tolist()):
         u = "" if names["u"][u] == NO_CHAIN else names["u"][u]
         labels.append(TagLabel(NComponent.from_token(names["n"][n]), names["c"][c], u))
-    labels[-1] = TagLabel.dummy(labels[-1].u)
+    labels[-1] = TagLabel(NComponent("dummy"), DUMMY, labels[-1].u)
     return labels
 
 

@@ -53,6 +53,25 @@ def test_parse_multiple_trees():
     assert len(trees) == 2
 
 
+@pytest.mark.parametrize("text, counts, expected", [
+    ("(S (A a) (B b)) (S (A c) (B d))", [2, 4], [("S", 0, 2), ("S", 2, 4)]),
+    ("(S (A a) (B b))\n(NP (A c))\n(T (A e) (, f) (C g))", [2, 3, 6],
+     [("S", 0, 2), ("NP", 2, 3), ("T", 3, 5)]),
+])
+def test_span_mode_counts_run_on_across_trees(tmp_path, text, counts, expected):
+    """Span mode returns running leaf counts and offsets words from the
+    start of `text`; load_trees, one tree per line, starts each at 0."""
+    spans = []
+    assert parse_bracketed(text, spans=spans, skip=PUNCT_POS) == counts
+    assert spans == expected
+    path = tmp_path / "t.trees"
+    path.write_text("".join(serialize(t) + "\n" for t in parse_bracketed(text)), encoding="utf-8")
+    forest = load_trees(path, spans=True, skip=PUNCT_POS)
+    firsts = [min(start for _, start, _ in tree_spans) for tree_spans, _ in forest]
+    assert firsts == [0] * len(counts)
+    assert [n for _, n in forest] == [b - a for a, b in zip([0] + counts, counts)]
+
+
 def test_parse_whitespace_insensitive():
     messy = "( S ( NP ( D the )\n\t( N dog ) ) ( VP ( V barks ) ) )"
     assert parse_bracketed(messy) == parse_bracketed(THREE_LEAF)
