@@ -35,6 +35,15 @@ def syntactic_distances(tree, cap=None, walk=None):
     return (*(str(p if cap is None else min(p, cap)) for _, _, p in pairs), PAD)
 
 
+def track_names(corpus):
+    """The sorted aux track names of a corpus of (EncodedSentence, {aux name:
+    track}) pairs; pairs that carry different tracks are a ValueError."""
+    names = sorted(corpus[0][1]) if corpus else []
+    if any(sorted(aux) != names for _, aux in corpus):
+        raise ValueError("inconsistent auxiliary tracks across corpus")
+    return names
+
+
 def make_track(name, tree, encoded, cap=None, walk=None):
     """Build the aux track `name` ("n+1", "n-1" or "dist") for a sentence."""
     if name == DISTANCE:

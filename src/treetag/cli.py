@@ -160,32 +160,28 @@ def cmd_encode(args):
     if args.distance_cap is not None and auxtracks.DISTANCE not in aux_names:
         raise _UsageError("--distance-cap needs --aux %s" % auxtracks.DISTANCE)
     forest = trees.load_trees(args.input, strip_functions=args.strip_functions)
-    encoded_corpus = []
-    aux_corpus = []
+    corpus = []
     for tree, walk in zip(forest, _each_tree(args.input, forest, encodings.boundaries)):
         encoded = encodings.encode(tree, args.scheme, walk)
-        encoded_corpus.append(encoded)
-        aux_corpus.append(
-            {
-                name: auxtracks.make_track(name, tree, encoded, args.distance_cap, walk)
-                for name in aux_names
-            }
-        )
-    seqfile.write_seq(args.output, encoded_corpus, aux_corpus)
+        tracks = {name: auxtracks.make_track(name, tree, encoded, args.distance_cap, walk)
+                  for name in aux_names}
+        corpus.append((encoded, tracks))
+    seqfile.write_seq(args.output, corpus)
     print("encoded %d sentences (%s) to %s" % (len(forest), args.scheme, args.output))
     return 0
 
 
 def cmd_decode(args):
-    corpus, parts, _, _ = seqfile.read_seq_parts(args.input)
+    corpus, parts, _ = seqfile.read_seq_parts(args.input)
     repairs = _write_lines(args.output, (encodings.decoded_line(
-        sentence, *zip(*map(parts.get, tokens))) for sentence, tokens in corpus))
+        sentence, *zip(*map(parts.get, tokens))) for sentence, tokens, _ in corpus))
     print("decoded %d sentences to %s; %s" % (len(corpus), args.output, repairs))
     return 0
 
 
 def cmd_stats(args):
-    corpus, _, scheme = seqfile.read_seq(args.input)
+    pairs, scheme = seqfile.read_seq(args.input)
+    corpus = [encoded for encoded, _ in pairs]
     full = metrics.label_space_stats(corpus, decomposed=False)
     dec = metrics.label_space_stats(corpus, decomposed=True)
     n_sub, c_sub, u_sub = (
@@ -201,12 +197,12 @@ def cmd_stats(args):
 
 
 def cmd_train(args):
-    train_corpus, train_aux, _ = seqfile.read_seq(args.train_seq)
-    dev_corpus, _, _ = seqfile.read_seq(args.dev_seq)
+    train, _ = seqfile.read_seq(args.train_seq)
+    dev, _ = seqfile.read_seq(args.dev_seq)
     config = _config_from(tagging.TrainConfig, args)
-    dev = [encodings.decode(enc) for enc in dev_corpus]
+    dev = [encodings.decode(enc) for enc, _ in dev]
     try:
-        model = tagging.train_mtl(list(zip(train_corpus, train_aux)), config, dev=dev)
+        model = tagging.train_mtl(train, config, dev=dev)
     except RuntimeError as e:
         raise ValueError("%s: training failed: %s" % (args.train_seq, e)) from e
     tagging.save_model(args.output, model)
@@ -240,7 +236,11 @@ def cmd_finetune(args):
 def cmd_predict(args):
     model = tagging.load_model(args.checkpoint)
     sentences = seqfile.read_tagged(args.input)
-    repairs = _write_lines(args.output, tagging.predicted_lines(model, sentences))
+    try:
+        lines = tagging.predicted_lines(model, sentences)
+    except RuntimeError as e:
+        raise ValueError("%s: prediction failed: %s" % (args.checkpoint, e)) from e
+    repairs = _write_lines(args.output, lines)
     print("predicted %d sentences to %s; %s" % (len(sentences), args.output, repairs))
     return 0
 

@@ -12,6 +12,7 @@ POS only, for prediction input.
 
 import re
 
+from .auxtracks import track_names
 from .trees import Sentence
 from .encodings import DUMMY, SCHEMES, EncodedSentence, TagLabel, token_parts
 
@@ -32,16 +33,16 @@ class SeqFormatError(ValueError):
         super().__init__("%s:%d: %s" % (path, line, message))
 
 
-def write_seq(path, encoded_corpus, aux_corpus=None):
-    """Write sentences (and aligned {aux name: track} dicts, if any) to `path`."""
-    if not encoded_corpus:
+def write_seq(path, corpus):
+    """Write (EncodedSentence, {aux name: track}) pairs to `path`; pairs
+    that carry different tracks are a ValueError, and no file is written."""
+    if not corpus:
         raise ValueError("nothing to write")
-    scheme = encoded_corpus[0].scheme
-    aux_names = sorted(aux_corpus[0]) if aux_corpus else []
+    aux_names = track_names(corpus)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# scheme=%s aux=%s\n" % (scheme, ",".join(aux_names)))
-        for i, encoded in enumerate(encoded_corpus):
-            tracks = [aux_corpus[i][name] for name in aux_names]
+        fh.write("# scheme=%s aux=%s\n" % (corpus[0][0].scheme, ",".join(aux_names)))
+        for encoded, aux in corpus:
+            tracks = [aux[name] for name in aux_names]
             fh.write("\n".join(map("\t".join, zip(encoded.sentence.words, encoded.sentence.pos,
                                                   encoded.tokens(), *tracks, strict=True))))
             fh.write("\n\n")
@@ -50,19 +51,19 @@ def write_seq(path, encoded_corpus, aux_corpus=None):
 def read_seq(path):
     """Read a .seq file.
 
-    Returns (encoded sentences, {aux name: track} dicts aligned with them,
-    scheme).  As the encoders write it, each sentence's last label and no
-    other has a DUMMY n and c.
+    Returns ((EncodedSentence, {aux name: track}) pairs, scheme).  As the
+    encoders write it, each sentence's last label and no other has a DUMMY
+    n and c.
     """
-    corpus, parts, aux_corpus, scheme = read_seq_parts(path)
+    corpus, parts, scheme = read_seq_parts(path)
     labels = {tok: TagLabel(*label) for tok, label in parts.items()}
-    return ([EncodedSentence(sentence, [labels[tok] for tok in tokens], scheme)
-             for sentence, tokens in corpus], aux_corpus, scheme)
+    return ([(EncodedSentence(sentence, [labels[tok] for tok in tokens], scheme), aux)
+             for sentence, tokens, aux in corpus], scheme)
 
 
 def read_seq_parts(path):
-    """read_seq(path) building no labels: returns ((Sentence, label tokens)
-    pairs, {token: token_parts(token)} parsed once per token, aux dicts, scheme)."""
+    """read_seq(path) building no labels: returns ((Sentence, label tokens, aux
+    dict) triples, {token: token_parts(token)} parsed once per token, scheme)."""
     with open(path, encoding="utf-8") as fh:
         header, _, body = fh.read().partition("\n")
     if not header.startswith("#"):
@@ -70,7 +71,6 @@ def read_seq_parts(path):
     scheme, aux_names = _parse_header(path, header)
     n_cols = 3 + len(aux_names)
     corpus = []
-    aux_corpus = []
     parts = {}  # label token -> (n, c, u)
     dummies = set()  # the parsed tokens whose n and c are DUMMY
     for first, rows in _blocks(path, body, 2, n_cols, "expected %d columns, got {}" % n_cols):
@@ -88,11 +88,10 @@ def read_seq_parts(path):
             t = next(t for t, tok in enumerate(tokens) if (tok in dummies) != (t == last))
             raise SeqFormatError(path, first + t, "label %r: n and c are %s in a sentence's "
                                  "last label and only there" % (tokens[t], DUMMY))
-        corpus.append((Sentence(words, pos), tokens))
-        aux_corpus.append(dict(zip(aux_names, aux)))
+        corpus.append((Sentence(words, pos), tokens, dict(zip(aux_names, aux))))
     if not corpus:
         raise SeqFormatError(path, 1, "file contains no sentences")
-    return corpus, parts, aux_corpus, scheme
+    return corpus, parts, scheme
 
 
 def _parse_header(path, header):

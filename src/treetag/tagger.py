@@ -33,6 +33,7 @@ import numpy as np
 
 from .encodings import DUMMY, NO_CHAIN, SCHEMES, EncodedSentence, NComponent
 from .encodings import _label, decoded_line, decoded_spans
+from .auxtracks import track_names
 from .trees import Sentence
 from . import metrics
 
@@ -72,36 +73,17 @@ class Vocabularies:
     @classmethod
     def build(cls, corpus):
         """corpus: list of (EncodedSentence, {aux name: track}) pairs."""
-        words, pos = set(), set()
-        labels = {name: set() for name in MAIN_TASKS}
-        aux_names = sorted(corpus[0][1].keys()) if corpus else []
-        for name in aux_names:
-            labels[name] = set()
-        for encoded, aux in corpus:
-            words.update(encoded.sentence.words)
-            pos.update(encoded.sentence.pos)
-            for lab in encoded.labels:
-                for name, part in zip(MAIN_TASKS, lab.parts()):
-                    labels[name].add(part)
-            if sorted(aux.keys()) != aux_names:
-                raise ValueError("inconsistent auxiliary tracks across corpus")
-            for name in aux_names:
-                labels[name].update(aux[name])
-
         def index(items, reserved):
             table = {tok: i for i, tok in enumerate(reserved)}
-            for tok in sorted(items - set(reserved)):
+            for tok in sorted(set(items) - set(reserved)):
                 table[tok] = len(table)
             return table
 
-        word2id = index(words, (OOV, BOS, EOS))
-        pos2id = index(pos, (OOV, BOS, EOS))
-        tasks = {name: index(vals, ()) for name, vals in labels.items()}
+        sentences = [encoded.sentence for encoded, _ in corpus]
+        word2id = index((w for s in sentences for w in s.words), (OOV, BOS, EOS))
+        pos2id = index((p for s in sentences for p in s.pos), (OOV, BOS, EOS))
+        tasks = {name: index(labels, ()) for name, labels in _task_labels(corpus).items()}
         return cls(word2id, pos2id, tasks)
-
-    @property
-    def aux_tasks(self):
-        return tuple(name for name in self.tasks if name not in MAIN_TASKS)
 
     def label_ids(self, task, tokens):
         table = self.tasks[task]
@@ -354,13 +336,20 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
 
 
+def _task_labels(corpus):
+    """Each task's labels over the stacked tokens of a corpus of
+    (EncodedSentence, {aux name: track}) pairs: the main tasks, then the
+    aux tracks, which every pair must carry alike."""
+    parts = zip(*(lab.parts() for encoded, _ in corpus for lab in encoded.labels))
+    labels = dict(zip(MAIN_TASKS, parts))
+    for name in track_names(corpus):
+        labels[name] = [v for _, aux in corpus for v in aux[name]]
+    return labels
+
+
 def _gold_ids(vocab, corpus):
     """Gold label ids per task over the stacked tokens of a corpus."""
-    parts = zip(*(lab.parts() for encoded, _ in corpus for lab in encoded.labels))
-    gold = {name: vocab.label_ids(name, tokens) for name, tokens in zip(MAIN_TASKS, parts)}
-    for name in vocab.aux_tasks:
-        gold[name] = vocab.label_ids(name, [v for _, aux in corpus for v in aux[name]])
-    return gold
+    return {name: vocab.label_ids(name, labels) for name, labels in _task_labels(corpus).items()}
 
 
 def task_losses(cache, gold):

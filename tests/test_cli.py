@@ -52,9 +52,9 @@ def test_encode_with_aux_columns(tmp_path, forest_file):
                 "--aux", "n+1", "--aux", "dist"]) == 0
     header = seq.read_text().splitlines()[0]
     assert header == "# scheme=relative aux=dist,n+1"
-    corpus, aux, scheme = read_seq(seq)
+    corpus, scheme = read_seq(seq)
     assert scheme == "relative"
-    assert set(aux[0].keys()) == {"dist", "n+1"}
+    assert set(corpus[0][1].keys()) == {"dist", "n+1"}
 
 
 def test_eval_identical_is_100(tmp_path, forest_file, capsys):
@@ -313,6 +313,31 @@ def test_checkpoint_with_nonfinite_row_exit_code(tmp_path, small_model, capsys):
     assert err.count(message) == 2
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_predict_with_nonfinite_logits_exit_code(tmp_path, small_model, capsys):
+    import json
+
+    import numpy as np
+
+    # every value is finite, so the checkpoint loads, but with every hidden
+    # unit at tanh(1000) = 1 each n logit sums 8 weights of 1e308 to inf
+    _, trees_path, ckpt = small_model
+    with np.load(ckpt) as data:
+        arrays = dict(data)
+    names = json.loads(str(arrays["meta"]))["param_names"]
+    arrays["param_%d" % names.index("b1")][:] = 1e3
+    arrays["param_%d" % names.index("W_n")][:] = 1e308
+    bad = tmp_path / "huge.npz"
+    np.savez(bad, **arrays)
+    tagged, out = tmp_path / "in.tagged", tmp_path / "out.trees"
+    write_tagged(tagged, load_trees(trees_path))
+    capsys.readouterr()
+    assert run(["predict", str(bad), str(tagged), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: %s: prediction failed: non-finite logits in head 'n'" % bad in err
+    assert not out.exists()
+
+
 def test_predict_writes_the_single_sentence_trees(tmp_path, small_model):
     from treetag.encodings import decode
     from treetag.seqfile import read_tagged
@@ -350,8 +375,8 @@ def test_encode_shares_one_walk_per_tree(tmp_path, monkeypatch, scheme, cap):
     # the per-tree library calls, each walking the tree on its own
     encoded = [encodings.encode(t, scheme) for t in forest]
     expected = tmp_path / "expected.seq"
-    write_seq(expected, encoded, [
-        {name: auxtracks.make_track(name, t, enc, cap) for name in ("dist", "n+1")}
+    write_seq(expected, [
+        (enc, {name: auxtracks.make_track(name, t, enc, cap) for name in ("dist", "n+1")})
         for t, enc in zip(forest, encoded)
     ])
 

@@ -301,8 +301,8 @@ def test_encode_rejects_or_round_trips_through_seq(tmp_path_factory, seed, alpha
             encoded = encode(t, scheme)
         except ValueError:
             continue
-        write_seq(path, [encoded])
-        (back,), _, _ = read_seq(path)
+        write_seq(path, [(encoded, {})])
+        ((back, _),), _ = read_seq(path)
         assert decode(back) == t
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from treetag.auxtracks import make_track
 from treetag.encodings import SCHEMES, EncodedSentence, TagLabel, decode, encode, encode_relative
 from treetag.seqfile import SeqFormatError, _parse_header, read_seq, read_tagged, write_seq
+from treetag.tagger import TrainConfig, train_mtl
 from treetag.trees import Sentence, load_trees, random_tree, save_trees, serialize
 
 
@@ -70,6 +71,11 @@ def _oracle_read_seq(path):
     if not corpus:
         raise SeqFormatError(path, 1, "file contains no sentences")
     return corpus, aux_corpus, scheme
+
+
+def _oracle_read_seq_pairs(path):
+    corpus, aux_corpus, scheme = _oracle_read_seq(path)
+    return list(zip(corpus, aux_corpus)), scheme
 
 
 def _oracle_read_tagged(path):
@@ -190,10 +196,10 @@ def test_read_tagged_errors(tmp_path, text, line, message):
 def test_header_and_whitespace_only_lines_are_exempt(tmp_path):
     seq = write(tmp_path, "ok.seq", "#  scheme=relative   aux=n+1\r\n  \r\n"
                 "the\tDT\tDUMMY~DUMMY~NONE\tPAD\r\n \t \r\ndog\tNN\tDUMMY~DUMMY~NONE\tr1\r\n")
-    corpus, aux, scheme = read_seq(seq)
+    corpus, scheme = read_seq(seq)
     assert scheme == "relative"
-    assert [enc.sentence.words for enc in corpus] == [("the",), ("dog",)]
-    assert [a["n+1"] for a in aux] == [("PAD",), ("r1",)]
+    assert [enc.sentence.words for enc, _ in corpus] == [("the",), ("dog",)]
+    assert [aux["n+1"] for _, aux in corpus] == [("PAD",), ("r1",)]
     tagged = write(tmp_path, "ok.tagged", " \nthe\tDT\n\t\ndog\tNN")
     assert read_tagged(tagged) == [Sentence(["the"], ["DT"]), Sentence(["dog"], ["NN"])]
 
@@ -203,13 +209,24 @@ def test_aux_tracks_read_back_as_built(tmp_path):
     encoded = [encode_relative(tree) for tree in forest]
     built = [{name: make_track(name, tree, enc) for name in ("n+1", "n-1", "dist")}
              for tree, enc in zip(forest, encoded)]
-    write_seq(tmp_path / "x.seq", encoded, built)
-    _, aux, _ = read_seq(tmp_path / "x.seq")
-    assert aux == built
-    assert all(type(track) is tuple for tracks in aux for track in tracks.values())
+    write_seq(tmp_path / "x.seq", list(zip(encoded, built)))
+    back, _ = read_seq(tmp_path / "x.seq")
+    assert [aux for _, aux in back] == built
+    assert all(type(track) is tuple for _, tracks in back for track in tracks.values())
+    # a later pair with an extra track, or lacking one, breaks the corpus rule
+    # before the file is opened, and training rejects the same corpus
+    extra = {**built[5], "n+2": make_track("n+2", forest[5], encoded[5])}
+    lacking = {name: track for name, track in built[5].items() if name != "n-1"}
+    for tracks in (extra, lacking):
+        corpus = list(zip(encoded, built[:5] + [tracks] + built[6:]))
+        with pytest.raises(ValueError, match="inconsistent auxiliary tracks across corpus"):
+            write_seq(tmp_path / "bad.seq", corpus)
+        assert not (tmp_path / "bad.seq").exists()
+        with pytest.raises(ValueError, match="inconsistent auxiliary tracks across corpus"):
+            train_mtl(corpus, TrainConfig(epochs=1))
     built[3]["dist"] = built[3]["dist"][:-1]
     with pytest.raises(ValueError):
-        write_seq(tmp_path / "short.seq", encoded, built)
+        write_seq(tmp_path / "short.seq", list(zip(encoded, built)))
 
 
 def test_field_rule_is_the_tree_readers_token_rule(tmp_path):
@@ -281,7 +298,7 @@ def test_read_seq_matches_the_old_reader(tmp_path_factory, text):
         # at "\x0c" as str.splitlines does
         assert isinstance(got, str)
     else:
-        assert got == outcome(_oracle_read_seq, path)
+        assert got == outcome(_oracle_read_seq_pairs, path)
 
 
 # Texts the readers accept: a header they read, encodable labels, and a
@@ -311,7 +328,7 @@ def readable_texts(draw):
 @given(readable_texts())
 def test_read_seq_matches_the_old_reader_on_readable_texts(tmp_path_factory, text):
     path = write(tmp_path_factory.mktemp("seq"), "x.seq", text)
-    assert outcome(read_seq, path) == outcome(_oracle_read_seq, path)
+    assert outcome(read_seq, path) == outcome(_oracle_read_seq_pairs, path)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -351,8 +368,8 @@ def accepted_seq_texts(draw):
 @given(accepted_seq_texts())
 def test_accepted_label_sequences_decode_to_trees_that_read_back(tmp_path_factory, text):
     tmp = tmp_path_factory.mktemp("decoded")
-    corpus, _, scheme = read_seq(write(tmp, "x.seq", text))
-    trees = [decode(encoded) for encoded in corpus]
+    corpus, scheme = read_seq(write(tmp, "x.seq", text))
+    trees = [decode(encoded) for encoded, _ in corpus]
     save_trees(tmp / "x.trees", trees)
     back = load_trees(tmp / "x.trees")
     assert [serialize(tree) for tree in back] == [serialize(tree) for tree in trees]

@@ -680,7 +680,7 @@ def test_loss_composition(beta):
     model = TaggerModel(vocab, tiny_config(aux_weight=beta), "dynamic")
     total, parts = mean_loss(model, corpus)
     expected = parts["n"] + parts["c"] + parts["u"]
-    expected += beta * sum(parts[name] for name in vocab.aux_tasks)
+    expected += beta * sum(parts[name] for name in vocab.tasks if name not in MAIN_TASKS)
     assert abs(total - expected) <= 1e-9
 
 
