@@ -36,11 +36,15 @@ def syntactic_distances(tree, cap=None, walk=None):
 
 
 def track_names(corpus):
-    """The sorted aux track names of a corpus of (EncodedSentence, {aux name:
-    track}) pairs; pairs that carry different tracks are a ValueError."""
-    names = sorted(corpus[0][1]) if corpus else []
-    if any(sorted(aux) != names for _, aux in corpus):
-        raise ValueError("inconsistent auxiliary tracks across corpus")
+    """The sorted aux track names of (EncodedSentence, {aux name: track})
+    pairs, which must be non-empty and carry the same tracks, each with one
+    label per word: the first pair (from 1) that does not is a ValueError."""
+    if not corpus:
+        raise ValueError("empty corpus")
+    names = sorted(corpus[0][1])
+    for i, (encoded, aux) in enumerate(corpus, start=1):
+        if sorted(aux) != names or any(len(aux[name]) != len(encoded) for name in names):
+            raise ValueError("inconsistent auxiliary tracks across corpus: pair %d" % i)
     return names
 
 

@@ -459,10 +459,8 @@ def _brackets(chain):
 
 
 def _wrap_chain(chain, children):
-    """The nodes of a ``+``-joined chain (top-down order) over `children`;
-    an empty chain stands for the single child itself."""
-    if not chain:
-        return children[0]
+    """The nodes of a non-empty ``+``-joined chain (top-down order) over
+    `children`."""
     for part in reversed(chain.split(CHAIN_SEP)):
         children = [Internal(part, children)]
     return children[0]

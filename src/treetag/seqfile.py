@@ -34,17 +34,22 @@ class SeqFormatError(ValueError):
 
 
 def write_seq(path, corpus):
-    """Write (EncodedSentence, {aux name: track}) pairs to `path`; pairs
-    that carry different tracks are a ValueError, and no file is written."""
-    if not corpus:
-        raise ValueError("nothing to write")
+    """Write (EncodedSentence, {aux name: track}) pairs to `path`.  A corpus
+    that breaks auxtracks.track_names' rule, or a sentence read_seq would
+    reject for its DUMMY labels, is a ValueError, and no file is written."""
     aux_names = track_names(corpus)
+    for i, (encoded, _) in enumerate(corpus, start=1):
+        *rest, last = encoded.labels
+        if not (last.n.is_dummy and last.c == DUMMY) or any(
+                lab.n.is_dummy or lab.c == DUMMY for lab in rest):
+            raise ValueError("sentence %d: n and c must be %s in its last label and only "
+                             "there" % (i, DUMMY))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# scheme=%s aux=%s\n" % (corpus[0][0].scheme, ",".join(aux_names)))
         for encoded, aux in corpus:
             tracks = [aux[name] for name in aux_names]
             fh.write("\n".join(map("\t".join, zip(encoded.sentence.words, encoded.sentence.pos,
-                                                  encoded.tokens(), *tracks, strict=True))))
+                                                  encoded.tokens(), *tracks))))
             fh.write("\n\n")
 
 

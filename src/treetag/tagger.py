@@ -339,7 +339,7 @@ class TrainConfig:
 def _task_labels(corpus):
     """Each task's labels over the stacked tokens of a corpus of
     (EncodedSentence, {aux name: track}) pairs: the main tasks, then the
-    aux tracks, which every pair must carry alike."""
+    aux tracks.  The corpus must keep auxtracks.track_names' rule."""
     parts = zip(*(lab.parts() for encoded, _ in corpus for lab in encoded.labels))
     labels = dict(zip(MAIN_TASKS, parts))
     for name in track_names(corpus):
@@ -389,8 +389,6 @@ def train_mtl(corpus, config, dev=None):
     each epoch's greedy predictions on its sentences are scored, and the
     parameters with the best dev bracketing F1 are returned.
     """
-    if not corpus:
-        raise ValueError("empty training corpus")
     vocab = Vocabularies.build(corpus)
     scheme = corpus[0][0].scheme
     seeds = np.random.SeedSequence(config.seed).spawn(3)

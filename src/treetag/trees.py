@@ -14,23 +14,12 @@ from dataclasses import dataclass
 CHAIN_SEP = "+"  # joins the labels of a unary chain read as one node
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Leaf:
     """A preterminal: POS tag over a single word."""
 
-    __slots__ = ("pos", "word")
-
-    def __init__(self, pos, word):
-        self.pos = pos
-        self.word = word
-
-    def __eq__(self, other):
-        return isinstance(other, Leaf) and self.pos == other.pos and self.word == other.word
-
-    def __hash__(self):
-        return hash((Leaf, self.pos, self.word))
-
-    def __repr__(self):
-        return "Leaf(%r, %r)" % (self.pos, self.word)
+    pos: str
+    word: str
 
 
 class Internal:

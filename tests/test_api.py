@@ -26,7 +26,7 @@ PUBLIC_SIGNATURES = {
     "EncodedSentence": "(sentence: treetag.trees.Sentence, labels: tuple, scheme: str) -> None",
     "Internal": "(label, children)",
     "LabelSpaceStats": "(total_distinct: int, freq_histogram: dict) -> None",
-    "Leaf": "(pos, word)",
+    "Leaf": "(pos: str, word: str) -> None",
     "NComponent": "(scale: str, value: int = None) -> None",
     "PCFG": "(start, rules, lexicon)",
     "PGConfig": (

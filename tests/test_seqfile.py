@@ -3,17 +3,20 @@
 line-by-line readers they replaced, kept here as oracles (the .seq one
 with the later rule on dummy label positions added), and a property that
 every label sequence the .seq reader accepts decodes to a tree that reads
-back unchanged and encodes."""
+back unchanged and encodes, and one that the .seq writer writes only what
+the reader reads back."""
 
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treetag import tagger
 from treetag.auxtracks import make_track
-from treetag.encodings import SCHEMES, EncodedSentence, TagLabel, decode, encode, encode_relative
+from treetag.encodings import (SCHEMES, EncodedSentence, NComponent, TagLabel, decode, encode,
+                               encode_relative)
 from treetag.seqfile import SeqFormatError, _parse_header, read_seq, read_tagged, write_seq
-from treetag.tagger import TrainConfig, train_mtl
+from treetag.tagger import TrainConfig, Vocabularies, train_mtl
 from treetag.trees import Sentence, load_trees, random_tree, save_trees, serialize
 
 
@@ -204,7 +207,7 @@ def test_header_and_whitespace_only_lines_are_exempt(tmp_path):
     assert read_tagged(tagged) == [Sentence(["the"], ["DT"]), Sentence(["dog"], ["NN"])]
 
 
-def test_aux_tracks_read_back_as_built(tmp_path):
+def test_aux_tracks_read_back_as_built(tmp_path, monkeypatch):
     forest = [random_tree(seed, 12, 6, ["S", "NP", "VP"]) for seed in range(8)]
     encoded = [encode_relative(tree) for tree in forest]
     built = [{name: make_track(name, tree, enc) for name in ("n+1", "n-1", "dist")}
@@ -224,9 +227,28 @@ def test_aux_tracks_read_back_as_built(tmp_path):
         assert not (tmp_path / "bad.seq").exists()
         with pytest.raises(ValueError, match="inconsistent auxiliary tracks across corpus"):
             train_mtl(corpus, TrainConfig(epochs=1))
-    built[3]["dist"] = built[3]["dist"][:-1]
-    with pytest.raises(ValueError):
-        write_seq(tmp_path / "short.seq", list(zip(encoded, built)))
+    # a track one label too long, or one or two short, breaks it as well: no
+    # file is written, and training stops before it draws a parameter
+    monkeypatch.setattr(tagger, "TaggerModel", None)
+    message = "^inconsistent auxiliary tracks across corpus: pair 4$"
+    dist = built[3]["dist"]
+    for track in (dist + ("PAD",), dist[:-1], dist[:-2]):
+        corpus = list(zip(encoded, built[:3] + [{**built[3], "dist": track}] + built[4:]))
+        with pytest.raises(ValueError, match=message):
+            write_seq(tmp_path / "bad.seq", corpus)
+        assert not (tmp_path / "bad.seq").exists()
+        with pytest.raises(ValueError, match=message):
+            Vocabularies.build(corpus)
+        with pytest.raises(ValueError, match=message):
+            train_mtl(corpus, TrainConfig(epochs=1))
+
+
+def test_empty_corpus_breaks_the_rule(tmp_path):
+    for call in (lambda: write_seq(tmp_path / "empty.seq", []), lambda: Vocabularies.build([]),
+                 lambda: train_mtl([], TrainConfig(epochs=1))):
+        with pytest.raises(ValueError, match="^empty corpus$"):
+            call()
+    assert not (tmp_path / "empty.seq").exists()
 
 
 def test_field_rule_is_the_tree_readers_token_rule(tmp_path):
@@ -375,3 +397,38 @@ def test_accepted_label_sequences_decode_to_trees_that_read_back(tmp_path_factor
     assert [serialize(tree) for tree in back] == [serialize(tree) for tree in trees]
     for tree in back:
         encode(tree, scheme)
+
+
+# ---------------------------------------------------------------------------
+# The writer writes only what the reader reads back.
+
+@st.composite
+def dummy_placements(draw):
+    """Sentences whose last label, and no other, has a DUMMY n and c; then
+    up to two of their n and c parts switched to or from DUMMY."""
+    scheme = draw(st.sampled_from(SCHEMES))
+    corpus = []
+    for _ in range(draw(st.integers(1, 3))):
+        length = draw(st.integers(1, 6))
+        parts = [[draw(N_TOKENS), draw(CHAINS)] for _ in range(length - 1)] + [["DUMMY"] * 2]
+        switches = st.tuples(st.integers(0, length - 1), st.integers(0, 1))
+        for t, j in draw(st.lists(switches, max_size=2)):
+            parts[t][j] = draw((N_TOKENS, CHAINS)[j]) if parts[t][j] == "DUMMY" else "DUMMY"
+        labels = [TagLabel(NComponent.from_token(n), c, draw(st.one_of(st.just(""), CHAINS)))
+                  for n, c in parts]
+        sentence = Sentence(["w%d" % i for i in range(length)], ["P0"] * length)
+        corpus.append((EncodedSentence(sentence, labels, scheme), {}))
+    return corpus
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(dummy_placements())
+def test_write_seq_writes_only_what_read_seq_reads_back(tmp_path_factory, corpus):
+    path = tmp_path_factory.mktemp("written") / "x.seq"
+    try:
+        write_seq(path, corpus)
+    except ValueError:
+        assert not path.exists()
+        return
+    back, _ = read_seq(path)
+    assert [encoded.tokens() for encoded, _ in back] == [encoded.tokens() for encoded, _ in corpus]
