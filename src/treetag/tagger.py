@@ -260,26 +260,30 @@ class TaggerModel:
         cache.update(windows=windows, X=X)
         return cache
 
-    def backward(self, cache, dlogits, frozen=()):
+    def backward(self, cache, dlogits, frozen=(), out=None):
         """Propagate per-head logit gradients back to the parameters.
 
         dlogits maps task name -> (T, k) array.  Returns a gradient dict
         keyed like self.params, without the heads missing from dlogits and
         without the parameters named in `frozen`, which are never computed.
+        Each gradient is a fresh array, unless `out` (arrays keyed and
+        shaped like self.params) is given: then each is written into its
+        array of `out`, which is returned, and the others stay unwritten.
         """
         P = self.params
         h = cache["h"]
         grads = {}
+        into = {} if out is None else {k: v for k, v in out.items() if k not in frozen}
         dh = np.zeros_like(h)
         for name, dz in dlogits.items():
-            grads["W_" + name] = h.T @ dz
-            grads["b_" + name] = dz.sum(axis=0)
+            grads["W_" + name] = np.matmul(h.T, dz, out=into.get("W_" + name))
+            grads["b_" + name] = dz.sum(axis=0, out=into.get("b_" + name))
             dh += dz @ P["W_" + name].T
         if cache["mask"] is not None:
             dh *= cache["mask"]
         dpre = dh * (1.0 - cache["h_raw"] ** 2)
-        grads["W1"] = cache["X"].T @ dpre
-        grads["b1"] = dpre.sum(axis=0)
+        grads["W1"] = np.matmul(cache["X"].T, dpre, out=into.get("W1"))
+        grads["b1"] = dpre.sum(axis=0, out=into.get("b1"))
         if "E_word" not in frozen or "E_pos" not in frozen:
             windows = cache["windows"]
             W = windows.shape[1] // 2
@@ -295,6 +299,9 @@ class TaggerModel:
                     V, D = P[name].shape
                     flat = (win[:, :, None] * D + np.arange(D)).ravel()
                     grads[name] = np.bincount(flat, dx.ravel(), V * D).reshape(V, D)
+                    if name in into:  # bincount takes no out
+                        into[name][...] = grads[name]
+                        grads[name] = into[name]
         return {k: g for k, g in grads.items() if k not in frozen}
 
 
@@ -385,9 +392,11 @@ def train_mtl(corpus, config, dev=None):
     (auxiliary heads weighted by config.aux_weight), normalised per token,
     with the learning rate decayed linearly in the epoch count.  Each
     mini-batch is one forward and one backward over the stacked tokens of
-    its sentences.  When `dev` (a non-empty list of gold Trees) is given,
-    each epoch's greedy predictions on its sentences are scored, and the
-    parameters with the best dev bracketing F1 are returned.
+    its sentences, the backward writing into one set of gradient arrays per
+    call.  When `dev` (a non-empty list of gold Trees) is given, each
+    epoch's greedy predictions on its sentences are scored (a sentence
+    predicted as in the epoch before keeps its score), and the parameters
+    with the best dev bracketing F1 are returned.
     """
     vocab = Vocabularies.build(corpus)
     scheme = corpus[0][0].scheme
@@ -400,10 +409,10 @@ def train_mtl(corpus, config, dev=None):
     if dev is not None:
         dev = with_gold_spans(dev)
     gold = _gold_ids(vocab, corpus)
-    ends = np.cumsum([len(encoded) for encoded, _ in corpus])
+    token_rows = np.split(np.arange(len(windows)), np.cumsum([len(e) for e, _ in corpus[:-1]]))
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
-    best_f1 = -1.0
-    best_params = None
+    grads = {k: np.empty_like(v) for k, v in model.params.items()}
+    best_f1, best_params, dev_memo = -1.0, None, {}
     order = np.arange(len(corpus))
 
     for epoch in range(config.epochs):
@@ -411,17 +420,14 @@ def train_mtl(corpus, config, dev=None):
         shuffle_rng.shuffle(order)
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            rows = np.concatenate([
-                np.arange(ends[i] - len(corpus[i][0]), ends[i])
-                for i in order[start : start + config.batch_size]
-            ])
+            rows = np.concatenate([token_rows[i] for i in order[start : start + config.batch_size]])
             cache = model.forward(windows[rows], dropout_rng=dropout_rng)
             losses, dlogits = task_losses(cache, {name: ids[rows] for name, ids in gold.items()})
             for name in dlogits:
                 w = 1.0 if name in MAIN_TASKS else config.aux_weight
                 dlogits[name] *= w / len(rows)
                 epoch_loss += w * losses[name]
-            for k, g in model.backward(cache, dlogits).items():
+            for k, g in model.backward(cache, dlogits, out=grads).items():
                 v = velocity[k]
                 v *= config.momentum
                 g *= lr
@@ -433,7 +439,7 @@ def train_mtl(corpus, config, dev=None):
             raise RuntimeError("training diverged at epoch %d (loss=%r)" % (epoch, mean_loss))
         record = {"epoch": epoch, "loss": mean_loss, "lr": lr}
         if dev is not None:
-            f1 = _dev_f1(model, dev)
+            f1 = _dev_f1(model, dev, dev_memo)
             record["dev_f1"] = f1
             if f1 > best_f1:
                 best_f1 = f1
@@ -454,16 +460,25 @@ def with_gold_spans(trees):
     return [(Sentence.from_tree(tree), metrics.labeled_spans(tree)) for tree in trees]
 
 
-def greedy_scores(model, pairs):
+def greedy_scores(model, pairs, memo=None):
     """BracketScore of each greedy prediction on (Sentence, gold spans)
-    pairs, scored from the predicted ids' spans without building a tree."""
-    ids = _predict_ids(model, [sentence for sentence, _ in pairs])
-    return [metrics.span_score(gold, spans_from_ids(model, i)) for i, (_, gold) in zip(ids, pairs)]
+    pairs, scored from the predicted ids' spans without building a tree.
+    A `memo` dict, passed again with the same pairs and vocabulary, keeps
+    each pair's last ids and score, and a repeat of them is not scored again."""
+    memo = {} if memo is None else memo
+    scores = []
+    for k, (ids, (_, gold)) in enumerate(zip(_predict_ids(model, [s for s, _ in pairs]), pairs)):
+        key = b"".join([ids[name].tobytes() for name in MAIN_TASKS])
+        if memo.get(k, (None,))[0] != key:
+            memo[k] = key, metrics.span_score(gold, spans_from_ids(model, ids))
+        scores.append(memo[k][1])
+    return scores
 
 
-def _dev_f1(model, dev):
-    """Corpus bracketing F1 of greedy trees on (Sentence, gold spans) pairs."""
-    return sum(greedy_scores(model, dev), metrics.BracketScore(0, 0, 0)).f1
+def _dev_f1(model, dev, memo=None):
+    """Corpus bracketing F1 of greedy trees on (Sentence, gold spans)
+    pairs; `memo` as in greedy_scores."""
+    return sum(greedy_scores(model, dev, memo), metrics.BracketScore(0, 0, 0)).f1
 
 
 def _label_parts(vocab, ids):

@@ -13,7 +13,7 @@ from treetag.trees import Sentence, parse_bracketed, sample_corpus, serialize
 from treetag.encodings import DUMMY, NO_CHAIN, NComponent, TagLabel
 from treetag.encodings import decode, decode_with_repairs, encode_dynamic, encode_relative
 from treetag.auxtracks import make_track
-from treetag.metrics import corpus_bracket_score, labeled_spans
+from treetag.metrics import BracketScore, corpus_bracket_score, labeled_spans, span_score
 from treetag.tagger import (
     BOS,
     EOS,
@@ -341,6 +341,32 @@ def test_backward_skips_frozen_and_missing_heads():
             np.testing.assert_array_equal(partial[name], full[name])
 
 
+@pytest.mark.parametrize("heads", [None, MAIN_TASKS])
+@pytest.mark.parametrize("frozen", [(), ("E_word",), ("E_pos",), ("E_word", "E_pos"),
+                                    ("W1", "b_c")])
+def test_backward_writes_only_computed_gradients_into_out(frozen, heads):
+    # the aux heads go missing from dlogits when only the main heads run;
+    # a frozen W1 or head bias is computed on the way but never returned
+    _, corpus = tiny_corpus()
+    model = TaggerModel(Vocabularies.build(corpus), tiny_config(dropout=0.5), "dynamic")
+    cache = model.forward(model.windows([enc.sentence for enc, _ in corpus]), heads=heads,
+                          dropout_rng=np.random.default_rng(2))
+    dlogits = {name: _softmax(z) for name, z in cache["logits"].items()}
+    fresh = model.backward(cache, dlogits, frozen=frozen)
+    again = model.backward(cache, dlogits, frozen=frozen)
+    bufs = {k: np.full_like(v, 7.0) for k, v in model.params.items()}
+    written = model.backward(cache, dlogits, frozen=frozen, out=bufs)
+    assert written.keys() == fresh.keys()
+    assert all(k not in fresh for k in frozen) and ("W_dist" in fresh) == (heads is None)
+    for name, buf in bufs.items():
+        if name in fresh:
+            assert written[name] is buf
+            assert np.array_equal(buf, fresh[name])
+            assert not np.shares_memory(fresh[name], again[name])
+        else:
+            assert (buf == 7.0).all()
+
+
 def test_embedding_gradients_equal_row_scatter_bytes():
     # a batch repeating every id: each table's gradient must add each row's
     # contributions in np.add.at's order, so the sums match to the bit.  The
@@ -565,9 +591,9 @@ def test_stale_table_is_never_read(monkeypatch, tmp_path, change):
         dev_f1 = tagger._dev_f1
         scores = iter([1.0, 0.0, 0.0] if change == "best_params" else [0.0, 1.0, 2.0])
 
-        def checked_dev_f1(model, dev):
+        def checked_dev_f1(model, dev, *memo):
             assert_table_matches_params(model, windows)
-            dev_f1(model, dev)
+            dev_f1(model, dev, *memo)
             assert model._table is not None
             return next(scores)
 
@@ -864,6 +890,69 @@ def test_predicted_ids_are_the_argmax_of_probabilities(seed):
             got = np.concatenate([sentence_ids[name] for sentence_ids in ids])
             np.testing.assert_array_equal(got, probs[name].argmax(axis=1))
         assert predicted_lines(model, batch) == greedy_lines(model, batch)
+
+
+def reference_train(corpus, config, dev):
+    """train_mtl's loop without its reused parts: a fresh backward per step,
+    np.arange rows per batch, and every dev prediction decoded and scored."""
+    vocab = Vocabularies.build(corpus)
+    seeds = np.random.SeedSequence(config.seed).spawn(3)
+    model = TaggerModel(vocab, config, "dynamic", rng=np.random.default_rng(seeds[0]))
+    shuffle_rng = np.random.default_rng(seeds[1])
+    dropout_rng = np.random.default_rng(seeds[2])
+    windows = model.windows([encoded.sentence for encoded, _ in corpus])
+    dev = tagger.with_gold_spans(dev)
+    gold = _gold_ids(vocab, corpus)
+    ends = np.cumsum([len(encoded) for encoded, _ in corpus])
+    velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
+    best_f1, best_params, history = -1.0, None, []
+    order = np.arange(len(corpus))
+    for epoch in range(config.epochs):
+        lr = config.learning_rate / (1.0 + config.decay * epoch)
+        shuffle_rng.shuffle(order)
+        epoch_loss = 0.0
+        for start in range(0, len(order), config.batch_size):
+            rows = np.concatenate([np.arange(ends[i] - len(corpus[i][0]), ends[i])
+                                   for i in order[start : start + config.batch_size]])
+            cache = model.forward(windows[rows], dropout_rng=dropout_rng)
+            losses, dlogits = task_losses(cache, {name: ids[rows] for name, ids in gold.items()})
+            for name in dlogits:
+                w = 1.0 if name in MAIN_TASKS else config.aux_weight
+                dlogits[name] *= w / len(rows)
+                epoch_loss += w * losses[name]
+            for k, g in model.backward(cache, dlogits).items():
+                velocity[k] *= config.momentum
+                g *= lr
+                velocity[k] -= g
+            model.update(velocity)
+        ids = tagger._predict_ids(model, [sentence for sentence, _ in dev])
+        scores = [span_score(gold_spans, tagger.spans_from_ids(model, i))
+                  for i, (_, gold_spans) in zip(ids, dev)]
+        f1 = sum(scores, BracketScore(0, 0, 0)).f1
+        history.append({"epoch": epoch, "loss": epoch_loss / len(windows), "lr": lr, "dev_f1": f1})
+        if f1 > best_f1:
+            best_f1, best_params = f1, {k: v.copy() for k, v in model.params.items()}
+    return best_params, history
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_training_matches_the_loop_without_reuse(monkeypatch, seed):
+    # train_mtl reuses one set of gradient buffers, a table of token rows
+    # and, across epochs, each dev sentence's score for repeated ids: every
+    # float must be the loop's, and the memo must have spared some scoring
+    _, corpus = tiny_corpus(n=14)
+    dev = sample_corpus(23, 12)
+    config = tiny_config(dropout=0.5, epochs=6, batch_size=4, seed=seed)
+    params, history = reference_train(corpus, config, dev)
+    calls = []
+    spans_from_ids = tagger.spans_from_ids
+    monkeypatch.setattr(tagger, "spans_from_ids", lambda *a: calls.append(1) or spans_from_ids(*a))
+    model = train_mtl(corpus, config, dev=dev)
+    assert model.history == history
+    assert model.params.keys() == params.keys()
+    for name, value in params.items():
+        assert np.array_equal(model.params[name], value), name
+    assert 0 < len(calls) < config.epochs * len(dev)
 
 
 def test_dev_selection_keeps_best():
