@@ -7,10 +7,11 @@ the gold tree: the decoder's one pass yields the tree's labeled spans
 straight from the sampled ids, and each gold tree's spans are taken once
 per run, so no tree is built or walked per sample.  It subtracts the
 starting model's greedy reward on the sentence (the baseline, scored once
-per run), standardises that advantage with running statistics, and takes
-small ascent steps on advantage-weighted log-likelihood plus an entropy
-bonus.  Embedding tables stay frozen so the fine-tuned model keeps the
-supervised lexical representations.
+per run) and standardises that advantage with running statistics.  Each
+step is one forward, one backward and one update for a slice of
+sentences: a small ascent step on the sum of their advantage-weighted
+log-likelihoods plus an entropy bonus.  Embedding tables stay frozen so
+the fine-tuned model keeps the supervised lexical representations.
 
 Optionally, Gaussian noise is added to the logits during sampling; its
 scale adapts multiplicatively towards a target amount of induced
@@ -34,7 +35,7 @@ from .tagger import (
 )
 
 FROZEN = ("E_word", "E_pos")  # parameters fine-tuning leaves as trained
-NOISE_BATCH = 8               # sentences between noise adaptations
+NOISE_BATCH = 8               # sentences per PG step and noise adaptation
 
 
 @dataclass
@@ -67,6 +68,9 @@ class PGConfig:
             raise ValueError("burn_in must be >= 0")
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
+        for name in ("learning_rate", "entropy_coef", "noise_std", "noise_target", "noise_adapt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
 
 
 class AdvantageTracker:
@@ -102,23 +106,23 @@ class AdvantageTracker:
         return (x - self.mean) / self.std
 
 
-def _sample(cache, n_samples, rng, noise_std=0.0):
-    """Draw `n_samples` label-id sequences from a forward cache's main heads.
+def _sample(logits, n_samples, rng, noise_std=0.0):
+    """Draw `n_samples` label-id sequences from the main heads' `logits`.
 
     Every head is sampled per token, from one draw of (sample, head, token)
-    uniforms.  With noise, each sample perturbs the logits of the shared
-    hidden layer with its own noise.  Returns (probs, picks): probs maps
-    task -> (K, T, k) sampling distributions (without noise, the one (T, k)
-    distribution every sample shares) and picks task -> (K, T) ids.
+    uniforms.  With noise, each sample perturbs the logits with its own
+    noise.  Returns (probs, picks): probs maps task -> (K, T, k) sampling
+    distributions (without noise, the one (T, k) distribution every sample
+    shares) and picks task -> (K, T) ids.
     """
     K = n_samples
     probs = {}
     for name in MAIN_TASKS:
-        z = cache["logits"][name]
+        z = logits[name]
         if noise_std > 0:
             z = z + rng.normal(0.0, noise_std, size=(K,) + z.shape)
         probs[name] = _softmax(z)
-    draws = rng.random((K, len(MAIN_TASKS), len(cache["h"])))
+    draws = rng.random((K, len(MAIN_TASKS), len(logits["n"])))
     picks = {}
     for j, name in enumerate(MAIN_TASKS):
         ids = (draws[:, j, :, None] > probs[name].cumsum(axis=-1)).sum(axis=-1)
@@ -138,74 +142,82 @@ def _entropy_terms(p):
     return H, -p * (logp + H[..., None])
 
 
-def estimate_policy_gradient(policy, sentence, reward_fn, baseline_reward, config, tracker, rng,
-                             noise_std=0.0):
-    """Ascent-direction parameter gradients from config.samples samples.
+def estimate_policy_gradient(policy, sentences, reward_fns, baseline_rewards, config, tracker,
+                             rng, noise_std=0.0):
+    """Ascent-direction parameter gradients of a slice of sentences.
 
-    For each sample: advantage = reward_fn(ids) - baseline_reward (ids
-    maps each main task to the sample's per-token label ids, and each
-    distinct sample is scored once), standardised
-    through `tracker`; the gradient accumulates advantage * grad log-prob
-    of the sampled decisions plus config.entropy_coef * grad entropy of the
-    (possibly noise-perturbed) policy.  The final token's n and c
-    decisions are forced and therefore excluded from both terms.
-    Gradients and stats are averaged over samples.  One forward pass
-    serves all samples and the summed logit gradients take one backward
-    pass; the parameters named in FROZEN get no gradient.
+    One forward pass serves the slice.  Then, sentence by sentence, it draws
+    config.samples samples; a sample's advantage, its sentence's reward_fns
+    entry of its ids (each main task's per-token label ids; each distinct
+    sample is scored once) less its baseline_rewards entry, is standardised
+    through `tracker`.  A sentence's gradient is the sample mean of
+    advantage * grad log-prob of the sampled decisions plus
+    config.entropy_coef * grad entropy of the (possibly noise-perturbed)
+    policy; the final token's forced n and c decisions are excluded from
+    both.  One backward pass sums the sentences' gradients, none for the
+    parameters named in FROZEN.  Returns (grads, per-sentence stats).
     """
     K = config.samples
-    cache = policy.forward(policy.windows([sentence]), heads=MAIN_TASKS)
-    probs, picks = _sample(cache, K, rng, noise_std)
-    samples = [{name: picks[name][k] for name in MAIN_TASKS} for k in range(K)]
-    keys = [b"".join([ids.tobytes() for ids in sample.values()]) for sample in samples]
-    scored = {key: reward_fn(sample) for key, sample in dict(zip(keys, samples)).items()}
-    rewards = [scored[key] for key in keys]
-    advantages = [reward - baseline_reward for reward in rewards]
-    standardized = []
-    for adv in advantages:
-        tracker.update(adv)
-        standardized.append(tracker.standardize(adv))
-
-    weights = np.array(standardized, dtype=float)[:, None, None]
-    dlogits = {}
-    entropies = np.zeros(K)
+    cache = policy.forward(policy.windows(sentences), heads=MAIN_TASKS)
+    lengths = [len(s) for s in sentences]
+    ends = np.cumsum(lengths)
+    drawn, weights, stats = [], [], []
+    for a, b, reward_fn, baseline in zip(ends - lengths, ends, reward_fns, baseline_rewards):
+        drawn.append(_sample({name: cache["logits"][name][a:b] for name in MAIN_TASKS}, K, rng,
+                             noise_std))
+        samples = [{name: picks[k] for name, picks in drawn[-1][1].items()} for k in range(K)]
+        keys = [b"".join([ids.tobytes() for ids in sample.values()]) for sample in samples]
+        scored = {key: reward_fn(sample) for key, sample in dict(zip(keys, samples)).items()}
+        rewards = [scored[key] for key in keys]
+        advantages = [reward - baseline for reward in rewards]
+        standardized = []
+        for adv in advantages:
+            tracker.update(adv)
+            standardized.append(tracker.standardize(adv))
+        weights.append(standardized)
+        stats.append({"reward": float(np.mean(rewards)), "advantage": float(np.mean(advantages)),
+                      "standardized": float(np.mean(standardized))})
+    # each sentence's sample weights, repeated over its tokens: (K, rows, 1)
+    weights = np.repeat(np.array(weights, dtype=float).T, lengths, axis=1)[..., None]
+    dlogits, entropies = {}, {}
     for name in MAIN_TASKS:
-        p = probs[name]
-        ent_rows, ent_d = _entropy_terms(p)
-        onehot = np.eye(p.shape[-1])[picks[name]]
-        d = (weights * (onehot - p) + config.entropy_coef * ent_d).sum(axis=0)
+        p = np.concatenate([probs[name] for probs, _ in drawn], axis=-2)
+        entropies[name], ent_d = _entropy_terms(p)
+        ids = np.concatenate([picks[name] for _, picks in drawn], axis=1)
+        d = (weights * ((ids[..., None] == np.arange(p.shape[-1])) - p)
+             + config.entropy_coef * ent_d).sum(axis=0)
         if name != "u":
-            d[-1, :] = 0.0
-            ent_rows = ent_rows[..., :-1]
-        entropies += ent_rows.sum(axis=-1)
+            d[ends - 1] = 0.0
         dlogits[name] = d / K
-    grads = policy.backward(cache, dlogits, FROZEN)
-    stats = {
-        "reward": float(np.mean(rewards)),
-        "advantage": float(np.mean(advantages)),
-        "standardized": float(np.mean(standardized)),
-        "entropy": float(np.mean(entropies)),
-    }
-    return grads, stats
+    for a, b, row in zip(ends - lengths, ends, stats):
+        entropy = np.zeros(K)
+        for name in MAIN_TASKS:
+            entropy += entropies[name][..., a : b - (name != "u")].sum(axis=-1)
+        row["entropy"] = float(np.mean(entropy))
+    return policy.backward(cache, dlogits, FROZEN), stats
 
 
-def pg_update(policy, sentence, gold_spans, baseline_reward, config, tracker, rng, noise_std=0.0):
-    """One fine-tuning step on a single sentence.
+def pg_update(policy, sentences, gold_spans, baseline_rewards, config, tracker, rng,
+              noise_std=0.0):
+    """One fine-tuning step on a slice of sentences: the sum of their
+    gradients at the incoming parameters, FROZEN left untouched.
 
-    Each sample's reward is its F1 against `gold_spans`, the gold tree's
-    labeled_spans; `baseline_reward` is the incoming model's greedy F1 on
-    the sentence.  Parameters named in FROZEN are left untouched.  Returns
-    per-sentence stats.
+    A sample's reward is its F1 against its sentence's `gold_spans` entry
+    (the gold tree's labeled_spans), and a sentence's `baseline_rewards`
+    entry is the incoming model's greedy F1 on it.  Returns per-sentence
+    stats, in slice order.
     """
-    reward = lambda ids: span_score(gold_spans, spans_from_ids(policy, ids)).f1
-    grads, stats = estimate_policy_gradient(policy, sentence, reward, baseline_reward, config,
+    rewards = [lambda ids, gold=gold: span_score(gold, spans_from_ids(policy, ids)).f1
+               for gold in gold_spans]
+    grads, stats = estimate_policy_gradient(policy, sentences, rewards, baseline_rewards, config,
                                             tracker, rng, noise_std)
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise RuntimeError("non-finite policy gradient for %r" % name)
         g *= config.learning_rate
     policy.update(grads)
-    stats["baseline"] = baseline_reward
+    for row, baseline in zip(stats, baseline_rewards):
+        row["baseline"] = baseline
     return stats
 
 
@@ -243,11 +255,11 @@ def finetune_pg(policy, train, config, dev=None):
     The baseline of every update is the incoming policy's greedy F1 on the
     sentence, scored once for all sentences before the first step.  Per
     epoch the corpus is visited in a seeded shuffled order, in slices of
-    NOISE_BATCH sentences; with noise enabled, the noise scale adapts on
-    each slice after its updates.  `dev`, if given (gold Trees too), is
-    scored after each epoch; neither list may be empty.  Returns (policy,
-    log rows), one row per epoch: epoch, mean reward, mean baseline, mean
-    standardized advantage, entropy, dev F1 and noise stddev.
+    NOISE_BATCH sentences, one pg_update each; with noise enabled, the noise
+    scale adapts on each slice after its update.  `dev`, if given (gold
+    Trees too), is scored after each epoch; neither list may be empty.
+    Returns (policy, log rows), one row per epoch: epoch, mean reward, mean
+    baseline, mean standardized advantage, entropy, dev F1 and noise stddev.
     """
     tracker = AdvantageTracker(config.burn_in)
     rng = np.random.default_rng(config.seed)
@@ -263,14 +275,13 @@ def finetune_pg(policy, train, config, dev=None):
         stats_acc = {"reward": [], "baseline": [], "standardized": [], "entropy": []}
         for start in range(0, len(order), NOISE_BATCH):
             batch = order[start : start + NOISE_BATCH]
-            for i in batch:
-                sentence, gold_spans = scored[i]
-                stats = pg_update(policy, sentence, gold_spans, baseline_rewards[i], config,
-                                  tracker, rng, std)
+            sentences, gold_spans = zip(*(scored[i] for i in batch))
+            for stats in pg_update(policy, sentences, gold_spans,
+                                   [baseline_rewards[i] for i in batch], config, tracker, rng, std):
                 for key in stats_acc:
                     stats_acc[key].append(stats[key])
             if config.noise_enabled:
-                std, _ = adapt_noise(policy, config, std, [scored[i][0] for i in batch], rng)
+                std, _ = adapt_noise(policy, config, std, sentences, rng)
         row = {"epoch": epoch}
         row.update((key, float(np.mean(values))) for key, values in stats_acc.items())
         row["dev_f1"] = _dev_f1(policy, dev) if dev is not None else ""

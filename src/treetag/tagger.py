@@ -26,6 +26,7 @@ hand, which keeps the whole model checkable against finite differences.
 """
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass
 
@@ -341,6 +342,9 @@ class TrainConfig:
             raise ValueError("word_dim, pos_dim and hidden_dim must be >= 1")
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
+        for name in ("learning_rate", "decay", "aux_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
 
 
 def _task_labels(corpus):

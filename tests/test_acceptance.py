@@ -217,7 +217,7 @@ def test_reinforce_unbiasedness():
         table = reward_table(vocab)
         rng = np.random.default_rng(123)
         mc, _ = estimate_policy_gradient(
-            model, sentence, table_reward_fn(model, sentence, table), 0.0,
+            model, [sentence], [table_reward_fn(model, sentence, table)], [0.0],
             PGConfig(samples=10000, entropy_coef=0.0), AdvantageTracker(math.inf), rng
         )
         names = ["W_n", "b_n", "W_c", "b_c", "W1", "b1"]

@@ -67,7 +67,7 @@ PUBLIC_SIGNATURES = {
     "parse_bracketed": "(text, strip_functions=False, spans=None, skip=())",
     "per_n_f1": "(gold_corpus, pred_corpus)",
     "pg_update": (
-        "(policy, sentence, gold_spans, baseline_reward, config, tracker, rng, "
+        "(policy, sentences, gold_spans, baseline_rewards, config, tracker, rng, "
         "noise_std=0.0)"
     ),
     "predict_greedy": "(model, sentence)",

@@ -538,8 +538,9 @@ def test_decode_unknown_scheme_is_format_error(tmp_path, capsys):
     ("--momentum", "1", "momentum must be in [0, 1)"),
     ("--seed", "-1", "seed must be >= 0"),
     ("--aux-weight", "nan", "aux_weight must be >= 0"),
+    ("--decay", "inf", "decay must be finite"),
 ], ids=["batch-size", "dropout", "window", "hidden-dim", "epochs-zero", "epochs-negative", "lr",
-        "decay", "momentum", "seed", "aux-weight-nan"])
+        "decay", "momentum", "seed", "aux-weight-nan", "decay-inf"])
 def test_train_out_of_range_setting_exit_code(tmp_path, small_model, capsys, option, value,
                                               message):
     seq, _, _ = small_model
@@ -555,7 +556,8 @@ def test_train_out_of_range_setting_exit_code(tmp_path, small_model, capsys, opt
     ("--burn-in", "-5", "burn_in must be >= 0"),
     ("--lr", "nan", "coefficients must be >= 0"),
     ("--entropy", "nan", "coefficients must be >= 0"),
-], ids=["seed", "burn-in", "lr-nan", "entropy-nan"])
+    ("--lr", "inf", "learning_rate must be finite"),
+], ids=["seed", "burn-in", "lr-nan", "entropy-nan", "lr-inf"])
 def test_finetune_out_of_range_setting_exit_code(tmp_path, small_model, capsys, option, value,
                                                  message):
     _, trees_path, ckpt = small_model

@@ -7,6 +7,7 @@ reward and its gradient are computed independently of the estimator.
 
 import copy
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def sample_sequence(policy, sentence, rng, noise_std=0.0):
     log-probability of the sampled decisions, the sampled ids per task).
     """
     cache = policy.forward(policy.windows([sentence]), heads=MAIN_TASKS)
-    probs, picks = pg._sample(cache, 1, rng, noise_std)
+    probs, picks = pg._sample(cache["logits"], 1, rng, noise_std)
     logprob = 0.0
     for name in MAIN_TASKS:
         p = np.broadcast_to(probs[name], picks[name].shape + probs[name].shape[-1:])[0]
@@ -98,6 +99,15 @@ def toy_policy(u_labels=("",), seed=5):
     config = TrainConfig(word_dim=4, pos_dim=3, hidden_dim=6, window=1,
                          dropout=0.0, seed=seed)
     return TaggerModel(vocab, config, RELATIVE), sentence, vocab
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "entropy_coef", "noise_std", "noise_target",
+                                   "noise_adapt"])
+def test_config_rejects_an_infinite_setting(field):
+    # learning_rate=inf used to fail one step late, as non-finite hidden
+    # activations, or, at the last step without dev, to return silently
+    with pytest.raises(ValueError, match="^%s must be finite$" % field):
+        PGConfig(**{field: math.inf})
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +206,9 @@ def test_reward_of_a_deep_climb_is_a_score():
     model.params["b_n"][vocab.tasks["n"]["a3000"]] = 40.0
     (gold,) = parse_bracketed("(S (PA a) (PB b))")
     config = PGConfig(samples=4, learning_rate=0.0, seed=2)
-    stats = pg_update(model, sentence, labeled_spans(gold),
-                      greedy_reward(model, sentence, gold), config,
-                      AdvantageTracker(config.burn_in), np.random.default_rng(2))
+    stats = pg_update(model, [sentence], [labeled_spans(gold)],
+                      [greedy_reward(model, sentence, gold)], config,
+                      AdvantageTracker(config.burn_in), np.random.default_rng(2))[0]
     assert 0.0 <= stats["reward"] <= 1.0
     assert 0.0 <= stats["baseline"] <= 1.0
     ids = {"n": np.array([vocab.tasks["n"]["a3000"]] * 2),
@@ -328,7 +338,7 @@ def test_reinforce_matches_enumerated_gradient():
     table = reward_table(vocab)
     rng = np.random.default_rng(123)
     mc, _ = estimate_policy_gradient(
-        model, sentence, table_reward_fn(model, sentence, table), 0.0,
+        model, [sentence], [table_reward_fn(model, sentence, table)], [0.0],
         PGConfig(samples=10000, entropy_coef=0.0), AdvantageTracker(math.inf), rng
     )
     names = ["W_n", "b_n", "W_c", "b_c", "W1", "b1"]
@@ -350,11 +360,11 @@ def test_each_distinct_sample_is_scored_once():
         scored[key] = reward(ids)
         return scored[key]
 
-    _, stats = estimate_policy_gradient(model, sentence, scoring, 0.0,
-                                        PGConfig(samples=50, entropy_coef=0.0),
-                                        AdvantageTracker(math.inf), np.random.default_rng(8))
+    _, (stats,) = estimate_policy_gradient(model, [sentence], [scoring], [0.0],
+                                           PGConfig(samples=50, entropy_coef=0.0),
+                                           AdvantageTracker(math.inf), np.random.default_rng(8))
     cache = model.forward(model.windows([sentence]), heads=MAIN_TASKS)
-    _, picks = pg._sample(cache, 50, np.random.default_rng(8))  # the same draws
+    _, picks = pg._sample(cache["logits"], 50, np.random.default_rng(8))  # the same draws
     samples = [tuple(tuple(picks[name][k].tolist()) for name in MAIN_TASKS) for k in range(50)]
     assert scored.keys() == set(samples) and len(scored) < len(samples)
     assert stats["reward"] == pytest.approx(np.mean([scored[s] for s in samples]), abs=1e-12)
@@ -366,8 +376,8 @@ def test_entropy_gradient_zero_at_uniform():
         model.params["W_" + name][:] = 0.0
         model.params["b_" + name][:] = 0.0
     rng = np.random.default_rng(4)
-    grads, stats = estimate_policy_gradient(
-        model, sentence, lambda e: 0.0, 0.0, PGConfig(samples=50, entropy_coef=0.5),
+    grads, (stats,) = estimate_policy_gradient(
+        model, [sentence], [lambda e: 0.0], [0.0], PGConfig(samples=50, entropy_coef=0.5),
         AdvantageTracker(math.inf), rng
     )
     # four uniform binary decisions: word 0's n and c, both words' u
@@ -383,8 +393,8 @@ def test_zero_advantage_when_sample_equals_baseline():
     config = PGConfig(samples=4, learning_rate=0.0, entropy_coef=0.0, seed=8)
     tracker = AdvantageTracker(burn_in=10**9)
     rng = np.random.default_rng(8)
-    stats = pg_update(model, sentence, labeled_spans(gold),
-                      greedy_reward(baseline, sentence, gold), config, tracker, rng)
+    stats = pg_update(model, [sentence], [labeled_spans(gold)],
+                      [greedy_reward(baseline, sentence, gold)], config, tracker, rng)[0]
     # baseline predicts greedily on the same model: samples equal to the
     # greedy choice carry exactly zero advantage
     assert stats["baseline"] == tree_reward(predict_greedy(baseline, sentence), gold)
@@ -399,8 +409,8 @@ def test_zero_learning_rate_changes_nothing():
     tracker = AdvantageTracker(burn_in=0)
     rng = np.random.default_rng(9)
     for _ in range(5):
-        pg_update(model, sentence, labeled_spans(gold), greedy_reward(baseline, sentence, gold),
-                  config, tracker, rng)
+        pg_update(model, [sentence], [labeled_spans(gold)],
+                  [greedy_reward(baseline, sentence, gold)], config, tracker, rng)
     for name in before:
         np.testing.assert_array_equal(model.params[name], before[name])
 
@@ -422,8 +432,8 @@ def test_frozen_layers_and_baseline_untouched():
     sentences = [enc.sentence for enc, _ in corpus]
     for sentence in sentences:
         gold = forest[sentences.index(sentence)]
-        pg_update(model, sentence, labeled_spans(gold), greedy_reward(baseline, sentence, gold),
-                  config, tracker, rng)
+        pg_update(model, [sentence], [labeled_spans(gold)],
+                  [greedy_reward(baseline, sentence, gold)], config, tracker, rng)
     for k in emb_before:
         np.testing.assert_array_equal(model.params[k], emb_before[k])
     for k in baseline_before:
@@ -529,8 +539,8 @@ def sampled_and_scored(peak, seed):
         model.params["b_" + name] *= peak
     seen = []
     tracker = AdvantageTracker(math.inf)
-    estimate_policy_gradient(model, sentence, recording_reward(model, sentence, gold, seen), 0.0,
-                             PGConfig(samples=8, entropy_coef=0.0), tracker,
+    estimate_policy_gradient(model, [sentence], [recording_reward(model, sentence, gold, seen)],
+                             [0.0], PGConfig(samples=8, entropy_coef=0.0), tracker,
                              np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     distinct = {}
@@ -555,14 +565,14 @@ def test_repeated_samples_take_one_reward_call_and_an_advantage_each():
 def test_single_backward_equals_mean_of_sample_gradients():
     model, sentence, gold = small_trained_policy()
     reward = lambda ids: tree_reward(encoded_from_ids(model, sentence, ids), gold)
-    joint, stats = estimate_policy_gradient(
-        model, sentence, reward, 0.4, PGConfig(samples=8, entropy_coef=0.05),
+    joint, (stats,) = estimate_policy_gradient(
+        model, [sentence], [reward], [0.4], PGConfig(samples=8, entropy_coef=0.05),
         AdvantageTracker(burn_in=3), np.random.default_rng(6))
     rng = np.random.default_rng(6)
     tracker = AdvantageTracker(burn_in=3)
     one = PGConfig(samples=1, entropy_coef=0.05)
     singles = [
-        estimate_policy_gradient(model, sentence, reward, 0.4, one, tracker, rng)
+        estimate_policy_gradient(model, [sentence], [reward], [0.4], one, tracker, rng)
         for _ in range(8)
     ]
     assert joint.keys() == singles[0][0].keys()
@@ -570,7 +580,7 @@ def test_single_backward_equals_mean_of_sample_gradients():
         mean = sum(g[name] for g, _ in singles) / 8
         np.testing.assert_allclose(joint[name], mean, rtol=0, atol=1e-12)
     for key in stats:
-        assert stats[key] == pytest.approx(np.mean([s[key] for _, s in singles]), abs=1e-12)
+        assert stats[key] == pytest.approx(np.mean([s[0][key] for _, s in singles]), abs=1e-12)
 
 
 def test_noisy_samples_share_one_hidden_layer():
@@ -580,9 +590,9 @@ def test_noisy_samples_share_one_hidden_layer():
     model.forward = lambda *a, **kw: calls.append(a) or forward(*a, **kw)
     seen = []
     K, std = 4, 0.5
-    estimate_policy_gradient(model, sentence, recording_reward(model, sentence, gold, seen), 0.0,
-                             PGConfig(samples=K, entropy_coef=0.0), AdvantageTracker(math.inf),
-                             np.random.default_rng(7), noise_std=std)
+    estimate_policy_gradient(model, [sentence], [recording_reward(model, sentence, gold, seen)],
+                             [0.0], PGConfig(samples=K, entropy_coef=0.0),
+                             AdvantageTracker(math.inf), np.random.default_rng(7), noise_std=std)
     assert len(calls) == 1
 
     # replay: K noise draws per head on the clean logits, then the uniforms
@@ -638,8 +648,9 @@ def test_noise_adapts_on_each_slice_of_updated_sentences(monkeypatch):
     index = {id(sentence): i for i, (sentence, _) in enumerate(scored)}
     update, adapt = pg.pg_update, pg.adapt_noise
     events = []  # the index of each updated sentence; a list per adaptation
-    monkeypatch.setattr(pg, "pg_update", lambda policy, sentence, *a:
-                        events.append(index[id(sentence)]) or update(policy, sentence, *a))
+    monkeypatch.setattr(pg, "pg_update", lambda policy, sentences, *a:
+                        events.extend(index[id(s)] for s in sentences)
+                        or update(policy, sentences, *a))
     monkeypatch.setattr(pg, "adapt_noise", lambda policy, config, std, sentences, rng:
                         events.append([index[id(s)] for s in sentences])
                         or adapt(policy, config, std, sentences, rng))
@@ -669,3 +680,133 @@ def test_finetune_rejects_an_empty_gold_set(empty):
     train, dev = ([], forest) if empty == "train" else (forest, [])
     with pytest.raises(ValueError, match="^no gold trees to score against$"):
         finetune_pg(model, train, PGConfig(samples=2, epochs=1, seed=3), dev=dev)
+
+
+# ---------------------------------------------------------------------------
+# one step per slice of sentences
+
+def single_sentence_pg_update(policy, sentence, gold_spans, baseline_reward, config, tracker, rng,
+                              noise_std=0.0):
+    """The step of one sentence as it was before steps took slices: its
+    own forward, sampler, dlogits, backward, check, scale and update."""
+    K = config.samples
+    cache = policy.forward(policy.windows([sentence]), heads=MAIN_TASKS)
+    probs = {}
+    for name in MAIN_TASKS:
+        z = cache["logits"][name]
+        if noise_std > 0:
+            z = z + rng.normal(0.0, noise_std, size=(K,) + z.shape)
+        probs[name] = _softmax(z)
+    draws = rng.random((K, len(MAIN_TASKS), len(cache["h"])))
+    picks = {}
+    for j, name in enumerate(MAIN_TASKS):
+        ids = (draws[:, j, :, None] > probs[name].cumsum(axis=-1)).sum(axis=-1)
+        picks[name] = np.minimum(ids, probs[name].shape[-1] - 1)
+    samples = [{name: picks[name][k] for name in MAIN_TASKS} for k in range(K)]
+    keys = [b"".join([ids.tobytes() for ids in sample.values()]) for sample in samples]
+    reward = lambda ids: span_score(gold_spans, spans_from_ids(policy, ids)).f1
+    scored = {key: reward(sample) for key, sample in dict(zip(keys, samples)).items()}
+    rewards = [scored[key] for key in keys]
+    advantages = [r - baseline_reward for r in rewards]
+    standardized = []
+    for adv in advantages:
+        tracker.update(adv)
+        standardized.append(tracker.standardize(adv))
+    weights = np.array(standardized, dtype=float)[:, None, None]
+    dlogits = {}
+    entropies = np.zeros(K)
+    for name in MAIN_TASKS:
+        p = probs[name]
+        logp = np.log(np.clip(p, 1e-300, None))
+        ent_rows = -(p * logp).sum(axis=-1)
+        ent_d = -p * (logp + ent_rows[..., None])
+        onehot = np.eye(p.shape[-1])[picks[name]]
+        d = (weights * (onehot - p) + config.entropy_coef * ent_d).sum(axis=0)
+        if name != "u":
+            d[-1, :] = 0.0
+            ent_rows = ent_rows[..., :-1]
+        entropies += ent_rows.sum(axis=-1)
+        dlogits[name] = d / K
+    grads = policy.backward(cache, dlogits, pg.FROZEN)
+    for g in grads.values():
+        assert np.isfinite(g).all()
+        g *= config.learning_rate
+    policy.update(grads)
+    return {"reward": float(np.mean(rewards)), "advantage": float(np.mean(advantages)),
+            "standardized": float(np.mean(standardized)), "entropy": float(np.mean(entropies)),
+            "baseline": baseline_reward}
+
+
+def slice_setup():
+    """A trained policy and 10 (sentence, gold spans, baseline) triples."""
+    model, _, _ = small_trained_policy()
+    forest = sample_corpus(21, 10)
+    scored = with_gold_spans(forest)
+    baselines = [score.f1 for score in greedy_scores(model, scored)]
+    return model, [(s, spans, b) for (s, spans), b in zip(scored, baselines)]
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+def test_a_slice_of_one_is_the_single_sentence_step_bit_for_bit(noise_std):
+    model, triples = slice_setup()
+    ours, theirs = copy.deepcopy(model), copy.deepcopy(model)
+    # burn-in ends at the 5th of 20 calls: raw advantages, then standardised
+    config = PGConfig(samples=4, learning_rate=0.05, entropy_coef=0.05, burn_in=18)
+    trackers = AdvantageTracker(config.burn_in), AdvantageTracker(config.burn_in)
+    rngs = np.random.default_rng(11), np.random.default_rng(11)
+    for sentence, spans, baseline in triples * 2:
+        expected = single_sentence_pg_update(theirs, sentence, spans, baseline, config,
+                                             trackers[0], rngs[0], noise_std)
+        assert pg_update(ours, [sentence], [spans], [baseline], config, trackers[1], rngs[1],
+                         noise_std) == [expected]
+    assert trackers[0].count == 20 * config.samples > config.burn_in
+    for name in model.params:
+        assert np.array_equal(ours.params[name], theirs.params[name]), name
+    assert not np.array_equal(ours.params["W1"], model.params["W1"])
+    assert vars(trackers[0]) == vars(trackers[1])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+def test_a_slice_gradient_sums_its_sentences_gradients(noise_std):
+    model, triples = slice_setup()
+    config = PGConfig(samples=4, entropy_coef=0.05, burn_in=9)
+    sentences, spans, baselines = zip(*triples[:6])
+    rewards = [lambda ids, gold=gold: span_score(gold, spans_from_ids(model, ids)).f1
+               for gold in spans]
+    tracker, rng = AdvantageTracker(config.burn_in), np.random.default_rng(4)
+    joint, stats = estimate_policy_gradient(model, sentences, rewards, baselines, config,
+                                            tracker, rng, noise_std)
+    one_tracker, one_rng = AdvantageTracker(config.burn_in), np.random.default_rng(4)
+    singles = [estimate_policy_gradient(model, [s], [r], [b], config, one_tracker, one_rng,
+                                        noise_std)
+               for s, r, b in zip(sentences, rewards, baselines)]
+    assert joint.keys() == singles[0][0].keys()
+    for name in joint:
+        np.testing.assert_allclose(joint[name], sum(g[name] for g, _ in singles),
+                                   rtol=0, atol=1e-12)
+    assert len(stats) == len(sentences)
+    for row, (_, (single,)) in zip(stats, singles):
+        assert row.keys() == single.keys()
+        for key in row:
+            assert row[key] == pytest.approx(single[key], abs=1e-12)
+    assert vars(tracker) == vars(one_tracker)
+    assert rng.bit_generator.state == one_rng.bit_generator.state
+
+
+def test_a_slice_takes_one_forward_backward_and_update():
+    model, triples = slice_setup()
+    calls = Counter()
+    for method in ("forward", "backward", "update"):
+        original = getattr(model, method)
+        setattr(model, method, lambda *a, method=method, original=original, **kw:
+                calls.update([method]) or original(*a, **kw))
+    sentences, spans, baselines = zip(*triples[:8])
+    before = {k: v.copy() for k, v in model.params.items()}
+    config = PGConfig(samples=4, learning_rate=0.0)
+    stats = pg_update(model, sentences, spans, baselines, config, AdvantageTracker(0),
+                      np.random.default_rng(2), 0.3)
+    assert calls == {"forward": 1, "backward": 1, "update": 1}
+    assert [row["baseline"] for row in stats] == list(baselines)
+    for name in before:  # a zero learning rate leaves every parameter as it was
+        np.testing.assert_array_equal(model.params[name], before[name])

@@ -607,8 +607,8 @@ def test_stale_table_is_never_read(monkeypatch, tmp_path, change):
         if change == "pg_update":
             config = pg.PGConfig(samples=2, learning_rate=0.5, seed=1)
             before = model.params["W1"].copy()
-            pg.pg_update(model, corpus[0][0].sentence, labeled_spans(forest[0]), 0.0, config,
-                         pg.AdvantageTracker(0), np.random.default_rng(1))
+            pg.pg_update(model, [corpus[0][0].sentence], [labeled_spans(forest[0])], [0.0],
+                         config, pg.AdvantageTracker(0), np.random.default_rng(1))
             assert not np.array_equal(model.params["W1"], before)
         elif change == "b1_update":
             before = model.predict_logits(windows)["n"].copy()
@@ -777,6 +777,10 @@ BAD_SETTINGS = [
     ({"decay": float("nan")}, "decay must be >= 0"),
     ({"seed": -1}, "seed must be >= 0"),
     ({"aux_weight": float("nan")}, "aux_weight must be >= 0"),
+    # inf passed the range checks: decay=inf made epoch 0's lr inf * 0 = NaN
+    ({"learning_rate": float("inf")}, "learning_rate must be finite"),
+    ({"decay": float("inf")}, "decay must be finite"),
+    ({"aux_weight": float("inf")}, "aux_weight must be finite"),
 ]
 
 
