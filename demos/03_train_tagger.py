@@ -11,9 +11,10 @@ from treetag import (
     predict_greedy,
     sample_corpus,
     serialize,
+    shifted_n,
+    syntactic_distances,
     train_mtl,
 )
-from treetag.auxtracks import make_track
 from treetag.metrics import format_bracket_report
 
 
@@ -22,7 +23,7 @@ def main():
     corpus = []
     for tree in forest:
         encoded = encode_dynamic(tree)
-        aux = {name: make_track(name, tree, encoded) for name in ("n+1", "dist")}
+        aux = {"n+1": shifted_n(encoded, 1), "dist": syntactic_distances(tree)}
         corpus.append((encoded, aux))
     print("training corpus: %d trees, e.g." % len(forest))
     print("  " + serialize(forest[0]))
@@ -33,7 +34,7 @@ def main():
     print()
 
     config = TrainConfig(epochs=40)
-    model = train_mtl(corpus, config, dev=forest)
+    model = train_mtl(corpus, config, dev=corpus)  # dev F1 scored on the training pairs
     for h in model.history[::8]:
         print("  epoch %3d  loss %.3f  F1 %.3f" % (h["epoch"], h["loss"], h["dev_f1"]))
     print()

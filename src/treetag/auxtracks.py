@@ -37,22 +37,16 @@ def syntactic_distances(tree, cap=None, walk=None):
 
 def track_names(corpus):
     """The sorted aux track names of (EncodedSentence, {aux name: track})
-    pairs, which must be non-empty and carry the same tracks, each with one
-    label per word: the first pair (from 1) that does not is a ValueError."""
+    pairs, which must be non-empty, share the first pair's scheme and carry
+    the same tracks, each with one label per word: the first pair (from 1)
+    that does not is a ValueError."""
     if not corpus:
         raise ValueError("empty corpus")
-    names = sorted(corpus[0][1])
+    names, scheme = sorted(corpus[0][1]), corpus[0][0].scheme
     for i, (encoded, aux) in enumerate(corpus, start=1):
+        if encoded.scheme != scheme:
+            raise ValueError("mixed schemes across corpus: pair %d is %s" % (i, encoded.scheme))
         if sorted(aux) != names or any(len(aux[name]) != len(encoded) for name in names):
             raise ValueError("inconsistent auxiliary tracks across corpus: pair %d" % i)
     return names
 
-
-def make_track(name, tree, encoded, cap=None, walk=None):
-    """Build the aux track `name` ("n+1", "n-1" or "dist") for a sentence."""
-    if name == DISTANCE:
-        return syntactic_distances(tree, cap=cap, walk=walk)
-    if name.startswith("n"):
-        k = int(name[1:])
-        return shifted_n(encoded, k)
-    raise ValueError("unknown auxiliary track %r" % name)

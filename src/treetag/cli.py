@@ -42,20 +42,15 @@ RANDOM_OPTIONS = {"max_leaves": 40, "max_depth": 12, "alphabet": "S,NP,VP,PP,ADJ
 
 # Flags named other than their config field; every other field `x_y` of
 # TrainConfig and PGConfig is the option --x-y.
-FLAG_NAMES = {"learning_rate": "lr", "entropy_coef": "entropy", "noise_enabled": "noise"}
+FLAG_NAMES = {"learning_rate": "lr", "entropy_coef": "entropy"}
 
 
 def _add_config_options(parser, config_class):
-    """One option per field of `config_class`, defaulting to the field's
-    default; a bool field is a switch."""
+    """One option per field of `config_class`, defaulting to the field's default."""
     for field in dataclasses.fields(config_class):
         name = FLAG_NAMES.get(field.name, field.name)
-        flag = "--" + name.replace("_", "-")
-        if field.type is bool:
-            parser.add_argument(flag, dest=field.name, action="store_true")
-        else:
-            parser.add_argument(flag, dest=field.name, type=field.type, default=field.default,
-                                metavar=name.upper())
+        parser.add_argument("--" + name.replace("_", "-"), dest=field.name, type=field.type,
+                            default=field.default, metavar=name.upper())
 
 
 def _config_from(config_class, args):
@@ -163,9 +158,10 @@ def cmd_encode(args):
     corpus = []
     for tree, walk in zip(forest, _each_tree(args.input, forest, encodings.boundaries)):
         encoded = encodings.encode(tree, args.scheme, walk)
-        tracks = {name: auxtracks.make_track(name, tree, encoded, args.distance_cap, walk)
-                  for name in aux_names}
-        corpus.append((encoded, tracks))
+        corpus.append((encoded, {name: auxtracks.syntactic_distances(tree, args.distance_cap, walk)
+                                 if name == auxtracks.DISTANCE
+                                 else auxtracks.shifted_n(encoded, int(name[1:]))
+                                 for name in aux_names}))
     seqfile.write_seq(args.output, corpus)
     print("encoded %d sentences (%s) to %s" % (len(forest), args.scheme, args.output))
     return 0
@@ -200,7 +196,6 @@ def cmd_train(args):
     train, _ = seqfile.read_seq(args.train_seq)
     dev, _ = seqfile.read_seq(args.dev_seq)
     config = _config_from(tagging.TrainConfig, args)
-    dev = [encodings.decode(enc) for enc, _ in dev]
     try:
         model = tagging.train_mtl(train, config, dev=dev)
     except RuntimeError as e:

@@ -13,9 +13,9 @@ sentences: a small ascent step on the sum of their advantage-weighted
 log-likelihoods plus an entropy bonus.  Embedding tables stay frozen so
 the fine-tuned model keeps the supervised lexical representations.
 
-Optionally, Gaussian noise is added to the logits during sampling; its
-scale adapts multiplicatively towards a target amount of induced
-distribution change.
+With a noise_std above 0, Gaussian noise is added to the logits during
+sampling; its scale adapts multiplicatively towards a target amount of
+induced distribution change.
 """
 
 import math
@@ -45,8 +45,7 @@ class PGConfig:
     entropy_coef: float = 0.01        # strength of the exploration bonus
     burn_in: int = 1000               # advantages seen before standardising
     epochs: int = 10
-    noise_enabled: bool = False
-    noise_std: float = 0.1            # initial logit-noise stddev
+    noise_std: float = 0.0            # initial logit-noise stddev; 0 is off
     noise_target: float = 0.5         # desired induced action divergence
     noise_adapt: float = 1.05         # multiplicative adaptation step
     seed: int = 29
@@ -58,8 +57,8 @@ class PGConfig:
             raise ValueError("need at least one epoch")
         if not (self.entropy_coef >= 0 and self.learning_rate >= 0):
             raise ValueError("coefficients must be >= 0")
-        if not self.noise_std > 0:
-            raise ValueError("noise_std must be > 0")
+        if not self.noise_std >= 0:
+            raise ValueError("noise_std must be >= 0")
         if not self.noise_target >= 0:
             raise ValueError("noise_target must be >= 0")
         if not self.noise_adapt >= 1:
@@ -255,15 +254,16 @@ def finetune_pg(policy, train, config, dev=None):
     The baseline of every update is the incoming policy's greedy F1 on the
     sentence, scored once for all sentences before the first step.  Per
     epoch the corpus is visited in a seeded shuffled order, in slices of
-    NOISE_BATCH sentences, one pg_update each; with noise enabled, the noise
-    scale adapts on each slice after its update.  `dev`, if given (gold
-    Trees too), is scored after each epoch; neither list may be empty.
+    NOISE_BATCH sentences, one pg_update each; with config.noise_std above
+    0, the noise scale adapts on each slice after its update.  `dev`, if
+    given (gold Trees too), is scored after each epoch; neither list may be
+    empty.
     Returns (policy, log rows), one row per epoch: epoch, mean reward, mean
     baseline, mean standardized advantage, entropy, dev F1 and noise stddev.
     """
     tracker = AdvantageTracker(config.burn_in)
     rng = np.random.default_rng(config.seed)
-    std = config.noise_std if config.noise_enabled else 0.0
+    std = config.noise_std
     scored = with_gold_spans(train)
     baseline_rewards = [score.f1 for score in greedy_scores(policy, scored)]
     if dev is not None:
@@ -280,7 +280,7 @@ def finetune_pg(policy, train, config, dev=None):
                                    [baseline_rewards[i] for i in batch], config, tracker, rng, std):
                 for key in stats_acc:
                     stats_acc[key].append(stats[key])
-            if config.noise_enabled:
+            if config.noise_std > 0:
                 std, _ = adapt_noise(policy, config, std, sentences, rng)
         row = {"epoch": epoch}
         row.update((key, float(np.mean(values))) for key, values in stats_acc.items())

@@ -86,10 +86,6 @@ class Vocabularies:
         tasks = {name: index(labels, ()) for name, labels in _task_labels(corpus).items()}
         return cls(word2id, pos2id, tasks)
 
-    def label_ids(self, task, tokens):
-        table = self.tasks[task]
-        return np.array([table[tok] for tok in tokens], dtype=np.int64)
-
 
 def _window_rows(sentences, vocab, r):
     """Window ids of `sentences`, one row per token: the word ids of
@@ -360,7 +356,8 @@ def _task_labels(corpus):
 
 def _gold_ids(vocab, corpus):
     """Gold label ids per task over the stacked tokens of a corpus."""
-    return {name: vocab.label_ids(name, labels) for name, labels in _task_labels(corpus).items()}
+    return {name: np.array([vocab.tasks[name][tok] for tok in labels], dtype=np.int64)
+            for name, labels in _task_labels(corpus).items()}
 
 
 def task_losses(cache, gold):
@@ -397,8 +394,9 @@ def train_mtl(corpus, config, dev=None):
     with the learning rate decayed linearly in the epoch count.  Each
     mini-batch is one forward and one backward over the stacked tokens of
     its sentences, the backward writing into one set of gradient arrays per
-    call.  When `dev` (a non-empty list of gold Trees) is given, each
-    epoch's greedy predictions on its sentences are scored (a sentence
+    call.  When `dev` (a non-empty list of pairs in the corpus form, its
+    aux tracks ignored) is given, each epoch's greedy predictions on its
+    sentences are scored against the spans its labels decode to (a sentence
     predicted as in the epoch before keeps its score), and the parameters
     with the best dev bracketing F1 are returned.
     """
@@ -411,7 +409,10 @@ def train_mtl(corpus, config, dev=None):
 
     windows = model.windows([encoded.sentence for encoded, _ in corpus])
     if dev is not None:
-        dev = with_gold_spans(dev)
+        if not dev:
+            raise ValueError("no gold trees to score against")
+        dev = [(e.sentence, decoded_spans(*zip(*((lab.n, lab.c, lab.u) for lab in e.labels))))
+               for e, _ in dev]
     gold = _gold_ids(vocab, corpus)
     token_rows = np.split(np.arange(len(windows)), np.cumsum([len(e) for e, _ in corpus[:-1]]))
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}

@@ -25,7 +25,7 @@ from treetag.encodings import (
     encode_dynamic,
     encode_relative,
 )
-from treetag.auxtracks import PAD, make_track, syntactic_distances
+from treetag.auxtracks import PAD, shifted_n, syntactic_distances
 from treetag.metrics import bracket_score, corpus_bracket_score, label_space_stats
 from treetag.tagger import TaggerModel, TrainConfig, predict_greedy, train_mtl
 from treetag.pg import AdvantageTracker, PGConfig, estimate_policy_gradient, finetune_pg
@@ -61,7 +61,7 @@ def training_setup():
     corpus = []
     for t in forest:
         enc = encode_dynamic(t)
-        aux = {name: make_track(name, t, enc) for name in ("n+1", "dist")}
+        aux = {"n+1": shifted_n(enc, 1), "dist": syntactic_distances(t)}
         corpus.append((enc, aux))
     return forest, corpus
 
@@ -70,7 +70,7 @@ def training_setup():
 def trained(training_setup):
     forest, corpus = training_setup
     start = time.time()
-    model = train_mtl(corpus, TrainConfig(), dev=forest)
+    model = train_mtl(corpus, TrainConfig(), dev=corpus)
     return model, time.time() - start
 
 
@@ -152,7 +152,7 @@ def test_gradient_check():
 
         (t,) = parse_bracketed("(S (NP (DT the) (NN dog)) (VB runs))")
         enc = encode_dynamic(t)
-        aux = {name: make_track(name, t, enc) for name in ("n+1", "dist")}
+        aux = {"n+1": shifted_n(enc, 1), "dist": syntactic_distances(t)}
         instance = (enc, aux)
         vocab = Vocabularies.build([instance])
         model = TaggerModel(vocab, tiny_config(), "dynamic")

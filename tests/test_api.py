@@ -32,7 +32,7 @@ PUBLIC_SIGNATURES = {
     "PGConfig": (
         "(samples: int = 8, learning_rate: float = 0.0005, "
         "entropy_coef: float = 0.01, burn_in: int = 1000, epochs: int = 10, "
-        "noise_enabled: bool = False, noise_std: float = 0.1, "
+        "noise_std: float = 0.0, "
         "noise_target: float = 0.5, noise_adapt: float = 1.05, "
         "seed: int = 29) -> None"
     ),

@@ -9,7 +9,7 @@ import pytest
 
 from treetag.trees import Leaf, parse_bracketed, random_tree
 from treetag.encodings import encode_relative
-from treetag.auxtracks import PAD, make_track, shifted_n, syntactic_distances
+from treetag.auxtracks import PAD, shifted_n, syntactic_distances
 
 from test_encodings import oracle_paths
 
@@ -131,16 +131,7 @@ def test_root_priority_equals_collapsed_depth():
         assert max(int(v) for v in values if v != PAD) == max(len(p) for p in paths)
 
 
-def test_make_track_dispatch():
-    t, e = enc("(S (NP (D the) (N dog)) (VP (V barks)))")
-    assert make_track("dist", t, e) == syntactic_distances(t)
-    assert make_track("n+1", t, e) == shifted_n(e, 1)
-    assert make_track("n-1", t, e) == shifted_n(e, -1)
-    with pytest.raises(ValueError):
-        make_track("bogus", t, e)
-
-
 def test_track_alignment_invariant():
     t, e = enc("(S (NP (D the) (N dog)) (VP (V barks)))")
-    for name in ("dist", "n+1", "n-1"):
-        assert len(make_track(name, t, e)) == len(e)
+    for track in (syntactic_distances(t), shifted_n(e, 1), shifted_n(e, -1)):
+        assert len(track) == len(e)

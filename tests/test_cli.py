@@ -140,7 +140,7 @@ def test_full_pipeline(tmp_path, capsys):
 
 def test_train_and_noisy_finetune_repeat_bit_for_bit(tmp_path):
     """Rerun with the same seeds (and the same BLAS thread count), train and
-    finetune --noise write the same checkpoint arrays and the same log."""
+    finetune with logit noise write the same checkpoint arrays and the same log."""
     trees_path = tmp_path / "small.trees"
     save_trees(trees_path, sample_corpus(5, 16))
     seq = tmp_path / "small.seq"
@@ -150,7 +150,7 @@ def test_train_and_noisy_finetune_repeat_bit_for_bit(tmp_path):
         assert run(["train", str(seq), str(seq), str(ckpt), "--epochs", "3", "--seed", "4",
                     "--hidden-dim", "8", "--word-dim", "4", "--pos-dim", "4"]) == 0
         assert run(["finetune", str(ckpt), str(trees_path), str(trees_path), str(tuned),
-                    "--epochs", "2", "--samples", "3", "--seed", "5", "--noise",
+                    "--epochs", "2", "--samples", "3", "--seed", "5", "--noise-std", "0.1",
                     "--log", str(tmp_path / ("pg_%s.tsv" % rerun))]) == 0
     for name in ("model", "tuned"):
         with np.load(tmp_path / ("%s_a.npz" % name)) as a, \
@@ -376,7 +376,7 @@ def test_encode_shares_one_walk_per_tree(tmp_path, monkeypatch, scheme, cap):
     encoded = [encodings.encode(t, scheme) for t in forest]
     expected = tmp_path / "expected.seq"
     write_seq(expected, [
-        (enc, {name: auxtracks.make_track(name, t, enc, cap) for name in ("dist", "n+1")})
+        (enc, {"dist": auxtracks.syntactic_distances(t, cap), "n+1": auxtracks.shifted_n(enc, 1)})
         for t, enc in zip(forest, encoded)
     ])
 
@@ -577,20 +577,39 @@ def test_parse_error_names_its_position_once(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option,value,message", [
-    ("--noise-std", "-1", "noise_std must be > 0"),
-    ("--noise-std", "0", "noise_std must be > 0"),
+    ("--noise-std", "-1", "noise_std must be >= 0"),
+    ("--noise-std", "nan", "noise_std must be >= 0"),
+    ("--noise-std", "inf", "noise_std must be finite"),
     ("--noise-target", "-0.1", "noise_target must be >= 0"),
     ("--noise-adapt", "0", "noise_adapt must be >= 1"),
-], ids=["std-negative", "std-zero", "target", "adapt"])
+], ids=["std-negative", "std-nan", "std-inf", "target", "adapt"])
 def test_finetune_noise_setting_out_of_range_exit_code(tmp_path, small_model, capsys, option,
                                                        value, message):
     _, trees_path, ckpt = small_model
     capsys.readouterr()
     out = tmp_path / "tuned.npz"
     assert run(["finetune", str(ckpt), str(trees_path), str(trees_path), str(out),
-                "--epochs", "1", "--noise", option, value]) == 2
+                "--epochs", "1", option, value]) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
     assert not out.exists()
+
+
+def test_finetune_noise_std_zero_is_no_noise(tmp_path, small_model, capsys):
+    _, trees_path, ckpt = small_model
+    for name, extra in (("plain", []), ("zero", ["--noise-std", "0"])):
+        assert run(["finetune", str(ckpt), str(trees_path), str(trees_path),
+                    str(tmp_path / (name + ".npz")), "--epochs", "1", "--samples", "2",
+                    "--log", str(tmp_path / (name + ".tsv"))] + extra) == 0
+    for suffix in (".npz", ".tsv"):
+        assert ((tmp_path / ("plain" + suffix)).read_bytes()
+                == (tmp_path / ("zero" + suffix)).read_bytes())
+    # noise has no switch of its own: --noise is no option
+    capsys.readouterr()
+    assert run(["finetune", str(ckpt), str(trees_path), str(trees_path),
+                str(tmp_path / "t.npz"), "--noise"]) == 1
+    err = capsys.readouterr().err  # argparse reads it as a prefix of three options
+    assert err.startswith("usage error: ") and "--noise could match --noise-std" in err
+    assert not (tmp_path / "t.npz").exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
@@ -668,11 +687,10 @@ def test_renamed_flags_reach_their_fields(tmp_path, small_model, captured_config
     assert run(["train", str(seq), str(seq), str(tmp_path / "m.npz"),
                 "--lr", "0.3", "--batch-size", "3", "--aux-weight", "0.5"]) == 2
     assert run(["finetune", str(ckpt), str(trees_path), str(trees_path), str(tmp_path / "t.npz"),
-                "--lr", "0.001", "--entropy", "0.2", "--noise", "--burn-in", "7"]) == 2
+                "--lr", "0.001", "--entropy", "0.2", "--burn-in", "7"]) == 2
     train, finetune = captured_configs["train"], captured_configs["finetune"]
     assert (train.learning_rate, train.batch_size, train.aux_weight) == (0.3, 3, 0.5)
-    assert (finetune.learning_rate, finetune.entropy_coef, finetune.noise_enabled,
-            finetune.burn_in) == (0.001, 0.2, True, 7)
+    assert (finetune.learning_rate, finetune.entropy_coef, finetune.burn_in) == (0.001, 0.2, 7)
 
 
 def test_help_keeps_the_flag_metavars(capsys):
@@ -681,7 +699,7 @@ def test_help_keeps_the_flag_metavars(capsys):
     assert run(["finetune", "--help"]) == 0
     text = capsys.readouterr().out
     assert "--entropy ENTROPY" in text and "--noise-std NOISE_STD" in text
-    assert "[--noise]" in text
+    assert "[--noise]" not in text
 
 
 FIELD_RULE = "is empty or holds whitespace or a bracket"
@@ -792,8 +810,8 @@ def test_the_reused_parser_keeps_no_state(tmp_path, forest_file, small_model, ca
 
     _, trees_path, ckpt = small_model
     finetune = ["finetune", str(ckpt), str(trees_path), str(trees_path), str(tmp_path / "t.npz")]
-    assert run(finetune + ["--noise"]) == 2
-    assert captured_configs["finetune"].noise_enabled
+    assert run(finetune + ["--noise-std", "0.1"]) == 2
+    assert captured_configs["finetune"].noise_std == 0.1
     assert run(finetune) == 2
     assert captured_configs["finetune"] == PGConfig()
 

@@ -110,6 +110,13 @@ def test_config_rejects_an_infinite_setting(field):
         PGConfig(**{field: math.inf})
 
 
+def test_noise_std_zero_is_off_and_below_zero_is_rejected():
+    assert PGConfig(noise_std=0).noise_std == 0
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="^noise_std must be >= 0$"):
+            PGConfig(noise_std=bad)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -445,7 +452,7 @@ def test_frozen_layers_and_baseline_untouched():
 # ---------------------------------------------------------------------------
 # noise adaptation
 
-NOISE = PGConfig(noise_enabled=True, noise_std=0.1, noise_target=0.5, noise_adapt=1.05)
+NOISE = PGConfig(noise_std=0.1, noise_target=0.5, noise_adapt=1.05)
 
 
 def test_noise_zero_divergence_grows_std():
@@ -654,7 +661,7 @@ def test_noise_adapts_on_each_slice_of_updated_sentences(monkeypatch):
     monkeypatch.setattr(pg, "adapt_noise", lambda policy, config, std, sentences, rng:
                         events.append([index[id(s)] for s in sentences])
                         or adapt(policy, config, std, sentences, rng))
-    config = PGConfig(samples=2, epochs=2, seed=3, noise_enabled=True)
+    config = PGConfig(samples=2, epochs=2, seed=3, noise_std=0.1)
     finetune_pg(model, forest, config)
 
     slices, updated = [], []
@@ -670,6 +677,13 @@ def test_noise_adapts_on_each_slice_of_updated_sentences(monkeypatch):
     epochs = [updated[:19], updated[19:]]
     assert all(sorted(order) == list(range(19)) for order in epochs)
     assert epochs[0] != list(range(19)) and epochs[0] != epochs[1]
+
+
+def test_a_zero_noise_std_never_adapts(monkeypatch):
+    model, _, _ = small_trained_policy()
+    monkeypatch.setattr(pg, "adapt_noise", lambda *args: pytest.fail("adapted a zero noise scale"))
+    _, rows = finetune_pg(model, sample_corpus(21, 9), PGConfig(samples=2, epochs=2, seed=3))
+    assert [row["noise_std"] for row in rows] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("empty", ["train", "dev"])

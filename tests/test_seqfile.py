@@ -6,13 +6,14 @@ every label sequence the .seq reader accepts decodes to a tree that reads
 back unchanged and encodes, and one that the .seq writer writes only what
 the reader reads back."""
 
+import itertools
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treetag import tagger
-from treetag.auxtracks import make_track
+from treetag.auxtracks import shifted_n, syntactic_distances
 from treetag.encodings import (SCHEMES, EncodedSentence, NComponent, TagLabel, decode, encode,
                                encode_relative)
 from treetag.seqfile import SeqFormatError, _parse_header, read_seq, read_tagged, write_seq
@@ -210,15 +211,15 @@ def test_header_and_whitespace_only_lines_are_exempt(tmp_path):
 def test_aux_tracks_read_back_as_built(tmp_path, monkeypatch):
     forest = [random_tree(seed, 12, 6, ["S", "NP", "VP"]) for seed in range(8)]
     encoded = [encode_relative(tree) for tree in forest]
-    built = [{name: make_track(name, tree, enc) for name in ("n+1", "n-1", "dist")}
-             for tree, enc in zip(forest, encoded)]
+    built = [{"n+1": shifted_n(enc, 1), "n-1": shifted_n(enc, -1),
+              "dist": syntactic_distances(tree)} for tree, enc in zip(forest, encoded)]
     write_seq(tmp_path / "x.seq", list(zip(encoded, built)))
     back, _ = read_seq(tmp_path / "x.seq")
     assert [aux for _, aux in back] == built
     assert all(type(track) is tuple for _, tracks in back for track in tracks.values())
     # a later pair with an extra track, or lacking one, breaks the corpus rule
     # before the file is opened, and training rejects the same corpus
-    extra = {**built[5], "n+2": make_track("n+2", forest[5], encoded[5])}
+    extra = {**built[5], "n+2": shifted_n(encoded[5], 2)}
     lacking = {name: track for name, track in built[5].items() if name != "n-1"}
     for tracks in (extra, lacking):
         corpus = list(zip(encoded, built[:5] + [tracks] + built[6:]))
@@ -239,6 +240,21 @@ def test_aux_tracks_read_back_as_built(tmp_path, monkeypatch):
         assert not (tmp_path / "bad.seq").exists()
         with pytest.raises(ValueError, match=message):
             Vocabularies.build(corpus)
+        with pytest.raises(ValueError, match=message):
+            train_mtl(corpus, TrainConfig(epochs=1))
+
+
+def test_a_corpus_of_mixed_schemes_breaks_the_rule(tmp_path, monkeypatch):
+    # the header names one scheme, so a second one would read back relabelled,
+    # and a model would take the first pair's scheme for every sentence
+    tree = random_tree(3, 12, 6, ["S", "NP", "VP"])
+    monkeypatch.setattr(tagger, "TaggerModel", None)  # training stops before drawing
+    for first, second in itertools.permutations(SCHEMES, 2):
+        corpus = [(encode(tree, first), {}), (encode(tree, second), {})]
+        message = "^mixed schemes across corpus: pair 2 is %s$" % second
+        with pytest.raises(ValueError, match=message):
+            write_seq(tmp_path / "mixed.seq", corpus)
+        assert not (tmp_path / "mixed.seq").exists()
         with pytest.raises(ValueError, match=message):
             train_mtl(corpus, TrainConfig(epochs=1))
 

@@ -12,7 +12,7 @@ from treetag import encodings, pg, tagger
 from treetag.trees import Sentence, parse_bracketed, sample_corpus, serialize
 from treetag.encodings import DUMMY, NO_CHAIN, NComponent, TagLabel
 from treetag.encodings import decode, decode_with_repairs, encode_dynamic, encode_relative
-from treetag.auxtracks import make_track
+from treetag.auxtracks import shifted_n, syntactic_distances
 from treetag.metrics import BracketScore, corpus_bracket_score, labeled_spans, span_score
 from treetag.tagger import (
     BOS,
@@ -56,8 +56,8 @@ def tiny_corpus(n=6, aux_names=("n+1", "dist"), cap=None):
     corpus = []
     for t in forest:
         enc = encode_dynamic(t)
-        aux = {name: make_track(name, t, enc, cap=cap) for name in aux_names}
-        corpus.append((enc, aux))
+        aux = {"n+1": shifted_n(enc, 1), "dist": syntactic_distances(t, cap)}
+        corpus.append((enc, {name: aux[name] for name in aux_names}))
     return forest, corpus
 
 
@@ -289,7 +289,7 @@ def assert_gradients_match_finite_differences(model, instances):
 def test_gradients_match_finite_differences():
     (t,) = parse_bracketed("(S (NP (DT the) (NN dog)) (VB runs))")
     enc = encode_dynamic(t)
-    aux = {name: make_track(name, t, enc) for name in ("n+1", "dist")}
+    aux = {"n+1": shifted_n(enc, 1), "dist": syntactic_distances(t)}
     instance = (enc, aux)
     vocab = Vocabularies.build([instance])
     model = TaggerModel(vocab, tiny_config(), "dynamic")
@@ -301,7 +301,7 @@ def test_batched_gradients_match_finite_differences():
     for text in ("(S (NP (DT the) (NN dog)) (VB runs))", "(S (NN cats) (VP (VB sleep) (RB now)))"):
         (t,) = parse_bracketed(text)
         enc = encode_dynamic(t)
-        instances.append((enc, {name: make_track(name, t, enc) for name in ("n+1", "dist")}))
+        instances.append((enc, {"n+1": shifted_n(enc, 1), "dist": syntactic_distances(t)}))
     vocab = Vocabularies.build(instances)
     model = TaggerModel(vocab, tiny_config(hidden_dim=5), "dynamic")
     assert_gradients_match_finite_differences(model, instances)
@@ -411,7 +411,7 @@ def repeated_instances(copies=22):
     # one 3-word sentence stacked `copies` times: few distinct ids
     (t,) = parse_bracketed("(S (NP (DT the) (NN dog)) (VB runs))")
     enc = encode_dynamic(t)
-    instance = (enc, {name: make_track(name, t, enc) for name in ("n+1", "dist")})
+    instance = (enc, {"n+1": shifted_n(enc, 1), "dist": syntactic_distances(t)})
     return [instance] * copies
 
 
@@ -598,7 +598,7 @@ def test_stale_table_is_never_read(monkeypatch, tmp_path, change):
             return next(scores)
 
         monkeypatch.setattr(tagger, "_dev_f1", checked_dev_f1)
-        model = train_mtl(corpus, tiny_config(epochs=3, batch_size=len(corpus)), dev=forest)
+        model = train_mtl(corpus, tiny_config(epochs=3, batch_size=len(corpus)), dev=corpus)
         assert len(model.history) == 3
     else:
         model = train_mtl(corpus, tiny_config(epochs=2))
@@ -944,10 +944,12 @@ def test_training_matches_the_loop_without_reuse(monkeypatch, seed):
     # train_mtl reuses one set of gradient buffers, a table of token rows
     # and, across epochs, each dev sentence's score for repeated ids: every
     # float must be the loop's, and the memo must have spared some scoring
+    # the loop scores gold trees decoded from dev's labels, and train_mtl
+    # the same labels' pairs
     _, corpus = tiny_corpus(n=14)
-    dev = sample_corpus(23, 12)
+    dev = [(encode_dynamic(t), {}) for t in sample_corpus(23, 12)]
     config = tiny_config(dropout=0.5, epochs=6, batch_size=4, seed=seed)
-    params, history = reference_train(corpus, config, dev)
+    params, history = reference_train(corpus, config, [decode(e) for e, _ in dev])
     calls = []
     spans_from_ids = tagger.spans_from_ids
     monkeypatch.setattr(tagger, "spans_from_ids", lambda *a: calls.append(1) or spans_from_ids(*a))
@@ -961,7 +963,7 @@ def test_training_matches_the_loop_without_reuse(monkeypatch, seed):
 
 def test_dev_selection_keeps_best():
     forest, corpus = tiny_corpus(n=12)
-    model = train_mtl(corpus, tiny_config(epochs=8), dev=forest)
+    model = train_mtl(corpus, tiny_config(epochs=8), dev=corpus)
     assert all("dev_f1" in h for h in model.history)
     best = max(h["dev_f1"] for h in model.history)
     preds = [decode(predict_greedy(model, enc.sentence)) for enc, _ in corpus]
