@@ -31,6 +31,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # an option prefix is a usage error
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 

@@ -27,7 +27,7 @@ from .encodings import decode
 from .metrics import bracket_score, span_score
 from .tagger import (
     MAIN_TASKS,
-    _dev_f1,
+    _dev_scorer,
     _softmax,
     greedy_scores,
     spans_from_ids,
@@ -160,24 +160,21 @@ def estimate_policy_gradient(policy, sentences, reward_fns, baseline_rewards, co
     cache = policy.forward(policy.windows(sentences), heads=MAIN_TASKS)
     lengths = [len(s) for s in sentences]
     ends = np.cumsum(lengths)
-    drawn, weights, stats = [], [], []
-    for a, b, reward_fn, baseline in zip(ends - lengths, ends, reward_fns, baseline_rewards):
+    drawn, per_sample = [], np.zeros((4, len(sentences), K))
+    rewards, advantages, standardized, entropy = per_sample
+    for j, (a, b, reward_fn) in enumerate(zip(ends - lengths, ends, reward_fns)):
         drawn.append(_sample({name: cache["logits"][name][a:b] for name in MAIN_TASKS}, K, rng,
                              noise_std))
         samples = [{name: picks[k] for name, picks in drawn[-1][1].items()} for k in range(K)]
         keys = [b"".join([ids.tobytes() for ids in sample.values()]) for sample in samples]
         scored = {key: reward_fn(sample) for key, sample in dict(zip(keys, samples)).items()}
-        rewards = [scored[key] for key in keys]
-        advantages = [reward - baseline for reward in rewards]
-        standardized = []
-        for adv in advantages:
+        rewards[j] = [scored[key] for key in keys]
+        advantages[j] = rewards[j] - baseline_rewards[j]
+        for k, adv in enumerate(advantages[j].tolist()):
             tracker.update(adv)
-            standardized.append(tracker.standardize(adv))
-        weights.append(standardized)
-        stats.append({"reward": float(np.mean(rewards)), "advantage": float(np.mean(advantages)),
-                      "standardized": float(np.mean(standardized))})
+            standardized[j, k] = tracker.standardize(adv)
     # each sentence's sample weights, repeated over its tokens: (K, rows, 1)
-    weights = np.repeat(np.array(weights, dtype=float).T, lengths, axis=1)[..., None]
+    weights = np.repeat(standardized.T, lengths, axis=1)[..., None]
     dlogits, entropies = {}, {}
     for name in MAIN_TASKS:
         p = np.concatenate([probs[name] for probs, _ in drawn], axis=-2)
@@ -188,11 +185,11 @@ def estimate_policy_gradient(policy, sentences, reward_fns, baseline_rewards, co
         if name != "u":
             d[ends - 1] = 0.0
         dlogits[name] = d / K
-    for a, b, row in zip(ends - lengths, ends, stats):
-        entropy = np.zeros(K)
+    for j, (a, b) in enumerate(zip(ends - lengths, ends)):
         for name in MAIN_TASKS:
-            entropy += entropies[name][..., a : b - (name != "u")].sum(axis=-1)
-        row["entropy"] = float(np.mean(entropy))
+            entropy[j] += entropies[name][..., a : b - (name != "u")].sum(axis=-1)
+    means = per_sample.mean(axis=2).T.tolist()  # one row per sentence
+    stats = [dict(zip(("reward", "advantage", "standardized", "entropy"), row)) for row in means]
     return policy.backward(cache, dlogits, FROZEN), stats
 
 
@@ -266,8 +263,7 @@ def finetune_pg(policy, train, config, dev=None):
     std = config.noise_std
     scored = with_gold_spans(train)
     baseline_rewards = [score.f1 for score in greedy_scores(policy, scored)]
-    if dev is not None:
-        dev = with_gold_spans(dev)
+    dev_f1 = _dev_scorer(policy, with_gold_spans(dev)) if dev is not None else lambda: ""
     order = np.arange(len(train))
     rows = []
     for epoch in range(config.epochs):
@@ -284,7 +280,7 @@ def finetune_pg(policy, train, config, dev=None):
                 std, _ = adapt_noise(policy, config, std, sentences, rng)
         row = {"epoch": epoch}
         row.update((key, float(np.mean(values))) for key, values in stats_acc.items())
-        row["dev_f1"] = _dev_f1(policy, dev) if dev is not None else ""
+        row["dev_f1"] = dev_f1()
         row["noise_std"] = std
         rows.append(row)
     return policy, rows

@@ -145,7 +145,8 @@ class TaggerModel:
     the first prediction after each parameter change builds the table
     (float64, (2r+1)·(|words|+|POS|)·H entries), and concurrent first reads
     at worst each build the same one.  Parameter updates must stay
-    single-writer and go through `update`, which drops the table.
+    single-writer and go through `update`, which drops the table, as
+    train_mtl's step on its flat parameter vector does too.
     """
 
     def __init__(self, vocab, config, scheme, rng=None, params=None):
@@ -386,6 +387,12 @@ def _chunks(lengths):
         yield start, len(lengths)
 
 
+def _flat_views(flat, like):
+    """Arrays keyed and shaped like `like`, as consecutive views of the 1-D array `flat`."""
+    parts = np.split(flat, np.cumsum([a.size for a in like.values()])[:-1])
+    return {name: part.reshape(a.shape) for (name, a), part in zip(like.items(), parts)}
+
+
 def train_mtl(corpus, config, dev=None):
     """Train a tagger on (EncodedSentence, aux dict) pairs.
 
@@ -393,12 +400,12 @@ def train_mtl(corpus, config, dev=None):
     (auxiliary heads weighted by config.aux_weight), normalised per token,
     with the learning rate decayed linearly in the epoch count.  Each
     mini-batch is one forward and one backward over the stacked tokens of
-    its sentences, the backward writing into one set of gradient arrays per
-    call.  When `dev` (a non-empty list of pairs in the corpus form, its
-    aux tracks ignored) is given, each epoch's greedy predictions on its
-    sentences are scored against the spans its labels decode to (a sentence
-    predicted as in the epoch before keeps its score), and the parameters
-    with the best dev bracketing F1 are returned.
+    its sentences, and one update of one flat vector each of parameters,
+    velocity and gradients.  When `dev` (a non-empty list of pairs in the
+    corpus form, its aux tracks ignored) is given, each epoch's greedy
+    predictions on its sentences are scored against the spans its labels
+    decode to, and the parameters with the best dev bracketing F1 are
+    returned.
     """
     vocab = Vocabularies.build(corpus)
     scheme = corpus[0][0].scheme
@@ -411,13 +418,15 @@ def train_mtl(corpus, config, dev=None):
     if dev is not None:
         if not dev:
             raise ValueError("no gold trees to score against")
-        dev = [(e.sentence, decoded_spans(*zip(*((lab.n, lab.c, lab.u) for lab in e.labels))))
-               for e, _ in dev]
+        dev_f1 = _dev_scorer(model, [
+            (e.sentence, decoded_spans(*zip(*((lab.n, lab.c, lab.u) for lab in e.labels))))
+            for e, _ in dev])
     gold = _gold_ids(vocab, corpus)
     token_rows = np.split(np.arange(len(windows)), np.cumsum([len(e) for e, _ in corpus[:-1]]))
-    velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
-    grads = {k: np.empty_like(v) for k, v in model.params.items()}
-    best_f1, best_params, dev_memo = -1.0, None, {}
+    params = np.concatenate([p.ravel() for p in model.params.values()])
+    velocity, grads = np.zeros_like(params), np.empty_like(params)
+    model.params, grad_views = _flat_views(params, model.params), _flat_views(grads, model.params)
+    best_f1, best_params = -1.0, None
     order = np.arange(len(corpus))
 
     for epoch in range(config.epochs):
@@ -432,29 +441,49 @@ def train_mtl(corpus, config, dev=None):
                 w = 1.0 if name in MAIN_TASKS else config.aux_weight
                 dlogits[name] *= w / len(rows)
                 epoch_loss += w * losses[name]
-            for k, g in model.backward(cache, dlogits, out=grads).items():
-                v = velocity[k]
-                v *= config.momentum
-                g *= lr
-                v -= g
-            model.update(velocity)
+            model.backward(cache, dlogits, out=grad_views)
+            velocity *= config.momentum
+            grads *= lr
+            velocity -= grads
+            params += velocity
+            model._table = None  # as update does
             del cache, dlogits  # free this batch's activations before the next forward
         mean_loss = epoch_loss / len(windows)
         if not np.isfinite(mean_loss):
             raise RuntimeError("training diverged at epoch %d (loss=%r)" % (epoch, mean_loss))
         record = {"epoch": epoch, "loss": mean_loss, "lr": lr}
         if dev is not None:
-            f1 = _dev_f1(model, dev, dev_memo)
-            record["dev_f1"] = f1
+            record["dev_f1"] = f1 = dev_f1()
             if f1 > best_f1:
-                best_f1 = f1
-                best_params = {k: v.copy() for k, v in model.params.items()}
+                best_f1, best_params = f1, params.copy()
         model.history.append(record)
 
-    if best_params is not None:  # a new model, so without the last epoch's table
-        history, model = model.history, TaggerModel(vocab, config, scheme, params=best_params)
-        model.history = history
+    if best_params is not None:
+        params[...] = best_params
+        model._table = None  # the last epoch's
     return model
+
+
+def _dev_scorer(model, dev):
+    """A function of no arguments giving the corpus bracketing F1 of
+    `model`'s greedy trees on (Sentence, gold spans) pairs at its current
+    parameters.  The window ids are built once, in _predict_ids' chunks, so
+    every logit has the bits it has there; a sentence is decoded and scored
+    again only when its predicted ids differ from the last call's."""
+    lengths = [len(sentence) for sentence, _ in dev]
+    chunks = [model.windows([s for s, _ in dev[a:b]]) for a, b in _chunks(lengths)]
+    starts = np.cumsum(lengths) - lengths
+    last, scores = np.full((len(MAIN_TASKS), sum(lengths)), -1), [None] * len(dev)
+
+    def f1():
+        logits = [model.predict_logits(windows) for windows in chunks]
+        ids = np.array([np.concatenate([z[n].argmax(axis=1) for z in logits]) for n in MAIN_TASKS])
+        for k in np.flatnonzero(np.logical_or.reduceat((ids != last).any(axis=0), starts)):
+            sentence_ids = dict(zip(MAIN_TASKS, ids[:, starts[k] : starts[k] + lengths[k]]))
+            scores[k] = metrics.span_score(dev[k][1], spans_from_ids(model, sentence_ids))
+        last[...] = ids
+        return sum(scores, metrics.BracketScore(0, 0, 0)).f1
+    return f1
 
 
 def with_gold_spans(trees):
@@ -465,25 +494,11 @@ def with_gold_spans(trees):
     return [(Sentence.from_tree(tree), metrics.labeled_spans(tree)) for tree in trees]
 
 
-def greedy_scores(model, pairs, memo=None):
+def greedy_scores(model, pairs):
     """BracketScore of each greedy prediction on (Sentence, gold spans)
-    pairs, scored from the predicted ids' spans without building a tree.
-    A `memo` dict, passed again with the same pairs and vocabulary, keeps
-    each pair's last ids and score, and a repeat of them is not scored again."""
-    memo = {} if memo is None else memo
-    scores = []
-    for k, (ids, (_, gold)) in enumerate(zip(_predict_ids(model, [s for s, _ in pairs]), pairs)):
-        key = b"".join([ids[name].tobytes() for name in MAIN_TASKS])
-        if memo.get(k, (None,))[0] != key:
-            memo[k] = key, metrics.span_score(gold, spans_from_ids(model, ids))
-        scores.append(memo[k][1])
-    return scores
-
-
-def _dev_f1(model, dev, memo=None):
-    """Corpus bracketing F1 of greedy trees on (Sentence, gold spans)
-    pairs; `memo` as in greedy_scores."""
-    return sum(greedy_scores(model, dev, memo), metrics.BracketScore(0, 0, 0)).f1
+    pairs, scored from the predicted ids' spans without building a tree."""
+    return [metrics.span_score(gold, spans_from_ids(model, ids))
+            for ids, (_, gold) in zip(_predict_ids(model, [s for s, _ in pairs]), pairs)]
 
 
 def _label_parts(vocab, ids):

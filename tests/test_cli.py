@@ -607,9 +607,22 @@ def test_finetune_noise_std_zero_is_no_noise(tmp_path, small_model, capsys):
     capsys.readouterr()
     assert run(["finetune", str(ckpt), str(trees_path), str(trees_path),
                 str(tmp_path / "t.npz"), "--noise"]) == 1
-    err = capsys.readouterr().err  # argparse reads it as a prefix of three options
-    assert err.startswith("usage error: ") and "--noise could match --noise-std" in err
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "unrecognized arguments: --noise" in err
     assert not (tmp_path / "t.npz").exists()
+
+
+@pytest.mark.parametrize("argv", [["--ep", "1"], ["--epochs", "1", "--hidden", "8"]],
+                         ids=["ep", "hidden"])
+def test_option_prefix_is_a_usage_error(tmp_path, small_model, capsys, argv):
+    # an option is only its full name, so a unique prefix is no option either
+    seq, _, _ = small_model
+    capsys.readouterr()
+    out = tmp_path / "m.npz"
+    assert run(["train", str(seq), str(seq), str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: unrecognized arguments: %s\n" % " ".join(argv[-2:])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

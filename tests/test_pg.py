@@ -760,12 +760,11 @@ def slice_setup():
     return model, [(s, spans, b) for (s, spans), b in zip(scored, baselines)]
 
 
-@pytest.mark.parametrize("noise_std", [0.0, 0.3])
-def test_a_slice_of_one_is_the_single_sentence_step_bit_for_bit(noise_std):
+def assert_a_slice_of_one_is_the_single_sentence_step(noise_std, samples):
     model, triples = slice_setup()
     ours, theirs = copy.deepcopy(model), copy.deepcopy(model)
-    # burn-in ends at the 5th of 20 calls: raw advantages, then standardised
-    config = PGConfig(samples=4, learning_rate=0.05, entropy_coef=0.05, burn_in=18)
+    # burn-in ends within the 20 calls: raw advantages, then standardised
+    config = PGConfig(samples=samples, learning_rate=0.05, entropy_coef=0.05, burn_in=18)
     trackers = AdvantageTracker(config.burn_in), AdvantageTracker(config.burn_in)
     rngs = np.random.default_rng(11), np.random.default_rng(11)
     for sentence, spans, baseline in triples * 2:
@@ -779,6 +778,19 @@ def test_a_slice_of_one_is_the_single_sentence_step_bit_for_bit(noise_std):
     assert not np.array_equal(ours.params["W1"], model.params["W1"])
     assert vars(trackers[0]) == vars(trackers[1])
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+def test_a_slice_of_one_is_the_single_sentence_step_bit_for_bit(noise_std):
+    assert_a_slice_of_one_is_the_single_sentence_step(noise_std, samples=4)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 5, 8, 9, 16, 17])
+def test_slice_stats_are_each_sentences_sample_means_bit_for_bit(samples):
+    # the stats are row-wise means of a (sentences, samples) array, which
+    # must equal np.mean of each sentence's own list at any sample count
+    for noise_std in (0.0, 0.3):
+        assert_a_slice_of_one_is_the_single_sentence_step(noise_std, samples)
 
 
 @pytest.mark.parametrize("noise_std", [0.0, 0.3])

@@ -587,19 +587,25 @@ def test_stale_table_is_never_read(monkeypatch, tmp_path, change):
     if change in ("train_step", "best_params"):
         # one step per epoch; each dev evaluation builds the table, which
         # the next step and, with the first epoch scored best, the final
-        # restore must drop
-        dev_f1 = tagger._dev_f1
+        # restore must drop; the check runs once per epoch, or it checks nothing
+        dev_scorer, checks = tagger._dev_scorer, []
         scores = iter([1.0, 0.0, 0.0] if change == "best_params" else [0.0, 1.0, 2.0])
 
-        def checked_dev_f1(model, dev, *memo):
-            assert_table_matches_params(model, windows)
-            dev_f1(model, dev, *memo)
-            assert model._table is not None
-            return next(scores)
+        def checked_dev_scorer(model, dev):
+            dev_f1 = dev_scorer(model, dev)
 
-        monkeypatch.setattr(tagger, "_dev_f1", checked_dev_f1)
+            def checked_dev_f1():
+                assert_table_matches_params(model, windows)
+                dev_f1()
+                assert model._table is not None
+                checks.append(len(model.history))
+                return next(scores)
+            return checked_dev_f1
+
+        monkeypatch.setattr(tagger, "_dev_scorer", checked_dev_scorer)
         model = train_mtl(corpus, tiny_config(epochs=3, batch_size=len(corpus)), dev=corpus)
         assert len(model.history) == 3
+        assert checks == [0, 1, 2]
     else:
         model = train_mtl(corpus, tiny_config(epochs=2))
         model.predict_logits(windows)
@@ -897,15 +903,17 @@ def test_predicted_ids_are_the_argmax_of_probabilities(seed):
 
 
 def reference_train(corpus, config, dev):
-    """train_mtl's loop without its reused parts: a fresh backward per step,
-    np.arange rows per batch, and every dev prediction decoded and scored."""
+    """train_mtl's loop without its reused parts: a fresh backward and a
+    momentum step per parameter array each step, np.arange rows per batch,
+    and every dev prediction, from windows built per epoch, decoded and
+    scored.  Without `dev` (gold trees), the last epoch's parameters."""
     vocab = Vocabularies.build(corpus)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     model = TaggerModel(vocab, config, "dynamic", rng=np.random.default_rng(seeds[0]))
     shuffle_rng = np.random.default_rng(seeds[1])
     dropout_rng = np.random.default_rng(seeds[2])
     windows = model.windows([encoded.sentence for encoded, _ in corpus])
-    dev = tagger.with_gold_spans(dev)
+    dev = None if dev is None else tagger.with_gold_spans(dev)
     gold = _gold_ids(vocab, corpus)
     ends = np.cumsum([len(encoded) for encoded, _ in corpus])
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
@@ -929,6 +937,9 @@ def reference_train(corpus, config, dev):
                 g *= lr
                 velocity[k] -= g
             model.update(velocity)
+        if dev is None:
+            history.append({"epoch": epoch, "loss": epoch_loss / len(windows), "lr": lr})
+            continue
         ids = tagger._predict_ids(model, [sentence for sentence, _ in dev])
         scores = [span_score(gold_spans, tagger.spans_from_ids(model, i))
                   for i, (_, gold_spans) in zip(ids, dev)]
@@ -936,18 +947,20 @@ def reference_train(corpus, config, dev):
         history.append({"epoch": epoch, "loss": epoch_loss / len(windows), "lr": lr, "dev_f1": f1})
         if f1 > best_f1:
             best_f1, best_params = f1, {k: v.copy() for k, v in model.params.items()}
-    return best_params, history
+    return (model.params if dev is None else best_params), history
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_training_matches_the_loop_without_reuse(monkeypatch, seed):
-    # train_mtl reuses one set of gradient buffers, a table of token rows
-    # and, across epochs, each dev sentence's score for repeated ids: every
-    # float must be the loop's, and the memo must have spared some scoring
-    # the loop scores gold trees decoded from dev's labels, and train_mtl
-    # the same labels' pairs
+    # train_mtl steps one flat vector, reuses a table of token rows and its
+    # dev windows, and across epochs keeps each dev sentence's score for
+    # repeated ids: every float must be the loop's, and some scoring must
+    # have been spared; the dev set spans several TOKEN_BUDGET chunks.  The
+    # loop scores gold trees decoded from dev's labels, and train_mtl the
+    # same labels' pairs
     _, corpus = tiny_corpus(n=14)
-    dev = [(encode_dynamic(t), {}) for t in sample_corpus(23, 12)]
+    dev = [(encode_dynamic(t), {}) for t in sample_corpus(23, 80)]
+    assert len(list(tagger._chunks([len(e) for e, _ in dev]))) > 1
     config = tiny_config(dropout=0.5, epochs=6, batch_size=4, seed=seed)
     params, history = reference_train(corpus, config, [decode(e) for e, _ in dev])
     calls = []
@@ -959,6 +972,12 @@ def test_training_matches_the_loop_without_reuse(monkeypatch, seed):
     for name, value in params.items():
         assert np.array_equal(model.params[name], value), name
     assert 0 < len(calls) < config.epochs * len(dev)
+    # without a dev set, the last epoch's parameters
+    params, history = reference_train(corpus, config, None)
+    model = train_mtl(corpus, config)
+    assert model.history == history
+    for name, value in params.items():
+        assert np.array_equal(model.params[name], value), name
 
 
 def test_dev_selection_keeps_best():
