@@ -59,9 +59,7 @@ from .tagger import (
 from .pg import (
     AdvantageTracker,
     PGConfig,
-    adapt_noise,
     finetune_pg,
-    pg_update,
     tree_reward,
 )
 

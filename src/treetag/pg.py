@@ -8,8 +8,8 @@ straight from the sampled ids, and each gold tree's spans are taken once
 per run, so no tree is built or walked per sample.  It subtracts the
 starting model's greedy reward on the sentence (the baseline, scored once
 per run) and standardises that advantage with running statistics.  Each
-step is one forward, one backward and one update for a slice of
-sentences: a small ascent step on the sum of their advantage-weighted
+step is one forward, one backward and one flat parameter step for a slice
+of sentences: a small ascent step on the sum of their advantage-weighted
 log-likelihoods plus an entropy bonus.  Embedding tables stay frozen so
 the fine-tuned model keeps the supervised lexical representations.
 
@@ -24,15 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import decode
-from .metrics import bracket_score, span_score
-from .tagger import (
-    MAIN_TASKS,
-    _dev_scorer,
-    _softmax,
-    greedy_scores,
-    spans_from_ids,
-    with_gold_spans,
-)
+from .metrics import BracketScore, bracket_score, span_score
+from .tagger import MAIN_TASKS, _dev_scorer, _softmax, _Steps, spans_from_ids, with_gold_spans
 
 FROZEN = ("E_word", "E_pos")  # parameters fine-tuning leaves as trained
 NOISE_BATCH = 8               # sentences per PG step and noise adaptation
@@ -141,26 +134,27 @@ def _entropy_terms(p):
     return H, -p * (logp + H[..., None])
 
 
-def estimate_policy_gradient(policy, sentences, reward_fns, baseline_rewards, config, tracker,
-                             rng, noise_std=0.0):
-    """Ascent-direction parameter gradients of a slice of sentences.
+def estimate_policy_gradient(run, batch, reward_fns, baseline_rewards, config, tracker, rng,
+                             noise_std=0.0):
+    """Ascent-direction gradients of the slice `batch` of a tagger._Steps `run`.
 
-    One forward pass serves the slice.  Then, sentence by sentence, it draws
-    config.samples samples; a sample's advantage, its sentence's reward_fns
-    entry of its ids (each main task's per-token label ids; each distinct
-    sample is scored once) less its baseline_rewards entry, is standardised
-    through `tracker`.  A sentence's gradient is the sample mean of
-    advantage * grad log-prob of the sampled decisions plus
-    config.entropy_coef * grad entropy of the (possibly noise-perturbed)
-    policy; the final token's forced n and c decisions are excluded from
-    both.  One backward pass sums the sentences' gradients, none for the
-    parameters named in FROZEN.  Returns (grads, per-sentence stats).
+    One forward pass of run.model over the run's window ids serves the
+    slice.  Then, sentence by sentence, it draws config.samples samples; a
+    sample's advantage, its sentence's reward_fns entry of its ids (each
+    main task's per-token label ids; each distinct sample is scored once)
+    less its baseline_rewards entry, is standardised through `tracker`.  A
+    sentence's gradient is the sample mean of advantage * grad log-prob of
+    the sampled decisions plus config.entropy_coef * grad entropy of the
+    (possibly noise-perturbed) policy; the final token's forced n and c
+    decisions are excluded from both.  One backward pass sums the sentences'
+    gradients into run.grad_views, none for the parameters named in FROZEN.
+    Returns (those views, per-sentence stats with the baseline).
     """
     K = config.samples
-    cache = policy.forward(policy.windows(sentences), heads=MAIN_TASKS)
-    lengths = [len(s) for s in sentences]
+    cache = run.model.forward(run.windows[run.rows(batch)], heads=MAIN_TASKS)
+    lengths = run.lengths[batch]
     ends = np.cumsum(lengths)
-    drawn, per_sample = [], np.zeros((4, len(sentences), K))
+    drawn, per_sample = [], np.zeros((4, len(batch), K))
     rewards, advantages, standardized, entropy = per_sample
     for j, (a, b, reward_fn) in enumerate(zip(ends - lengths, ends, reward_fns)):
         drawn.append(_sample({name: cache["logits"][name][a:b] for name in MAIN_TASKS}, K, rng,
@@ -189,36 +183,36 @@ def estimate_policy_gradient(policy, sentences, reward_fns, baseline_rewards, co
         for name in MAIN_TASKS:
             entropy[j] += entropies[name][..., a : b - (name != "u")].sum(axis=-1)
     means = per_sample.mean(axis=2).T.tolist()  # one row per sentence
-    stats = [dict(zip(("reward", "advantage", "standardized", "entropy"), row)) for row in means]
-    return policy.backward(cache, dlogits, FROZEN), stats
+    stats = [dict(zip(("reward", "advantage", "standardized", "entropy"), row), baseline=b)
+             for row, b in zip(means, baseline_rewards)]
+    return run.model.backward(cache, dlogits, FROZEN, out=run.grad_views), stats
 
 
-def pg_update(policy, sentences, gold_spans, baseline_rewards, config, tracker, rng,
-              noise_std=0.0):
-    """One fine-tuning step on a slice of sentences: the sum of their
-    gradients at the incoming parameters, FROZEN left untouched.
+def pg_update(run, batch, gold_spans, baseline_rewards, config, tracker, rng, noise_std=0.0):
+    """One fine-tuning step on the slice `batch` of a tagger._Steps `run`:
+    the sum of its sentences' gradients at the incoming parameters, added to
+    the part of run.params that holds them, so FROZEN and aux heads stay.
 
     A sample's reward is its F1 against its sentence's `gold_spans` entry
     (the gold tree's labeled_spans), and a sentence's `baseline_rewards`
     entry is the incoming model's greedy F1 on it.  Returns per-sentence
     stats, in slice order.
     """
-    rewards = [lambda ids, gold=gold: span_score(gold, spans_from_ids(policy, ids)).f1
+    rewards = [lambda ids, gold=gold: span_score(gold, spans_from_ids(run.model, ids)).f1
                for gold in gold_spans]
-    grads, stats = estimate_policy_gradient(policy, sentences, rewards, baseline_rewards, config,
+    grads, stats = estimate_policy_gradient(run, batch, rewards, baseline_rewards, config,
                                             tracker, rng, noise_std)
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise RuntimeError("non-finite policy gradient for %r" % name)
-        g *= config.learning_rate
-    policy.update(grads)
-    for row, baseline in zip(stats, baseline_rewards):
-        row["baseline"] = baseline
+    tuned = slice(min(run.spans[k].start for k in grads), max(run.spans[k].stop for k in grads))
+    if not np.isfinite(run.grads[tuned]).all():
+        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise RuntimeError("non-finite policy gradient for %r" % name)
+    run.grads[tuned] *= config.learning_rate
+    run.step(run.grads[tuned], tuned)
     return stats
 
 
-def adapt_noise(policy, config, std, sentences, rng):
-    """Adapt the noise scale `std` after a batch of `sentences`.
+def adapt_noise(run, batch, config, std, rng):
+    """Adapt the noise scale `std` after the slice `batch` of a tagger._Steps `run`.
 
     Measures the action divergence the noise induces at `std`: the mean
     absolute difference between noisy and clean probability vectors of the
@@ -229,8 +223,8 @@ def adapt_noise(policy, config, std, sentences, rng):
     config.noise_target, shrinks it otherwise.  Returns (new stddev,
     measured divergence).
     """
-    cache = policy.forward(policy.windows(sentences), heads=MAIN_TASKS)
-    lengths = np.array([len(s) for s in sentences])
+    cache = run.model.forward(run.windows[run.rows(batch)], heads=MAIN_TASKS)
+    lengths = run.lengths[batch]
     starts = np.cumsum(lengths) - lengths
     diffs = []
     for name in MAIN_TASKS:
@@ -254,16 +248,19 @@ def finetune_pg(policy, train, config, dev=None):
     NOISE_BATCH sentences, one pg_update each; with config.noise_std above
     0, the noise scale adapts on each slice after its update.  `dev`, if
     given (gold Trees too), is scored after each epoch; neither list may be
-    empty.
-    Returns (policy, log rows), one row per epoch: epoch, mean reward, mean
-    baseline, mean standardized advantage, entropy, dev F1 and noise stddev.
+    empty.  policy.params become views of the run's flat vector
+    (tagger._Steps), so an array taken from them before the call sees no
+    update.  Returns (policy, log rows), one row per epoch: epoch, mean
+    reward, mean baseline, mean standardized advantage, entropy, dev F1 and
+    noise stddev.
     """
     tracker = AdvantageTracker(config.burn_in)
     rng = np.random.default_rng(config.seed)
     std = config.noise_std
     scored = with_gold_spans(train)
-    baseline_rewards = [score.f1 for score in greedy_scores(policy, scored)]
-    dev_f1 = _dev_scorer(policy, with_gold_spans(dev)) if dev is not None else lambda: ""
+    baseline_rewards = [score.f1 for score in _dev_scorer(policy, scored)()]
+    dev_scores = _dev_scorer(policy, with_gold_spans(dev)) if dev is not None else None
+    run = _Steps(policy, [sentence for sentence, _ in scored])
     order = np.arange(len(train))
     rows = []
     for epoch in range(config.epochs):
@@ -271,16 +268,15 @@ def finetune_pg(policy, train, config, dev=None):
         stats_acc = {"reward": [], "baseline": [], "standardized": [], "entropy": []}
         for start in range(0, len(order), NOISE_BATCH):
             batch = order[start : start + NOISE_BATCH]
-            sentences, gold_spans = zip(*(scored[i] for i in batch))
-            for stats in pg_update(policy, sentences, gold_spans,
+            for stats in pg_update(run, batch, [scored[i][1] for i in batch],
                                    [baseline_rewards[i] for i in batch], config, tracker, rng, std):
                 for key in stats_acc:
                     stats_acc[key].append(stats[key])
             if config.noise_std > 0:
-                std, _ = adapt_noise(policy, config, std, sentences, rng)
+                std, _ = adapt_noise(run, batch, config, std, rng)
         row = {"epoch": epoch}
         row.update((key, float(np.mean(values))) for key, values in stats_acc.items())
-        row["dev_f1"] = dev_f1()
+        row["dev_f1"] = "" if dev is None else sum(dev_scores(), BracketScore(0, 0, 0)).f1
         row["noise_std"] = std
         rows.append(row)
     return policy, rows

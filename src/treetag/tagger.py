@@ -124,7 +124,7 @@ def _softmax(logits):
 
 
 def _param_shapes(vocab, config):
-    """Shape of every parameter, in initialisation order."""
+    """Shape of every parameter, in initialisation order, main heads before aux heads."""
     H = config.hidden_dim
     shapes = {
         "E_word": (len(vocab.word2id), config.word_dim),
@@ -132,9 +132,9 @@ def _param_shapes(vocab, config):
         "W1": ((2 * config.window + 1) * (config.word_dim + config.pos_dim), H),
         "b1": (H,),
     }
-    for name, table in vocab.tasks.items():
-        shapes["W_" + name] = (H, len(table))
-        shapes["b_" + name] = (len(table),)
+    for name in sorted(vocab.tasks, key=lambda task: task not in MAIN_TASKS):
+        shapes["W_" + name] = (H, len(vocab.tasks[name]))
+        shapes["b_" + name] = (len(vocab.tasks[name]),)
     return shapes
 
 
@@ -145,8 +145,8 @@ class TaggerModel:
     the first prediction after each parameter change builds the table
     (float64, (2r+1)·(|words|+|POS|)·H entries), and concurrent first reads
     at worst each build the same one.  Parameter updates must stay
-    single-writer and go through `update`, which drops the table, as
-    train_mtl's step on its flat parameter vector does too.
+    single-writer and drop the table, as the one step of train_mtl and
+    finetune_pg does (`_Steps.step`).
     """
 
     def __init__(self, vocab, config, scheme, rng=None, params=None):
@@ -171,13 +171,6 @@ class TaggerModel:
     @property
     def tasks(self):
         return tuple(self.vocab.tasks.keys())
-
-    def update(self, steps):
-        """Add each array of `steps` to the parameter of its name in place,
-        and drop the prediction table the old values built."""
-        for name, step in steps.items():
-            self.params[name] += step
-        self._table = None
 
     def windows(self, sentences):
         """Window ids of `sentences`, stacked one row per token: the word
@@ -387,10 +380,34 @@ def _chunks(lengths):
         yield start, len(lengths)
 
 
-def _flat_views(flat, like):
-    """Arrays keyed and shaped like `like`, as consecutive views of the 1-D array `flat`."""
-    parts = np.split(flat, np.cumsum([a.size for a in like.values()])[:-1])
-    return {name: part.reshape(a.shape) for (name, a), part in zip(like.items(), parts)}
+class _Steps:
+    """One training or fine-tuning run of `model` over fixed sentences: their
+    window ids, built once, with each one's token rows, and the parameters in
+    one flat vector `params`, laid out by _param_shapes so a PG step's arrays
+    are adjacent, `grads` beside it; each array's views and slice by name."""
+
+    def __init__(self, model, sentences):
+        self.model = model
+        shapes = _param_shapes(model.vocab, model.config)
+        ends = np.cumsum([math.prod(shape) for shape in shapes.values()]).tolist()
+        self.spans = dict(zip(shapes, map(slice, [0] + ends[:-1], ends)))
+        self.params = np.concatenate([model.params[name].ravel() for name in shapes])
+        self.grads = np.empty_like(self.params)
+        model.params, self.grad_views = (
+            {name: flat[span].reshape(shapes[name]) for name, span in self.spans.items()}
+            for flat in (self.params, self.grads))
+        self.windows = model.windows(sentences)
+        self.lengths = np.array([len(s) for s in sentences])
+        self.token_rows = np.split(np.arange(len(self.windows)), np.cumsum(self.lengths)[:-1])
+
+    def rows(self, batch):
+        """The token rows of the sentences at the indices `batch`, in order."""
+        return np.concatenate([self.token_rows[i] for i in batch])
+
+    def step(self, delta, part=slice(None)):
+        """Add `delta` to params[part] in place; drop the table the old values built."""
+        self.params[part] += delta
+        self.model._table = None
 
 
 def train_mtl(corpus, config, dev=None):
@@ -400,7 +417,7 @@ def train_mtl(corpus, config, dev=None):
     (auxiliary heads weighted by config.aux_weight), normalised per token,
     with the learning rate decayed linearly in the epoch count.  Each
     mini-batch is one forward and one backward over the stacked tokens of
-    its sentences, and one update of one flat vector each of parameters,
+    its sentences, and one step of one flat vector each of parameters,
     velocity and gradients.  When `dev` (a non-empty list of pairs in the
     corpus form, its aux tracks ignored) is given, each epoch's greedy
     predictions on its sentences are scored against the spans its labels
@@ -414,18 +431,15 @@ def train_mtl(corpus, config, dev=None):
     shuffle_rng = np.random.default_rng(seeds[1])
     dropout_rng = np.random.default_rng(seeds[2])
 
-    windows = model.windows([encoded.sentence for encoded, _ in corpus])
     if dev is not None:
         if not dev:
             raise ValueError("no gold trees to score against")
-        dev_f1 = _dev_scorer(model, [
+        dev_scores = _dev_scorer(model, [
             (e.sentence, decoded_spans(*zip(*((lab.n, lab.c, lab.u) for lab in e.labels))))
             for e, _ in dev])
     gold = _gold_ids(vocab, corpus)
-    token_rows = np.split(np.arange(len(windows)), np.cumsum([len(e) for e, _ in corpus[:-1]]))
-    params = np.concatenate([p.ravel() for p in model.params.values()])
-    velocity, grads = np.zeros_like(params), np.empty_like(params)
-    model.params, grad_views = _flat_views(params, model.params), _flat_views(grads, model.params)
+    run = _Steps(model, [encoded.sentence for encoded, _ in corpus])  # last: spares page faults
+    velocity = np.zeros_like(run.params)
     best_f1, best_params = -1.0, None
     order = np.arange(len(corpus))
 
@@ -434,56 +448,55 @@ def train_mtl(corpus, config, dev=None):
         shuffle_rng.shuffle(order)
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            rows = np.concatenate([token_rows[i] for i in order[start : start + config.batch_size]])
-            cache = model.forward(windows[rows], dropout_rng=dropout_rng)
+            rows = run.rows(order[start : start + config.batch_size])
+            cache = model.forward(run.windows[rows], dropout_rng=dropout_rng)
             losses, dlogits = task_losses(cache, {name: ids[rows] for name, ids in gold.items()})
             for name in dlogits:
                 w = 1.0 if name in MAIN_TASKS else config.aux_weight
                 dlogits[name] *= w / len(rows)
                 epoch_loss += w * losses[name]
-            model.backward(cache, dlogits, out=grad_views)
+            model.backward(cache, dlogits, out=run.grad_views)
             velocity *= config.momentum
-            grads *= lr
-            velocity -= grads
-            params += velocity
-            model._table = None  # as update does
+            run.grads *= lr
+            velocity -= run.grads
+            run.step(velocity)
             del cache, dlogits  # free this batch's activations before the next forward
-        mean_loss = epoch_loss / len(windows)
+        mean_loss = epoch_loss / len(run.windows)
         if not np.isfinite(mean_loss):
             raise RuntimeError("training diverged at epoch %d (loss=%r)" % (epoch, mean_loss))
         record = {"epoch": epoch, "loss": mean_loss, "lr": lr}
         if dev is not None:
-            record["dev_f1"] = f1 = dev_f1()
+            record["dev_f1"] = f1 = sum(dev_scores(), metrics.BracketScore(0, 0, 0)).f1
             if f1 > best_f1:
-                best_f1, best_params = f1, params.copy()
+                best_f1, best_params = f1, run.params.copy()
         model.history.append(record)
 
     if best_params is not None:
-        params[...] = best_params
+        run.params[...] = best_params
         model._table = None  # the last epoch's
     return model
 
 
 def _dev_scorer(model, dev):
-    """A function of no arguments giving the corpus bracketing F1 of
+    """A function of no arguments giving the BracketScore of each of
     `model`'s greedy trees on (Sentence, gold spans) pairs at its current
     parameters.  The window ids are built once, in _predict_ids' chunks, so
-    every logit has the bits it has there; a sentence is decoded and scored
-    again only when its predicted ids differ from the last call's."""
+    every logit has the bits it has there; a sentence's spans are decoded
+    and scored again only when its predicted ids differ from the last call's."""
     lengths = [len(sentence) for sentence, _ in dev]
     chunks = [model.windows([s for s, _ in dev[a:b]]) for a, b in _chunks(lengths)]
     starts = np.cumsum(lengths) - lengths
     last, scores = np.full((len(MAIN_TASKS), sum(lengths)), -1), [None] * len(dev)
 
-    def f1():
+    def score():
         logits = [model.predict_logits(windows) for windows in chunks]
         ids = np.array([np.concatenate([z[n].argmax(axis=1) for z in logits]) for n in MAIN_TASKS])
         for k in np.flatnonzero(np.logical_or.reduceat((ids != last).any(axis=0), starts)):
             sentence_ids = dict(zip(MAIN_TASKS, ids[:, starts[k] : starts[k] + lengths[k]]))
             scores[k] = metrics.span_score(dev[k][1], spans_from_ids(model, sentence_ids))
         last[...] = ids
-        return sum(scores, metrics.BracketScore(0, 0, 0)).f1
-    return f1
+        return list(scores)
+    return score
 
 
 def with_gold_spans(trees):
@@ -492,13 +505,6 @@ def with_gold_spans(trees):
     if not trees:
         raise ValueError("no gold trees to score against")
     return [(Sentence.from_tree(tree), metrics.labeled_spans(tree)) for tree in trees]
-
-
-def greedy_scores(model, pairs):
-    """BracketScore of each greedy prediction on (Sentence, gold spans)
-    pairs, scored from the predicted ids' spans without building a tree."""
-    return [metrics.span_score(gold, spans_from_ids(model, ids))
-            for ids, (_, gold) in zip(_predict_ids(model, [s for s, _ in pairs]), pairs)]
 
 
 def _label_parts(vocab, ids):

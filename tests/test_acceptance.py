@@ -34,7 +34,7 @@ from test_encodings import oracle_pairs, oracle_paths
 from test_metrics import make_pair, oracle_score
 from test_auxtracks import oracle_distances
 from test_tagger import analytic_grads, mean_loss, summed_loss, tiny_config
-from test_pg import exact_gradient_fd, reward_table, table_reward_fn, toy_policy
+from test_pg import exact_gradient_fd, reward_table, steps, table_reward_fn, toy_policy
 
 ALPHABET = ["S", "NP", "VP", "PP", "ADJP", "ADVP", "SBAR"]
 CORPUS_SIZE = 10000
@@ -217,7 +217,7 @@ def test_reinforce_unbiasedness():
         table = reward_table(vocab)
         rng = np.random.default_rng(123)
         mc, _ = estimate_policy_gradient(
-            model, [sentence], [table_reward_fn(model, sentence, table)], [0.0],
+            *steps(model, [sentence]), [table_reward_fn(model, sentence, table)], [0.0],
             PGConfig(samples=10000, entropy_coef=0.0), AdvantageTracker(math.inf), rng
         )
         names = ["W_n", "b_n", "W_c", "b_c", "W1", "b1"]

@@ -11,11 +11,11 @@ PUBLIC_NAMES = [
     "ABSOLUTE", "AdvantageTracker", "BracketScore", "DYNAMIC", "EncodedSentence",
     "Internal", "LabelSpaceStats", "Leaf", "NComponent", "PCFG", "PGConfig",
     "ParseError", "RELATIVE", "SCHEMES", "Sentence", "TagLabel", "TaggerModel",
-    "TrainConfig", "Vocabularies", "adapt_noise", "bracket_score",
+    "TrainConfig", "Vocabularies", "bracket_score",
     "corpus_bracket_score", "decode", "decode_with_repairs", "demo_grammar", "encode",
     "encode_absolute", "encode_dynamic", "encode_relative", "featurize", "finetune_pg",
     "label_space_stats", "leaves", "load_model", "load_trees", "parse_bracketed",
-    "per_n_f1", "pg_update", "predict_greedy", "random_tree", "sample_corpus",
+    "per_n_f1", "predict_greedy", "random_tree", "sample_corpus",
     "save_model", "save_trees", "serialize", "shifted_n", "syntactic_distances",
     "train_mtl", "tree_reward",
 ]
@@ -48,7 +48,6 @@ PUBLIC_SIGNATURES = {
         "hidden_dim: int = 128) -> None"
     ),
     "Vocabularies": "(word2id, pos2id, tasks)",
-    "adapt_noise": "(policy, config, std, sentences, rng)",
     "bracket_score": "(gold, predicted)",
     "corpus_bracket_score": "(gold_trees, predicted_trees)",
     "decode": "(encoded)",
@@ -66,10 +65,6 @@ PUBLIC_SIGNATURES = {
     "load_trees": "(path, strip_functions=False, spans=False, skip=())",
     "parse_bracketed": "(text, strip_functions=False, spans=None, skip=())",
     "per_n_f1": "(gold_corpus, pred_corpus)",
-    "pg_update": (
-        "(policy, sentences, gold_spans, baseline_rewards, config, tracker, rng, "
-        "noise_std=0.0)"
-    ),
     "predict_greedy": "(model, sentence)",
     "random_tree": "(rng_seed, max_leaves, max_depth, nonterminal_alphabet)",
     "sample_corpus": "(rng_seed, count)",

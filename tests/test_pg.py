@@ -6,6 +6,7 @@ reward and its gradient are computed independently of the estimator.
 """
 
 import copy
+import json
 import math
 from collections import Counter
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treetag.trees import Sentence, parse_bracketed, sample_corpus
+from treetag.auxtracks import shifted_n, syntactic_distances
 from treetag.encodings import (
     ABSOLUTE,
     DUMMY,
@@ -32,10 +34,13 @@ from treetag.tagger import (
     TaggerModel,
     TrainConfig,
     Vocabularies,
+    _dev_scorer,
     _softmax,
+    _Steps,
     encoded_from_ids,
-    greedy_scores,
+    load_model,
     predict_greedy,
+    save_model,
     spans_from_ids,
     train_mtl,
     with_gold_spans,
@@ -56,6 +61,12 @@ def greedy_reward(baseline, sentence, gold):
     """The baseline reward pg_update takes: the frozen model's greedy tree
     score on the sentence."""
     return tree_reward(predict_greedy(baseline, sentence), gold)
+
+
+def steps(model, sentences):
+    """A fine-tuning run of `model` over `sentences`, and the batch of all of
+    them: the first two arguments of the PG step functions."""
+    return _Steps(model, sentences), np.arange(len(sentences))
 
 
 def sample_sequence(policy, sentence, rng, noise_std=0.0):
@@ -213,7 +224,7 @@ def test_reward_of_a_deep_climb_is_a_score():
     model.params["b_n"][vocab.tasks["n"]["a3000"]] = 40.0
     (gold,) = parse_bracketed("(S (PA a) (PB b))")
     config = PGConfig(samples=4, learning_rate=0.0, seed=2)
-    stats = pg_update(model, [sentence], [labeled_spans(gold)],
+    stats = pg_update(*steps(model, [sentence]), [labeled_spans(gold)],
                       [greedy_reward(model, sentence, gold)], config,
                       AdvantageTracker(config.burn_in), np.random.default_rng(2))[0]
     assert 0.0 <= stats["reward"] <= 1.0
@@ -345,7 +356,7 @@ def test_reinforce_matches_enumerated_gradient():
     table = reward_table(vocab)
     rng = np.random.default_rng(123)
     mc, _ = estimate_policy_gradient(
-        model, [sentence], [table_reward_fn(model, sentence, table)], [0.0],
+        *steps(model, [sentence]), [table_reward_fn(model, sentence, table)], [0.0],
         PGConfig(samples=10000, entropy_coef=0.0), AdvantageTracker(math.inf), rng
     )
     names = ["W_n", "b_n", "W_c", "b_c", "W1", "b1"]
@@ -367,7 +378,7 @@ def test_each_distinct_sample_is_scored_once():
         scored[key] = reward(ids)
         return scored[key]
 
-    _, (stats,) = estimate_policy_gradient(model, [sentence], [scoring], [0.0],
+    _, (stats,) = estimate_policy_gradient(*steps(model, [sentence]), [scoring], [0.0],
                                            PGConfig(samples=50, entropy_coef=0.0),
                                            AdvantageTracker(math.inf), np.random.default_rng(8))
     cache = model.forward(model.windows([sentence]), heads=MAIN_TASKS)
@@ -384,7 +395,7 @@ def test_entropy_gradient_zero_at_uniform():
         model.params["b_" + name][:] = 0.0
     rng = np.random.default_rng(4)
     grads, (stats,) = estimate_policy_gradient(
-        model, [sentence], [lambda e: 0.0], [0.0], PGConfig(samples=50, entropy_coef=0.5),
+        *steps(model, [sentence]), [lambda e: 0.0], [0.0], PGConfig(samples=50, entropy_coef=0.5),
         AdvantageTracker(math.inf), rng
     )
     # four uniform binary decisions: word 0's n and c, both words' u
@@ -400,7 +411,7 @@ def test_zero_advantage_when_sample_equals_baseline():
     config = PGConfig(samples=4, learning_rate=0.0, entropy_coef=0.0, seed=8)
     tracker = AdvantageTracker(burn_in=10**9)
     rng = np.random.default_rng(8)
-    stats = pg_update(model, [sentence], [labeled_spans(gold)],
+    stats = pg_update(*steps(model, [sentence]), [labeled_spans(gold)],
                       [greedy_reward(baseline, sentence, gold)], config, tracker, rng)[0]
     # baseline predicts greedily on the same model: samples equal to the
     # greedy choice carry exactly zero advantage
@@ -415,8 +426,9 @@ def test_zero_learning_rate_changes_nothing():
     config = PGConfig(samples=8, learning_rate=0.0, entropy_coef=0.01, seed=9)
     tracker = AdvantageTracker(burn_in=0)
     rng = np.random.default_rng(9)
+    run, batch = steps(model, [sentence])
     for _ in range(5):
-        pg_update(model, [sentence], [labeled_spans(gold)],
+        pg_update(run, batch, [labeled_spans(gold)],
                   [greedy_reward(baseline, sentence, gold)], config, tracker, rng)
     for name in before:
         np.testing.assert_array_equal(model.params[name], before[name])
@@ -437,9 +449,10 @@ def test_frozen_layers_and_baseline_untouched():
     tracker = AdvantageTracker(config.burn_in)
     rng = np.random.default_rng(17)
     sentences = [enc.sentence for enc, _ in corpus]
-    for sentence in sentences:
+    run, _ = steps(model, sentences)
+    for i, sentence in enumerate(sentences):
         gold = forest[sentences.index(sentence)]
-        pg_update(model, [sentence], [labeled_spans(gold)],
+        pg_update(run, [i], [labeled_spans(gold)],
                   [greedy_reward(baseline, sentence, gold)], config, tracker, rng)
     for k in emb_before:
         np.testing.assert_array_equal(model.params[k], emb_before[k])
@@ -458,10 +471,11 @@ NOISE = PGConfig(noise_std=0.1, noise_target=0.5, noise_adapt=1.05)
 def test_noise_zero_divergence_grows_std():
     model, sentence, _ = toy_policy()
     rng = np.random.default_rng(6)
-    std, divergence = adapt_noise(model, NOISE, 0.0, [sentence], rng)
+    run, batch = steps(model, [sentence])
+    std, divergence = adapt_noise(run, batch, NOISE, 0.0, rng)
     assert divergence == 0.0
     assert std == 0.0  # multiplicative on zero stays zero
-    std, _ = adapt_noise(model, NOISE, 0.1, [sentence], rng)
+    std, _ = adapt_noise(run, batch, NOISE, 0.1, rng)
     assert std == pytest.approx(0.1 * 1.05)
 
 
@@ -469,8 +483,9 @@ def test_noise_adaptation_multiplicative():
     model, sentence, _ = toy_policy()
     std = 0.1
     rng = np.random.default_rng(10)
-    std, _ = adapt_noise(model, NOISE, std, [sentence], rng)
-    std, _ = adapt_noise(model, NOISE, std, [sentence], rng)
+    run, batch = steps(model, [sentence])
+    std, _ = adapt_noise(run, batch, NOISE, std, rng)
+    std, _ = adapt_noise(run, batch, NOISE, std, rng)
     assert std == pytest.approx(0.1 * 1.05**2)
 
 
@@ -480,11 +495,12 @@ def test_noise_divergence_reaches_band():
     history = []
     rng = np.random.default_rng(12)
     entered = None
-    for batch in range(200):
-        std, divergence = adapt_noise(model, NOISE, std, [sentence], rng)
+    run, batch = steps(model, [sentence])
+    for step in range(200):
+        std, divergence = adapt_noise(run, batch, NOISE, std, rng)
         history.append(divergence)
         if entered is None and abs(history[-1] - 0.5) < 0.05:
-            entered = batch
+            entered = step
     assert entered is not None and entered < 200
     # once large, the measured divergence hovers around the target
     tail = history[-30:]
@@ -546,7 +562,8 @@ def sampled_and_scored(peak, seed):
         model.params["b_" + name] *= peak
     seen = []
     tracker = AdvantageTracker(math.inf)
-    estimate_policy_gradient(model, [sentence], [recording_reward(model, sentence, gold, seen)],
+    estimate_policy_gradient(*steps(model, [sentence]),
+                             [recording_reward(model, sentence, gold, seen)],
                              [0.0], PGConfig(samples=8, entropy_coef=0.0), tracker,
                              np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
@@ -572,14 +589,15 @@ def test_repeated_samples_take_one_reward_call_and_an_advantage_each():
 def test_single_backward_equals_mean_of_sample_gradients():
     model, sentence, gold = small_trained_policy()
     reward = lambda ids: tree_reward(encoded_from_ids(model, sentence, ids), gold)
+    # a run's gradients are views that its next backward overwrites: one run per call
     joint, (stats,) = estimate_policy_gradient(
-        model, [sentence], [reward], [0.4], PGConfig(samples=8, entropy_coef=0.05),
+        *steps(model, [sentence]), [reward], [0.4], PGConfig(samples=8, entropy_coef=0.05),
         AdvantageTracker(burn_in=3), np.random.default_rng(6))
     rng = np.random.default_rng(6)
     tracker = AdvantageTracker(burn_in=3)
     one = PGConfig(samples=1, entropy_coef=0.05)
     singles = [
-        estimate_policy_gradient(model, [sentence], [reward], [0.4], one, tracker, rng)
+        estimate_policy_gradient(*steps(model, [sentence]), [reward], [0.4], one, tracker, rng)
         for _ in range(8)
     ]
     assert joint.keys() == singles[0][0].keys()
@@ -597,7 +615,8 @@ def test_noisy_samples_share_one_hidden_layer():
     model.forward = lambda *a, **kw: calls.append(a) or forward(*a, **kw)
     seen = []
     K, std = 4, 0.5
-    estimate_policy_gradient(model, [sentence], [recording_reward(model, sentence, gold, seen)],
+    estimate_policy_gradient(*steps(model, [sentence]),
+                             [recording_reward(model, sentence, gold, seen)],
                              [0.0], PGConfig(samples=K, entropy_coef=0.0),
                              AdvantageTracker(math.inf), np.random.default_rng(7), noise_std=std)
     assert len(calls) == 1
@@ -634,15 +653,18 @@ def test_noisy_samples_share_one_hidden_layer():
 
 
 def test_finetune_scores_baseline_once(monkeypatch):
-    from treetag import pg
-
     model, _, _ = small_trained_policy()
     forest = sample_corpus(21, 10)
     expected = [tree_reward(predict_greedy(model, Sentence.from_tree(t)), t) for t in forest]
-    calls = []
-    monkeypatch.setattr(pg, "greedy_scores", lambda *a: calls.append(a) or greedy_scores(*a))
+    calls = []  # each greedy scoring of a set of sentences; without dev, the baseline's
+
+    def counted_scorer(model, pairs):
+        score = _dev_scorer(model, pairs)
+        return lambda: calls.append(len(pairs)) or score()
+
+    monkeypatch.setattr(pg, "_dev_scorer", counted_scorer)
     _, rows = finetune_pg(model, forest, PGConfig(samples=2, epochs=2, seed=3))
-    assert len(calls) == 1
+    assert calls == [len(forest)]
     for row in rows:
         assert row["baseline"] == pytest.approx(np.mean(expected), abs=1e-12)
 
@@ -650,17 +672,12 @@ def test_finetune_scores_baseline_once(monkeypatch):
 def test_noise_adapts_on_each_slice_of_updated_sentences(monkeypatch):
     model, _, _ = small_trained_policy()
     forest = sample_corpus(21, 19)
-    scored = with_gold_spans(forest)  # the pairs finetune_pg walks, shared to compare by id
-    monkeypatch.setattr(pg, "with_gold_spans", lambda trees: scored)
-    index = {id(sentence): i for i, (sentence, _) in enumerate(scored)}
     update, adapt = pg.pg_update, pg.adapt_noise
     events = []  # the index of each updated sentence; a list per adaptation
-    monkeypatch.setattr(pg, "pg_update", lambda policy, sentences, *a:
-                        events.extend(index[id(s)] for s in sentences)
-                        or update(policy, sentences, *a))
-    monkeypatch.setattr(pg, "adapt_noise", lambda policy, config, std, sentences, rng:
-                        events.append([index[id(s)] for s in sentences])
-                        or adapt(policy, config, std, sentences, rng))
+    monkeypatch.setattr(pg, "pg_update", lambda run, batch, *a:
+                        events.extend(batch.tolist()) or update(run, batch, *a))
+    monkeypatch.setattr(pg, "adapt_noise", lambda run, batch, *a:
+                        events.append(batch.tolist()) or adapt(run, batch, *a))
     config = PGConfig(samples=2, epochs=2, seed=3, noise_std=0.1)
     finetune_pg(model, forest, config)
 
@@ -697,12 +714,86 @@ def test_finetune_rejects_an_empty_gold_set(empty):
 
 
 # ---------------------------------------------------------------------------
+# the run's flat parameter vector
+
+def aux_trained_policy(tmp_path):
+    """A policy trained with aux tracks n+1 and dist, its 12 gold trees (two
+    slices), and its checkpoint saved as trained and with the aux tasks
+    listed first."""
+    forest = sample_corpus(31, 12)
+    corpus = []
+    for t in forest:
+        enc = encode_relative(t)
+        corpus.append((enc, {"n+1": shifted_n(enc, 1), "dist": syntactic_distances(t)}))
+    model = train_mtl(corpus, TrainConfig(word_dim=8, pos_dim=4, hidden_dim=12,
+                                          window=1, dropout=0.0, epochs=3, seed=2))
+    paths = {"as trained": tmp_path / "model.npz", "aux first": tmp_path / "aux-first.npz"}
+    save_model(paths["as trained"], model)
+    with np.load(paths["as trained"]) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays["meta"]))
+    assert list(meta["tasks"]) == ["n", "c", "u", "dist", "n+1"]
+    meta["tasks"] = {name: meta["tasks"][name] for name in ("dist", "n+1", "n", "c", "u")}
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(paths["aux first"], **arrays)
+    return model, forest, paths
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.1])
+def test_fine_tuning_steps_the_trunk_and_main_heads_in_either_task_order(tmp_path, noise_std):
+    # a PG step adds to the one slice of the run's flat vector that holds
+    # W1, b1 and the main heads; with aux tasks listed first, that slice
+    # must still hold exactly those arrays
+    model, forest, paths = aux_trained_policy(tmp_path)
+    config = PGConfig(samples=2, epochs=1, learning_rate=0.01, noise_std=noise_std, seed=5)
+    tuned = []
+    for policy in (model, load_model(paths["aux first"])):
+        before = {name: value.copy() for name, value in policy.params.items()}
+        finetune_pg(policy, forest, config)
+        for name, value in before.items():
+            stepped = name in ("W1", "b1") or name[2:] in MAIN_TASKS
+            assert np.array_equal(policy.params[name], value) != stepped, name
+        tuned.append(policy.params)
+    assert list(load_model(paths["aux first"]).vocab.tasks)[0] == "dist"
+    for name, value in tuned[0].items():
+        assert np.array_equal(tuned[1][name], value), name
+
+
+def test_fine_tuning_a_reloaded_policy_matches_the_policy_saved(tmp_path):
+    # load_model's params are in sorted name order: the run's layout must
+    # come from the vocabulary, not from that order
+    model, forest, paths = aux_trained_policy(tmp_path)
+    reloaded = load_model(paths["as trained"])
+    assert list(reloaded.params) == sorted(reloaded.params)
+    config = PGConfig(samples=2, epochs=2, learning_rate=0.01, noise_std=0.1, seed=5)
+    ours, our_rows = finetune_pg(reloaded, forest, config, dev=forest[:5])
+    theirs, their_rows = finetune_pg(model, forest, config, dev=forest[:5])
+    assert our_rows == their_rows
+    assert ours.params.keys() == theirs.params.keys()
+    for name, value in theirs.params.items():
+        assert np.array_equal(ours.params[name], value), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_policy_gradient_is_named_before_any_step():
+    # the first non-finite array in backward's order is named, and no
+    # parameter has moved
+    model, _, _ = small_trained_policy()
+    before = {name: value.copy() for name, value in model.params.items()}
+    with pytest.raises(RuntimeError, match="^non-finite policy gradient for 'W_n'$"):
+        finetune_pg(model, sample_corpus(21, 10), PGConfig(epochs=1, entropy_coef=1e308))
+    for name, value in before.items():
+        assert np.array_equal(model.params[name], value), name
+
+
+# ---------------------------------------------------------------------------
 # one step per slice of sentences
 
 def single_sentence_pg_update(policy, sentence, gold_spans, baseline_reward, config, tracker, rng,
                               noise_std=0.0):
     """The step of one sentence as it was before steps took slices: its
-    own forward, sampler, dlogits, backward, check, scale and update."""
+    own windows, forward, sampler, dlogits, backward, and check, scale and
+    add per parameter array."""
     K = config.samples
     cache = policy.forward(policy.windows([sentence]), heads=MAIN_TASKS)
     probs = {}
@@ -742,10 +833,11 @@ def single_sentence_pg_update(policy, sentence, gold_spans, baseline_reward, con
         entropies += ent_rows.sum(axis=-1)
         dlogits[name] = d / K
     grads = policy.backward(cache, dlogits, pg.FROZEN)
-    for g in grads.values():
+    for name, g in grads.items():
         assert np.isfinite(g).all()
         g *= config.learning_rate
-    policy.update(grads)
+        policy.params[name] += g
+    policy._table = None
     return {"reward": float(np.mean(rewards)), "advantage": float(np.mean(advantages)),
             "standardized": float(np.mean(standardized)), "entropy": float(np.mean(entropies)),
             "baseline": baseline_reward}
@@ -756,7 +848,7 @@ def slice_setup():
     model, _, _ = small_trained_policy()
     forest = sample_corpus(21, 10)
     scored = with_gold_spans(forest)
-    baselines = [score.f1 for score in greedy_scores(model, scored)]
+    baselines = [score.f1 for score in _dev_scorer(model, scored)()]
     return model, [(s, spans, b) for (s, spans), b in zip(scored, baselines)]
 
 
@@ -767,11 +859,12 @@ def assert_a_slice_of_one_is_the_single_sentence_step(noise_std, samples):
     config = PGConfig(samples=samples, learning_rate=0.05, entropy_coef=0.05, burn_in=18)
     trackers = AdvantageTracker(config.burn_in), AdvantageTracker(config.burn_in)
     rngs = np.random.default_rng(11), np.random.default_rng(11)
-    for sentence, spans, baseline in triples * 2:
+    run, _ = steps(ours, [sentence for sentence, _, _ in triples])  # one run for all 20 steps
+    for i, (sentence, spans, baseline) in enumerate(triples * 2):
         expected = single_sentence_pg_update(theirs, sentence, spans, baseline, config,
                                              trackers[0], rngs[0], noise_std)
-        assert pg_update(ours, [sentence], [spans], [baseline], config, trackers[1], rngs[1],
-                         noise_std) == [expected]
+        assert pg_update(run, [i % len(triples)], [spans], [baseline], config, trackers[1],
+                         rngs[1], noise_std) == [expected]
     assert trackers[0].count == 20 * config.samples > config.burn_in
     for name in model.params:
         assert np.array_equal(ours.params[name], theirs.params[name]), name
@@ -801,11 +894,11 @@ def test_a_slice_gradient_sums_its_sentences_gradients(noise_std):
     rewards = [lambda ids, gold=gold: span_score(gold, spans_from_ids(model, ids)).f1
                for gold in spans]
     tracker, rng = AdvantageTracker(config.burn_in), np.random.default_rng(4)
-    joint, stats = estimate_policy_gradient(model, sentences, rewards, baselines, config,
+    joint, stats = estimate_policy_gradient(*steps(model, sentences), rewards, baselines, config,
                                             tracker, rng, noise_std)
     one_tracker, one_rng = AdvantageTracker(config.burn_in), np.random.default_rng(4)
-    singles = [estimate_policy_gradient(model, [s], [r], [b], config, one_tracker, one_rng,
-                                        noise_std)
+    singles = [estimate_policy_gradient(*steps(model, [s]), [r], [b], config, one_tracker,
+                                        one_rng, noise_std)
                for s, r, b in zip(sentences, rewards, baselines)]
     assert joint.keys() == singles[0][0].keys()
     for name in joint:
@@ -822,17 +915,26 @@ def test_a_slice_gradient_sums_its_sentences_gradients(noise_std):
 
 def test_a_slice_takes_one_forward_backward_and_update():
     model, triples = slice_setup()
-    calls = Counter()
-    for method in ("forward", "backward", "update"):
-        original = getattr(model, method)
-        setattr(model, method, lambda *a, method=method, original=original, **kw:
-                calls.update([method]) or original(*a, **kw))
     sentences, spans, baselines = zip(*triples[:8])
+    run, batch = steps(model, sentences)
+    calls, written = Counter(), []
+    for owner, method in ((model, "forward"), (model, "backward"), (run, "step")):
+        original = getattr(owner, method)
+        setattr(owner, method, lambda *a, method=method, original=original, **kw:
+                calls.update([method]) or written.append(kw.get("out")) or original(*a, **kw))
     before = {k: v.copy() for k, v in model.params.items()}
     config = PGConfig(samples=4, learning_rate=0.0)
-    stats = pg_update(model, sentences, spans, baselines, config, AdvantageTracker(0),
+    stats = pg_update(run, batch, spans, baselines, config, AdvantageTracker(0),
                       np.random.default_rng(2), 0.3)
-    assert calls == {"forward": 1, "backward": 1, "update": 1}
+    assert calls == {"forward": 1, "backward": 1, "step": 1}
+    # backward wrote the gradients of W1, b1 and the main heads into the run's own views
+    outs = [out for out in written if out is not None]
+    assert len(outs) == 1 and outs[0] is run.grad_views
+    tuned = ["W1", "b1"] + ["%s_%s" % (p, name) for name in MAIN_TASKS for p in "Wb"]
+    grads, _ = estimate_policy_gradient(run, batch, [lambda ids: 0.0] * 8, baselines, config,
+                                        AdvantageTracker(0), np.random.default_rng(2))
+    assert sorted(grads) == sorted(tuned)
+    assert all(grads[name] is run.grad_views[name] for name in tuned)
     assert [row["baseline"] for row in stats] == list(baselines)
     for name in before:  # a zero learning rate leaves every parameter as it was
         np.testing.assert_array_equal(model.params[name], before[name])
