@@ -105,6 +105,7 @@ class TagLabel:
 
     c is a nonterminal (possibly ``+``-joined) or DUMMY; u is the word's
     leaf unary chain, ``+``-joined top-down, empty string when absent.
+    token() raises ValueError if token_parts would not read it back as this label.
     """
 
     n: NComponent
@@ -118,15 +119,12 @@ class TagLabel:
     def token(self):
         return self._token
 
-    @functools.cached_property  # formatted at most once per instance
+    @functools.cached_property  # formatted, and checked, at most once per instance
     def _token(self):
-        return FIELD_SEP.join(self.parts())
-
-    @classmethod
-    def from_token(cls, tok):
-        """The label whose token() is `tok`, as the encoders write it;
-        other text raises ValueError."""
-        return cls(*token_parts(tok))
+        tok = FIELD_SEP.join(self.parts())
+        if token_parts(tok) != (self.n, self.c, self.u):
+            raise ValueError("label token %r does not read back as %r" % (tok, self))
+        return tok
 
 
 @dataclass(frozen=True)
@@ -171,7 +169,7 @@ def _n_args(tok):
 
 
 def token_parts(tok):
-    """The (n, c, u) parts of TagLabel.from_token(tok), building no label:
+    """The (n, c, u) of the TagLabel whose token() is `tok`, building no label:
     n from the process-wide _n_component, u empty for NO_CHAIN.  Other text
     raises ValueError before any table is touched."""
     parts = tok.split(FIELD_SEP)

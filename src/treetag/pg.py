@@ -200,8 +200,9 @@ def pg_update(run, batch, gold_spans, baseline_rewards, config, tracker, rng, no
     """
     rewards = [lambda ids, gold=gold: span_score(gold, spans_from_ids(run.model, ids)).f1
                for gold in gold_spans]
-    grads, stats = estimate_policy_gradient(run, batch, rewards, baseline_rewards, config,
-                                            tracker, rng, noise_std)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        grads, stats = estimate_policy_gradient(run, batch, rewards, baseline_rewards, config,
+                                                tracker, rng, noise_std)
     tuned = slice(min(run.spans[k].start for k in grads), max(run.spans[k].stop for k in grads))
     if not np.isfinite(run.grads[tuned]).all():
         name = next(name for name, g in grads.items() if not np.isfinite(g).all())

@@ -14,7 +14,7 @@ import re
 
 from .auxtracks import track_names
 from .trees import Sentence
-from .encodings import DUMMY, SCHEMES, EncodedSentence, TagLabel, token_parts
+from .encodings import DUMMY, FIELD_SEP, SCHEMES, EncodedSentence, TagLabel, token_parts
 
 
 # A field must be a token the bracket reader reads back whole.  The signs
@@ -34,23 +34,31 @@ class SeqFormatError(ValueError):
 
 
 def write_seq(path, corpus):
-    """Write (EncodedSentence, {aux name: track}) pairs to `path`.  A corpus
-    that breaks auxtracks.track_names' rule, or a sentence read_seq would
-    reject for its DUMMY labels, is a ValueError, and no file is written."""
+    """Write (EncodedSentence, {aux name: track}) pairs to `path`.  What read_seq would
+    reject or read back altered is a ValueError naming the pair, label token, field or
+    DUMMY placing at fault, and no file is written."""
     aux_names = track_names(corpus)
-    for i, (encoded, _) in enumerate(corpus, start=1):
-        *rest, last = encoded.labels
-        if not (last.n.is_dummy and last.c == DUMMY) or any(
-                lab.n.is_dummy or lab.c == DUMMY for lab in rest):
-            raise ValueError("sentence %d: n and c must be %s in its last label and only "
-                             "there" % (i, DUMMY))
+    columns = [(encoded.sentence.words, encoded.sentence.pos, encoded.tokens(),
+                *(aux[name] for name in aux_names)) for encoded, aux in corpus]
+    for field in sorted(set().union(*(col for cols in columns for col in cols))):
+        if not _TOKEN.fullmatch(field):
+            raise ValueError("field %r is empty or holds whitespace or a bracket" % field)
+    for i, cols in enumerate(columns, start=1):
+        _check_dummies(cols[2], lambda t, message: ValueError("sentence %d: %s" % (i, message)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# scheme=%s aux=%s\n" % (corpus[0][0].scheme, ",".join(aux_names)))
-        for encoded, aux in corpus:
-            tracks = [aux[name] for name in aux_names]
-            fh.write("\n".join(map("\t".join, zip(encoded.sentence.words, encoded.sentence.pos,
-                                                  encoded.tokens(), *tracks))))
-            fh.write("\n\n")
+        fh.writelines("\n".join(map("\t".join, zip(*cols))) + "\n\n" for cols in columns)
+
+
+def _check_dummies(tokens, error):
+    """Raise error(t, message) at the first label token, t from 0, to break the DUMMY
+    rule.  Each is one token_parts reads, so it has n and c DUMMY iff it starts DUMMY~."""
+    text = "\n" + "\n".join(tokens)  # no field holds a newline: the field rule comes first
+    at = text.find("\n" + DUMMY + FIELD_SEP)  # before the first token with n and c DUMMY
+    if at != len(text) - len(tokens[-1]) - 1:  # which is not the last
+        t = text.count("\n", 0, at) if at >= 0 else len(tokens) - 1
+        raise error(t, "label %r: n and c are %s in a sentence's last label and only there"
+                    % (tokens[t], DUMMY))
 
 
 def read_seq(path):
@@ -77,7 +85,6 @@ def read_seq_parts(path):
     n_cols = 3 + len(aux_names)
     corpus = []
     parts = {}  # label token -> (n, c, u)
-    dummies = set()  # the parsed tokens whose n and c are DUMMY
     for first, rows in _blocks(path, body, 2, n_cols, "expected %d columns, got {}" % n_cols):
         words, pos, tokens, *aux = zip(*rows)
         for lineno, tok in enumerate(tokens, start=first):
@@ -86,13 +93,7 @@ def read_seq_parts(path):
                     parts[tok] = token_parts(tok)
                 except ValueError as e:
                     raise SeqFormatError(path, lineno, str(e)) from None
-                if parts[tok][1] == DUMMY:
-                    dummies.add(tok)
-        last = len(tokens) - 1
-        if tokens[last] not in dummies or not dummies.isdisjoint(tokens[:last]):
-            t = next(t for t, tok in enumerate(tokens) if (tok in dummies) != (t == last))
-            raise SeqFormatError(path, first + t, "label %r: n and c are %s in a sentence's "
-                                 "last label and only there" % (tokens[t], DUMMY))
+        _check_dummies(tokens, lambda t, message: SeqFormatError(path, first + t, message))
         corpus.append((Sentence(words, pos), tokens, dict(zip(aux_names, aux))))
     if not corpus:
         raise SeqFormatError(path, 1, "file contains no sentences")

@@ -2,6 +2,7 @@
 
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -184,14 +185,16 @@ def test_training_divergence_exit_code(tmp_path, small_model, capsys):
     assert "error: %s: training failed" % seq in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_policy_gradient_overflow_exit_code(tmp_path, small_model, capsys):
     _, trees_path, ckpt = small_model
     capsys.readouterr()
-    assert run(["finetune", str(ckpt), str(trees_path), str(trees_path),
-                str(tmp_path / "bad.npz"), "--epochs", "1", "--entropy", "1e308"]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is named once, with no warning before it
+        assert run(["finetune", str(ckpt), str(trees_path), str(trees_path),
+                    str(tmp_path / "bad.npz"), "--epochs", "1", "--entropy", "1e308"]) == 2
     err = capsys.readouterr().err
     assert "error: %s: fine-tuning failed: non-finite policy gradient" % ckpt in err
+    assert len(err.splitlines()) == 1
 
 
 def test_truncated_checkpoint_exit_code(tmp_path, small_model, capsys):

@@ -562,11 +562,11 @@ def test_unary_chain_u_round_trip():
 def test_label_token_surface_forms():
     lab = TagLabel(NComponent(RELATIVE, -3), "S", "")
     assert lab.token() == "r-3~S~NONE"
-    assert TagLabel.from_token("r-3~S~NONE") == lab
+    assert TagLabel(*token_parts("r-3~S~NONE")) == lab
     lab2 = TagLabel(NComponent(ABSOLUTE, 1), "S", "NP")
     assert lab2.token() == "a1~S~NP"
-    assert TagLabel.from_token("a1~S~NP") == lab2
-    assert TagLabel.from_token("DUMMY~DUMMY~NONE") == TagLabel(NComponent("dummy"), DUMMY)
+    assert TagLabel(*token_parts("a1~S~NP")) == lab2
+    assert TagLabel(*token_parts("DUMMY~DUMMY~NONE")) == TagLabel(NComponent("dummy"), DUMMY)
 
 
 # near misses of the encoders' spelling, beside arbitrary text
@@ -580,12 +580,27 @@ LABEL_TEXT = st.builds(lambda n, rest: "~".join([n, *rest]), N_TEXT,
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(st.one_of(st.text(), N_TEXT, LABEL_TEXT))
 def test_only_the_encoders_spelling_is_read(text):
-    for parse in (NComponent.from_token, TagLabel.from_token):
+    for parse in (NComponent.from_token, lambda tok: TagLabel(*token_parts(tok))):
         try:
             parsed = parse(text)
         except ValueError:
             continue
         assert parsed.token() == text
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.sampled_from([NComponent(RELATIVE, -1), NComponent(ABSOLUTE, 2), NComponent("dummy")]),
+       st.one_of(CHAIN_TEXT, st.sampled_from(["NP~X", "N P"]), st.text(max_size=3)),
+       st.one_of(CHAIN_TEXT, st.text(max_size=3)))
+def test_a_label_token_reads_back_as_its_label_or_is_refused(n, c, u):
+    label = TagLabel(n, c, u)
+    try:
+        tok = label.token()
+    except ValueError:
+        with pytest.raises(ValueError):  # refused on every call, none caching a text
+            label.token()
+        return
+    assert TagLabel(*token_parts(tok)) == label
 
 
 # The token parsers as they were before token_parts read a token's text
@@ -639,7 +654,7 @@ def _tables():
 def test_token_parts_reads_what_the_old_parsers_read(text):
     assert _outcome(NComponent.from_token, text) == _outcome(_oracle_n_from_token, text)
     expected = _outcome(_oracle_label_from_token, text)
-    assert _outcome(TagLabel.from_token, text) == expected
+    assert _outcome(lambda tok: TagLabel(*token_parts(tok)), text) == expected
     before = _tables()
     got = _outcome(token_parts, text)
     if expected[0] == "read":

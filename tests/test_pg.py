@@ -8,6 +8,7 @@ reward and its gradient are computed independently of the estimator.
 import copy
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -774,13 +775,14 @@ def test_fine_tuning_a_reloaded_policy_matches_the_policy_saved(tmp_path):
         assert np.array_equal(ours.params[name], value), name
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowing_policy_gradient_is_named_before_any_step():
-    # the first non-finite array in backward's order is named, and no
-    # parameter has moved
+    # the first non-finite array in backward's order is named, with no
+    # warning before it, and no parameter has moved
     model, _, _ = small_trained_policy()
     before = {name: value.copy() for name, value in model.params.items()}
-    with pytest.raises(RuntimeError, match="^non-finite policy gradient for 'W_n'$"):
+    with pytest.raises(RuntimeError, match="^non-finite policy gradient for 'W_n'$"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         finetune_pg(model, sample_corpus(21, 10), PGConfig(epochs=1, entropy_coef=1e308))
     for name, value in before.items():
         assert np.array_equal(model.params[name], value), name

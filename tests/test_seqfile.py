@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from treetag import tagger
 from treetag.auxtracks import shifted_n, syntactic_distances
 from treetag.encodings import (SCHEMES, EncodedSentence, NComponent, TagLabel, decode, encode,
-                               encode_relative)
+                               encode_relative, token_parts)
 from treetag.seqfile import SeqFormatError, _parse_header, read_seq, read_tagged, write_seq
 from treetag.tagger import TrainConfig, Vocabularies, train_mtl
 from treetag.trees import Sentence, load_trees, random_tree, save_trees, serialize
@@ -45,7 +45,7 @@ def _oracle_read_seq(path):
             words.append(cols[0])
             pos.append(cols[1])
             try:
-                labels.append(TagLabel.from_token(cols[2]))
+                labels.append(TagLabel(*token_parts(cols[2])))
             except ValueError as e:
                 raise SeqFormatError(path, cols[-1], str(e)) from None
             for j in range(len(aux_names)):
@@ -433,12 +433,43 @@ def dummy_placements(draw):
         labels = [TagLabel(NComponent.from_token(n), c, draw(st.one_of(st.just(""), CHAINS)))
                   for n, c in parts]
         sentence = Sentence(["w%d" % i for i in range(length)], ["P0"] * length)
-        corpus.append((EncodedSentence(sentence, labels, scheme), {}))
+        corpus.append((EncodedSentence(sentence, labels, scheme),
+                       {"dist": tuple(str(i + 1) for i in range(length))}))
     return corpus
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(dummy_placements())
+# text the .seq grammar reserves or splits on, alone, pieced together, or
+# beside arbitrary text
+AWKWARD_PIECES = ["NONE", "DUMMY", "~", "+", " ", "\t", "\r", "\n", "\xa0", "(", ")", "", "NP"]
+AWKWARD = st.one_of(st.sampled_from(AWKWARD_PIECES),
+                    st.lists(st.sampled_from(AWKWARD_PIECES), max_size=3).map("".join),
+                    st.text(max_size=3))
+
+
+@st.composite
+def edited_corpora(draw):
+    """dummy_placements' corpora with up to three of their words, POS, c,
+    u or aux labels replaced by awkward text."""
+    corpus = draw(dummy_placements())
+    fields = [[list(encoded.sentence.words), list(encoded.sentence.pos),
+               [[lab.n, lab.c, lab.u] for lab in encoded.labels], list(aux["dist"])]
+              for encoded, aux in corpus]
+    for _ in range(draw(st.integers(0, 3))):
+        words, pos, labels, dist = draw(st.sampled_from(fields))
+        t = draw(st.integers(0, len(words) - 1))
+        column, j = draw(st.sampled_from([(words, None), (pos, None), (labels, 1), (labels, 2),
+                                          (dist, None)]))
+        if j is None:
+            column[t] = draw(AWKWARD)
+        else:
+            column[t][j] = draw(AWKWARD)
+    scheme = corpus[0][0].scheme
+    return [(EncodedSentence(Sentence(words, pos), [TagLabel(*lab) for lab in labels], scheme),
+             {"dist": tuple(dist)}) for words, pos, labels, dist in fields]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(edited_corpora())
 def test_write_seq_writes_only_what_read_seq_reads_back(tmp_path_factory, corpus):
     path = tmp_path_factory.mktemp("written") / "x.seq"
     try:
@@ -446,5 +477,26 @@ def test_write_seq_writes_only_what_read_seq_reads_back(tmp_path_factory, corpus
     except ValueError:
         assert not path.exists()
         return
-    back, _ = read_seq(path)
-    assert [encoded.tokens() for encoded, _ in back] == [encoded.tokens() for encoded, _ in corpus]
+    back, scheme = read_seq(path)
+    assert back == corpus
+    assert scheme == corpus[0][0].scheme
+
+
+def _two_words(c="NP", u="", words=("the", "dog"), pos=("DT", "NN"), dist=("1", "PAD")):
+    labels = [TagLabel(NComponent("relative", 1), c, u), TagLabel(NComponent("dummy"), "DUMMY")]
+    return [(EncodedSentence(Sentence(words, pos), labels, "relative"), {"dist": dist})]
+
+
+@pytest.mark.parametrize("corpus", [
+    _two_words(c="NP~X"), _two_words(c="NONE"), _two_words(c="N P"), _two_words(c=""),
+    _two_words(c="NP+"), _two_words(u="NONE"), _two_words(words=("New York", "dog")),
+    _two_words(words=("a\tb", "dog")), _two_words(words=("a\rb", "dog")),
+    _two_words(pos=("(", "NN")), _two_words(dist=("1\t2", "PAD"))],
+    ids=["c=NP~X", "c=NONE", "c=N P", "c=", "c=NP+", "u=NONE", "word=New York", "word=a<tab>b",
+         "word=a<cr>b", "pos=(", "aux=1<tab>2"])
+def test_write_seq_refuses_what_read_seq_would_reject_or_alter(tmp_path, corpus):
+    with pytest.raises(ValueError):
+        write_seq(tmp_path / "x.seq", corpus)
+    assert not (tmp_path / "x.seq").exists()
+    write_seq(tmp_path / "y.seq", _two_words())  # the same sentence, plainly spelled
+    assert read_seq(tmp_path / "y.seq") == (_two_words(), "relative")
