@@ -16,8 +16,6 @@ diagnostics where available).
 """
 
 import argparse
-import collections
-import csv
 import dataclasses
 import functools
 import sys
@@ -103,7 +101,7 @@ def build_parser():
     p.add_argument("dev_seq")
     p.add_argument("output")
     _add_config_options(p, tagging.TrainConfig)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, failed="{train_seq}: training failed")
 
     p = sub.add_parser("finetune", help="policy-gradient fine-tuning")
     p.add_argument("checkpoint")
@@ -112,13 +110,13 @@ def build_parser():
     p.add_argument("output")
     _add_config_options(p, pg.PGConfig)
     p.add_argument("--log", default=None, help="per-epoch TSV log path")
-    p.set_defaults(func=cmd_finetune)
+    p.set_defaults(func=cmd_finetune, failed="{checkpoint}: fine-tuning failed")
 
     p = sub.add_parser("predict", help="tag raw word/POS input into trees")
     p.add_argument("checkpoint")
     p.add_argument("input", help="word<TAB>pos lines, blank line between sentences")
     p.add_argument("output")
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict, failed="{checkpoint}: prediction failed")
 
     p = sub.add_parser("eval", help="bracketing score of predicted trees")
     p.add_argument("gold")
@@ -199,10 +197,7 @@ def cmd_train(args):
     train, _ = seqfile.read_seq(args.train_seq)
     dev, _ = seqfile.read_seq(args.dev_seq)
     config = _config_from(tagging.TrainConfig, args)
-    try:
-        model = tagging.train_mtl(train, config, dev=dev)
-    except RuntimeError as e:
-        raise ValueError("%s: training failed: %s" % (args.train_seq, e)) from e
+    model = tagging.train_mtl(train, config, dev=dev)
     tagging.save_model(args.output, model)
     best = max((h.get("dev_f1", 0.0) for h in model.history), default=0.0)
     print("trained %d epochs; best dev F1 %.4f; saved %s"
@@ -215,30 +210,20 @@ def cmd_finetune(args):
     train = trees.load_trees(args.train_trees)
     dev = trees.load_trees(args.dev_trees)
     config = _config_from(pg.PGConfig, args)
-    try:
-        model, rows = pg.finetune_pg(model, train, config, dev=dev)
-    except RuntimeError as e:
-        raise ValueError("%s: fine-tuning failed: %s" % (args.checkpoint, e)) from e
-    if args.log:
-        with open(args.log, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()), delimiter="\t")
-            writer.writeheader()
-            writer.writerows(rows)
+    model, rows = pg.finetune_pg(model, train, config, dev=dev)
+    if args.log:  # csv's tab-separated rows: "\r\n" line ends, floats as repr
+        table = [rows[0].keys(), *(row.values() for row in rows)]
+        trees.write_text(args.log, "".join("\t".join(map(str, r)) + "\r\n" for r in table))
     tagging.save_model(args.output, model)
-    last = rows[-1]
     print("fine-tuned %d epochs; dev F1 %.4f; saved %s"
-          % (config.epochs, last["dev_f1"], args.output))
+          % (config.epochs, rows[-1]["dev_f1"], args.output))
     return 0
 
 
 def cmd_predict(args):
     model = tagging.load_model(args.checkpoint)
     sentences = seqfile.read_tagged(args.input)
-    try:
-        lines = tagging.predicted_lines(model, sentences)
-    except RuntimeError as e:
-        raise ValueError("%s: prediction failed: %s" % (args.checkpoint, e)) from e
-    repairs = _write_lines(args.output, lines)
+    repairs = _write_lines(args.output, tagging.predicted_lines(model, sentences))
     print("predicted %d sentences to %s; %s" % (len(sentences), args.output, repairs))
     return 0
 
@@ -246,12 +231,10 @@ def cmd_predict(args):
 def _write_lines(path, decoded):
     """Write the line of each (line, RepairLog) pair to `path`; returns the
     repairs summed per kind, as text."""
-    totals = collections.Counter(vars(encodings.RepairLog()))
-    with open(path, "w", encoding="utf-8") as fh:
-        for line, log in decoded:
-            fh.write(line + "\n")
-            totals.update(vars(log))
-    return "repairs: " + ", ".join("%s %d" % kind_count for kind_count in totals.items())
+    lines, logs = zip(*decoded)
+    trees.write_text(path, "\n".join(lines) + "\n")
+    return "repairs: " + ", ".join("%s %d" % (kind, sum(getattr(log, kind) for log in logs))
+                                   for kind in vars(encodings.RepairLog()))
 
 
 def cmd_eval(args):
@@ -270,11 +253,9 @@ def cmd_eval(args):
         gold_enc, pred_enc = (list(_each_tree(path, trees.load_trees(path), encode))
                               for path in (args.gold, args.predicted))
         table = metrics.per_n_f1(gold_enc, pred_enc)
-        with open(args.per_n, "w", encoding="utf-8") as fh:
-            fh.write("n_token\tprecision\trecall\tf1\n")
-            for tok in sorted(table, key=metrics.n_token_sort_key):
-                p, r, f = table[tok]
-                fh.write("%s\t%.4f\t%.4f\t%.4f\n" % (tok, p, r, f))
+        trees.write_text(args.per_n, "n_token\tprecision\trecall\tf1\n" + "".join(
+            "%s\t%.4f\t%.4f\t%.4f\n" % (tok, *table[tok])
+            for tok in sorted(table, key=metrics.n_token_sort_key)))
         print("per-n report written to %s" % args.per_n)
     return 0
 
@@ -298,7 +279,12 @@ def run(argv=None):
         return 1
     except SystemExit as e:  # --help
         return 0 if not e.code else int(e.code)
-    except (trees.ParseError, seqfile.SeqFormatError, ValueError, OSError) as e:
+    except RuntimeError as e:  # a failed library step, blamed as its subcommand's defaults say
+        if "failed" not in args:
+            raise
+        print("error: %s: %s" % (args.failed.format(**vars(args)), e), file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as e:  # ParseError and SeqFormatError among them
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -266,17 +266,16 @@ def finetune_pg(policy, train, config, dev=None):
     rows = []
     for epoch in range(config.epochs):
         rng.shuffle(order)
-        stats_acc = {"reward": [], "baseline": [], "standardized": [], "entropy": []}
+        stats = []  # one dict per sentence, in visiting order
         for start in range(0, len(order), NOISE_BATCH):
             batch = order[start : start + NOISE_BATCH]
-            for stats in pg_update(run, batch, [scored[i][1] for i in batch],
-                                   [baseline_rewards[i] for i in batch], config, tracker, rng, std):
-                for key in stats_acc:
-                    stats_acc[key].append(stats[key])
+            stats += pg_update(run, batch, [scored[i][1] for i in batch],
+                               [baseline_rewards[i] for i in batch], config, tracker, rng, std)
             if config.noise_std > 0:
                 std, _ = adapt_noise(run, batch, config, std, rng)
         row = {"epoch": epoch}
-        row.update((key, float(np.mean(values))) for key, values in stats_acc.items())
+        row.update((key, float(np.mean([s[key] for s in stats])))
+                   for key in ("reward", "baseline", "standardized", "entropy"))
         row["dev_f1"] = "" if dev is None else sum(dev_scores(), BracketScore(0, 0, 0)).f1
         row["noise_std"] = std
         rows.append(row)

@@ -7,19 +7,19 @@ A .seq file starts with a header comment::
 followed by one line per token (word, POS, main label, then one column
 per auxiliary track) and a blank line between sentences.  The companion
 "tagged" format is the same minus the header and label columns: word and
-POS only, for prediction input.
+POS only, for prediction input.  Both go through trees.read_text/write_text.
 """
 
 import re
 
 from .auxtracks import track_names
-from .trees import Sentence
+from .trees import Sentence, read_text, write_text
 from .encodings import DUMMY, FIELD_SEP, SCHEMES, EncodedSentence, TagLabel, token_parts
 
 
 # A field must be a token the bracket reader reads back whole.  The signs
 # that a text may break that rule: a bracket, whitespace other than the
-# tab and newline separators (text mode reads "\r" as a newline), or a
+# tab and newline separators (read_text reads "\r" as a newline), or a
 # tab next to a tab or a line end.
 _TOKEN = re.compile(r"[^()\s]+")
 _SIGNS = ("(", ")", " ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\t\t", "\t\n", "\n\t")
@@ -34,9 +34,9 @@ class SeqFormatError(ValueError):
 
 
 def write_seq(path, corpus):
-    """Write (EncodedSentence, {aux name: track}) pairs to `path`.  What read_seq would
-    reject or read back altered is a ValueError naming the pair, label token, field or
-    DUMMY placing at fault, and no file is written."""
+    """Write (EncodedSentence, {aux name: track}) pairs to `path`, whole or not at all.
+    What read_seq would reject or read back altered is a ValueError naming the pair,
+    label token, field or DUMMY placing at fault, and so is a lone surrogate."""
     aux_names = track_names(corpus)
     columns = [(encoded.sentence.words, encoded.sentence.pos, encoded.tokens(),
                 *(aux[name] for name in aux_names)) for encoded, aux in corpus]
@@ -45,9 +45,8 @@ def write_seq(path, corpus):
             raise ValueError("field %r is empty or holds whitespace or a bracket" % field)
     for i, cols in enumerate(columns, start=1):
         _check_dummies(cols[2], lambda t, message: ValueError("sentence %d: %s" % (i, message)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# scheme=%s aux=%s\n" % (corpus[0][0].scheme, ",".join(aux_names)))
-        fh.writelines("\n".join(map("\t".join, zip(*cols))) + "\n\n" for cols in columns)
+    write_text(path, "# scheme=%s aux=%s\n" % (corpus[0][0].scheme, ",".join(aux_names))
+               + "".join("\n".join(map("\t".join, zip(*cols))) + "\n\n" for cols in columns))
 
 
 def _check_dummies(tokens, error):
@@ -77,8 +76,7 @@ def read_seq(path):
 def read_seq_parts(path):
     """read_seq(path) building no labels: returns ((Sentence, label tokens, aux
     dict) triples, {token: token_parts(token)} parsed once per token, scheme)."""
-    with open(path, encoding="utf-8") as fh:
-        header, _, body = fh.read().partition("\n")
+    header, _, body = read_text(path).partition("\n")
     if not header.startswith("#"):
         raise SeqFormatError(path, 1, "missing '# scheme=... aux=...' header")
     scheme, aux_names = _parse_header(path, header)
@@ -119,9 +117,7 @@ def _parse_header(path, header):
 
 def read_tagged(path):
     """Read word<TAB>pos lines into Sentences (blank line separated)."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    blocks = _blocks(path, text, 1, 2, "expected word<TAB>pos")
+    blocks = _blocks(path, read_text(path), 1, 2, "expected word<TAB>pos")
     sentences = [Sentence(*zip(*rows)) for _, rows in blocks]
     if not sentences:
         raise SeqFormatError(path, 1, "file contains no sentences")

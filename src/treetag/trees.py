@@ -5,8 +5,10 @@ threads.  The on-disk format is the usual one-tree-per-line bracketing
 (``(S (NP (D the) (N dog)) (VP (V barks)))``); literal parentheses inside
 tokens are expected to be pre-escaped as ``-LRB-``/``-RRB-`` and are kept
 verbatim.  For bracket scoring, the reader can give spans in place of trees.
+Every text file of the package is read by read_text and written by write_text.
 """
 
+import io
 import random
 import re
 from dataclasses import dataclass
@@ -232,6 +234,27 @@ def serialize(tree):
             children = frames.pop()
 
 
+def read_text(path):
+    """The text of file `path`, read as strict UTF-8 with universal newlines
+    ("\r\n" and a lone "\r" read as "\n").  A byte that is not UTF-8 is a
+    ValueError naming the file and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as e:
+        line = data[: e.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise ValueError("%s:%d: not UTF-8 (%s)" % (path, line, e.reason)) from None
+
+
+def write_text(path, text):
+    """Write `text` to file `path` as UTF-8, whole or not at all: a text that
+    does not encode (a lone surrogate) raises before the file is opened."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
 def load_trees(path, strip_functions=False, spans=False, skip=()):
     """Read one tree per line; blank lines skipped.  With `spans`, build no
     tree: read each line as (its spans, its leaf count), as parse_bracketed
@@ -239,29 +262,25 @@ def load_trees(path, strip_functions=False, spans=False, skip=()):
     malformed input, and the file (at line 1) when it holds no tree.
     """
     trees = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            found = [] if spans else None
-            try:
-                parsed = parse_bracketed(line, strip_functions, found, skip)
-            except ParseError as e:
-                raise ParseError(e.message, e.offset, lineno, path) from None
-            if len(parsed) != 1:
-                message = "expected one tree per line, got %d" % len(parsed)
-                raise ParseError(message, 0, lineno, path)
-            trees.append(parsed[0] if found is None else (found, parsed[0]))
+    for lineno, line in enumerate(io.StringIO(read_text(path)), start=1):
+        if not line.strip():
+            continue
+        found = [] if spans else None
+        try:
+            parsed = parse_bracketed(line, strip_functions, found, skip)
+        except ParseError as e:
+            raise ParseError(e.message, e.offset, lineno, path) from None
+        if len(parsed) != 1:
+            message = "expected one tree per line, got %d" % len(parsed)
+            raise ParseError(message, 0, lineno, path)
+        trees.append(parsed[0] if found is None else (found, parsed[0]))
     if not trees:
         raise ParseError("file contains no trees", None, 1, path)
     return trees
 
 
 def save_trees(path, trees):
-    with open(path, "w", encoding="utf-8") as fh:
-        for tree in trees:
-            fh.write(serialize(tree))
-            fh.write("\n")
+    write_text(path, "".join(serialize(tree) + "\n" for tree in trees))
 
 
 # ---------------------------------------------------------------------------

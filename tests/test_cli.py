@@ -839,3 +839,34 @@ def test_the_reused_parser_keeps_no_state(tmp_path, forest_file, small_model, ca
 
     assert cli.build_parser() is parser
     assert parser.parse_args(["encode", "in", "out"]).aux is aux_default == []
+
+
+TINY = ["--epochs", "1", "--hidden-dim", "8", "--word-dim", "4", "--pos-dim", "4"]
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["eval", "{trees}", "{bad}"], "trees"),
+    (["encode", "{bad}", "{out}"], "trees"),
+    (["decode", "{bad}", "{out}"], "seq"),
+    (["stats", "{bad}"], "seq"),
+    (["train", "{bad}", "{seq}", "{out}", *TINY], "seq"),
+    (["train", "{seq}", "{bad}", "{out}", *TINY], "seq"),
+    (["finetune", "{ckpt}", "{bad}", "{trees}", "{out}", "--epochs", "1"], "trees"),
+    (["predict", "{ckpt}", "{bad}", "{out}"], "tagged"),
+], ids=["eval", "encode", "decode", "stats", "train", "train-dev", "finetune", "predict"])
+def test_a_byte_that_is_not_utf8_exits_2_with_file_and_line(tmp_path, small_model, capsys, argv,
+                                                           source):
+    seq, trees_path, ckpt = small_model
+    tagged = tmp_path / "small.tagged"
+    write_tagged(tagged, load_trees(trees_path))
+    files = {"seq": seq, "trees": trees_path, "ckpt": ckpt, "tagged": tagged,
+             "bad": tmp_path / "latin", "out": tmp_path / "out"}
+    lines = files[source].read_bytes().split(b"\n")
+    lines[1] = b"caf\xe9" + lines[1]
+    files["bad"].write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run([arg.format(**files) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s:2: " % files["bad"])
+    assert len(err.splitlines()) == 1
+    assert not files["out"].exists()

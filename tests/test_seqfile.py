@@ -500,3 +500,17 @@ def test_write_seq_refuses_what_read_seq_would_reject_or_alter(tmp_path, corpus)
     assert not (tmp_path / "x.seq").exists()
     write_seq(tmp_path / "y.seq", _two_words())  # the same sentence, plainly spelled
     assert read_seq(tmp_path / "y.seq") == (_two_words(), "relative")
+
+
+@pytest.mark.parametrize("corpus", [
+    _two_words(words=("a\ud800", "dog")), _two_words(pos=("DT", "N\udce9")),
+    _two_words(dist=("\ud800", "PAD"))], ids=["word", "pos", "aux"])
+def test_write_seq_refuses_a_lone_surrogate_and_writes_nothing(tmp_path, corpus):
+    with pytest.raises(ValueError):
+        write_seq(tmp_path / "new.seq", corpus)
+    assert not (tmp_path / "new.seq").exists()
+    old = tmp_path / "old.seq"
+    old.write_bytes(b"OLD CONTENT\n")
+    with pytest.raises(ValueError):
+        write_seq(old, corpus)
+    assert old.read_bytes() == b"OLD CONTENT\n"

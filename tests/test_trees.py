@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from unittest import mock
 
@@ -162,6 +163,46 @@ def test_load_trees_error_message(tmp_path):
         load_trees(path)
     assert str(err.value) == "%s:2: byte 9: unbalanced '('" % path
     assert (err.value.message, err.value.offset) == ("unbalanced '('", 9)
+
+
+@pytest.mark.parametrize("bad", [Leaf("NN", "a\ud800"), Leaf("N\udce9", "a"),
+                                 Internal("S\ud800", [Leaf("NN", "a")])],
+                         ids=["word", "pos", "label"])
+def test_save_trees_refuses_a_lone_surrogate_and_writes_nothing(tmp_path, bad):
+    good = parse_bracketed(THREE_LEAF)[0]
+    with pytest.raises(ValueError):
+        save_trees(tmp_path / "new.trees", [good, bad])
+    assert not (tmp_path / "new.trees").exists()
+    old = tmp_path / "old.trees"
+    old.write_bytes(b"OLD CONTENT\n")
+    with pytest.raises(ValueError):
+        save_trees(old, [good, bad])
+    assert old.read_bytes() == b"OLD CONTENT\n"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_text_files_read_with_universal_newlines(tmp_path, newline):
+    path = tmp_path / "crlf.trees"
+    path.write_bytes(newline.join(["(S (A a))", "", "(S (B caf\u00e9))", ""]).encode("utf-8"))
+    assert load_trees(path) == parse_bracketed("(S (A a)) (S (B caf\u00e9))")
+    assert trees.read_text(path) == "(S (A a))\n\n(S (B caf\u00e9))\n"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("bad", [b"\xe9", b"\xff", b"\xe2\x82"], ids=["e9", "ff", "cut"])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_a_byte_that_is_not_utf8_is_named_by_file_and_line(tmp_path, newline, bad, k):
+    lines = [b"(S (A caf\xc3\xa9))"] * 4
+    lines[k - 1] = b"(S (A caf" + bad + b"))"
+    path = tmp_path / "latin.trees"
+    path.write_bytes(newline.encode().join(lines) + newline.encode())
+    for read in (trees.read_text, load_trees):
+        with pytest.raises(ValueError) as err:
+            read(path)
+        assert str(err.value).startswith("%s:%d: not UTF-8 (" % (path, k))
+    path.write_bytes(newline.encode().join(lines[:k]))  # the bad byte ends the file
+    with pytest.raises(ValueError, match="^%s:%d: " % (re.escape(str(path)), k)):
+        trees.read_text(path)
 
 
 def test_random_tree_deterministic():
