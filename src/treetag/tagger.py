@@ -21,8 +21,19 @@ at the logits: only the loss, the PG sampler and the noise measure take a
 softmax, and greedy prediction decodes from the argmax ids of the logits.
 Both check the hidden layer for finiteness only once a head's logits fail.
 
-All tensors are float64 numpy arrays and every gradient is written out by
-hand, which keeps the whole model checkable against finite differences.
+A batch of more than _SHORT_BATCH rows takes its greedy ids from float32
+products of the float64 hidden layer and float32 copies of the main heads,
+kept beside the table (4 bytes more per head weight).  With a margin from
+Higham's gamma_n, which bounds any summation order, an id whose float32 top
+two lie further apart is the exact argmax; a row within it is computed
+again in float64.  Shorter batches, every single sentence among them,
+stay float64, where float32 took 1.40x the time at 6 rows and 1.15x at 17
+(0.75x at 64, 0.67x at 256).  Single and batched ids can then differ only
+at a tie within float64 rounding.
+
+All other tensors are float64 numpy arrays and every gradient is written
+out by hand, which keeps the whole model checkable against finite
+differences.
 """
 
 import json
@@ -50,9 +61,10 @@ _CHECKPOINT_VERSION = 1
 # overhead, small enough to keep peak memory flat.
 TOKEN_BUDGET = 256
 
-# Rows up to which predict_logits sums the table rows in one gather and one
-# reduce: at H = 128, r = 2, 3 us against 10 for 2 rows, 13 against 20 for
-# 17, but its (2(2r+1), rows, H) temporary leaves the cache past about 64.
+# Rows up to which the table rows are summed in one gather and one reduce:
+# at H = 128, r = 2, 3 us against 10 for 2 rows, 13 against 20 for 17, but
+# its (2(2r+1), rows, H) temporary leaves the cache past about 64.  Past it
+# too, predict_ids takes float32 head products.
 _SHORT_BATCH = 64
 
 
@@ -143,10 +155,10 @@ class TaggerModel:
 
     Reading operations (forward, prediction) are safe to call concurrently;
     the first prediction after each parameter change builds the table
-    (float64, (2r+1)·(|words|+|POS|)·H entries), and concurrent first reads
-    at worst each build the same one.  Parameter updates must stay
-    single-writer and drop the table, as the one step of train_mtl and
-    finetune_pg does (`_Steps.step`).
+    (float64, (2r+1)·(|words|+|POS|)·H entries, with float32 copies of the
+    main heads), and concurrent first reads at worst each build the same
+    one.  Parameter updates must stay single-writer and drop the table, as
+    the one step of train_mtl and finetune_pg does (`_Steps.step`).
     """
 
     def __init__(self, vocab, config, scheme, rng=None, params=None):
@@ -185,10 +197,16 @@ class TaggerModel:
         return np.concatenate([words.reshape(T, -1), tags.reshape(T, -1)], axis=1)
 
     def _projection(self):
-        """The prediction table, built on first read, and the row offset of
-        each window column in it.  Its rows are E_word @ (word slot k's
-        block of W1) for each k, b1 added to word slot 0's, then the same
-        for E_pos and the POS slots."""
+        """The prediction table, built on first read, the row offset of each
+        window column in it, and each main head's float32 weights, bias and
+        margin.  The table's rows are E_word @ (word slot k's block of W1)
+        for each k, b1 added to word slot 0's, then the same for E_pos and
+        the POS slots.  A head's margin is twice its largest column bound on
+        the float32 plus the float64 error of h @ W + b at |h| <= 1:
+        gamma_n (Higham's nu/(1 - nu), which holds for any summation order)
+        times sum_i |W_ij| + |b_j|, float32's n one more than the H + 3
+        roundings a term of its logit meets, to cover those of the margin
+        and of the threshold it sets, and (H + 1)·2^-148 for underflow."""
         if self._table is None:
             P = self.params
             W, H = 2 * self.config.window + 1, P["W1"].shape[1]
@@ -199,24 +217,64 @@ class TaggerModel:
                                    (P["E_pos"], P["W1"][split:], table[words:])):
                 np.matmul(E, block.reshape(W, -1, H), out=part.reshape(W, len(E), H))
             table[: len(P["E_word"])] += P["b1"]
-            self._table = table, np.cumsum([0] + sizes[:-1])
+            gamma = sum((H + n) * u / (1 - (H + n) * u) for n, u in ((4, 2.0**-24), (3, 2.0**-53)))
+            heads = {}
+            with np.errstate(over="ignore"):  # a weight past float32's range is inf there
+                for name in MAIN_TASKS:
+                    Wh, b = P["W_" + name], P["b_" + name]
+                    bound = gamma * (np.abs(Wh).sum(axis=0) + np.abs(b)).max()
+                    heads[name] = (Wh.astype(np.float32), b.astype(np.float32),
+                                   np.float32(2 * (bound + (H + 1) * 2.0**-148)))
+            self._table = table, np.cumsum([0] + sizes[:-1]), heads
         return self._table
 
-    def predict_logits(self, windows):
-        """The main heads' logits of stacked windows for greedy prediction,
-        from pre-activations summed as the table rows of the window, word
-        slots first."""
-        (table, offsets), T = self._projection(), len(windows)
+    def _pre_activations(self, windows):
+        """Pre-activations of stacked windows for greedy prediction, summed as
+        the table rows of the window, word slots first; a single window is
+        summed as two equal rows."""
+        table, offsets, _ = self._projection()
         # BLAS sums a one-row product, and numpy a one-row reduce, in
         # another order than a matrix one
-        rows = (windows.repeat(1 + (T == 1), axis=0) + offsets).T
+        rows = (windows.repeat(1 + (len(windows) == 1), axis=0) + offsets).T
         if rows.shape[1] <= _SHORT_BATCH:  # the adds of the loop below, in order
-            pre = np.add.reduce(table.take(rows, axis=0), axis=0)
-        else:
-            pre = table.take(rows[0], axis=0)
-            for r in rows[1:]:
-                pre += table.take(r, axis=0)
-        return {name: z[:T] for name, z in self._activate(pre, MAIN_TASKS)["logits"].items()}
+            return np.add.reduce(table.take(rows, axis=0), axis=0)
+        pre = table.take(rows[0], axis=0)
+        for r in rows[1:]:
+            pre += table.take(r, axis=0)
+        return pre
+
+    def predict_logits(self, windows):
+        """The main heads' float64 logits of stacked windows, from their
+        table pre-activations."""
+        logits = self._activate(self._pre_activations(windows), MAIN_TASKS)["logits"]
+        return {name: z[: len(windows)] for name, z in logits.items()}
+
+    def predict_ids(self, windows):
+        """The main heads' greedy ids of stacked windows: the argmax of
+        predict_logits.  A batch of more than _SHORT_BATCH rows takes them
+        from float32 head products; a row whose float32 top two lie within
+        the head's margin is computed again in float64, and a non-finite
+        float32 logit sends the batch through predict_logits."""
+        if len(windows) > _SHORT_BATCH:
+            pre = self._pre_activations(windows)
+            h = np.tanh(pre, out=pre)
+            h32, rows, ids = h.astype(np.float32), np.arange(len(windows)), {}
+            with np.errstate(over="ignore", invalid="ignore"):  # float32 inf and NaN are checked
+                for name, (W, b, margin) in self._projection()[2].items():
+                    z = h32 @ W
+                    z += b
+                    if not np.isfinite(z).all():  # NaN, inf or a float32 overflow
+                        break
+                    k = ids[name] = z.argmax(axis=1)
+                    near = z >= (z[rows, k] - margin)[:, None]
+                    if np.count_nonzero(near) > len(z):
+                        flagged = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+                        z64 = h[flagged] @ self.params["W_" + name]
+                        z64 += self.params["b_" + name]
+                        k[flagged] = z64.argmax(axis=1)
+                else:
+                    return ids
+        return {name: z.argmax(axis=1) for name, z in self.predict_logits(windows).items()}
 
     def _activate(self, pre, heads, dropout_rng=None):
         """tanh of the pre-activation `pre` (in place), inverted dropout with
@@ -481,7 +539,7 @@ def _dev_scorer(model, dev):
     """A function of no arguments giving the BracketScore of each of
     `model`'s greedy trees on (Sentence, gold spans) pairs at its current
     parameters.  The window ids are built once, in _predict_ids' chunks, so
-    every logit has the bits it has there; a sentence's spans are decoded
+    every id is the one predicted there; a sentence's spans are decoded
     and scored again only when its predicted ids differ from the last call's."""
     lengths = [len(sentence) for sentence, _ in dev]
     chunks = [model.windows([s for s, _ in dev[a:b]]) for a, b in _chunks(lengths)]
@@ -489,8 +547,8 @@ def _dev_scorer(model, dev):
     last, scores = np.full((len(MAIN_TASKS), sum(lengths)), -1), [None] * len(dev)
 
     def score():
-        logits = [model.predict_logits(windows) for windows in chunks]
-        ids = np.array([np.concatenate([z[n].argmax(axis=1) for z in logits]) for n in MAIN_TASKS])
+        chunk_ids = [model.predict_ids(windows) for windows in chunks]
+        ids = np.array([np.concatenate([i[n] for i in chunk_ids]) for n in MAIN_TASKS])
         for k in np.flatnonzero(np.logical_or.reduceat((ids != last).any(axis=0), starts)):
             sentence_ids = dict(zip(MAIN_TASKS, ids[:, starts[k] : starts[k] + lengths[k]]))
             scores[k] = metrics.span_score(dev[k][1], spans_from_ids(model, sentence_ids))
@@ -546,14 +604,12 @@ def predicted_lines(model, sentences):
 
 
 def _predict_ids(model, sentences):
-    """Greedy per-task label ids of each sentence, in input order: the
-    argmax of each main head's logits, one predict_logits per batch of at
-    most TOKEN_BUDGET tokens (a longer sentence runs alone)."""
+    """Greedy per-task label ids of each sentence, in input order, one
+    predict_ids per batch of at most TOKEN_BUDGET tokens (a longer sentence
+    runs alone)."""
     for start, stop in _chunks([len(s) for s in sentences]):
         chunk = sentences[start:stop]
-        logits = model.predict_logits(model.windows(chunk))
-        ids = {name: z.argmax(axis=1) for name, z in logits.items()}
-        end = 0
+        ids, end = model.predict_ids(model.windows(chunk)), 0
         for sentence in chunk:
             first, end = end, end + len(sentence)
             yield {k: v[first:end] for k, v in ids.items()}

@@ -249,8 +249,13 @@ def read_text(path):
 
 def write_text(path, text):
     """Write `text` to file `path` as UTF-8, whole or not at all: a text that
-    does not encode (a lone surrogate) raises before the file is opened."""
-    data = text.encode("utf-8")
+    does not encode (a lone surrogate) is a ValueError naming the file and
+    the line, raised before the file is opened."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        line = text.count("\n", 0, e.start) + 1
+        raise ValueError("%s:%d: not UTF-8 encodable (%s)" % (path, line, e.reason)) from None
     with open(path, "wb") as fh:
         fh.write(data)
 

@@ -636,6 +636,16 @@ def test_synth_count_below_one_exit_code(tmp_path, capsys, count):
     assert not out.exists()
 
 
+def test_synth_label_that_utf8_cannot_encode_exits_2_with_file_and_line(tmp_path, capsys):
+    # an argument byte that is not UTF-8 reaches the label as a lone surrogate
+    out = tmp_path / "out.trees"
+    assert run(["synth", str(out), "--count", "2", "--alphabet", "S,\udce9"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: %s:\d+: not UTF-8 encodable \(surrogates not allowed\)\n"
+                        % re.escape(str(out)), err)
+    assert not out.exists()
+
+
 @pytest.fixture
 def empty_trees(tmp_path):
     path = tmp_path / "empty.trees"

@@ -470,6 +470,7 @@ def test_nonfinite_w1_faults_training_and_every_prediction():
     model = TaggerModel(Vocabularies.build(instances[:1]), tiny_config(), "dynamic")
     model.params["W1"][0, 0] = np.nan
     sentences = [enc.sentence for enc, _ in instances]
+    assert sum(map(len, sentences)) > tagger._SHORT_BATCH  # one long batch
     pairs = [(s, frozenset()) for s in sentences]
     for call in (lambda: model.forward(model.windows(sentences)),
                  lambda: predict_greedy(model, sentences[0]),
@@ -487,11 +488,14 @@ def test_hidden_fault_is_named_before_any_head_fault():
     sentences = [enc.sentence for enc, _ in corpus]
 
     def calls(model, sentences):
-        pairs = [(s, Counter()) for s in sentences]
+        # batch predictions also in one batch of more than _SHORT_BATCH rows
+        long = sentences * (tagger._SHORT_BATCH // sum(map(len, sentences)) + 1)
         return (lambda: model.forward(model.windows(sentences)),
                 lambda: predict_greedy(model, sentences[0]),
                 lambda: predicted_lines(model, sentences),
-                lambda: tagger._dev_scorer(model, pairs)())
+                lambda: tagger._dev_scorer(model, [(s, Counter()) for s in sentences])(),
+                lambda: predicted_lines(model, long),
+                lambda: tagger._dev_scorer(model, [(s, Counter()) for s in long])())
 
     for faults, message in ((("b1", "W_c"), "^non-finite hidden activations"),
                             (("W_c",), "^non-finite logits in head 'c'$")):
@@ -533,8 +537,8 @@ def test_single_and_batched_logits_are_equal():
 
 def sequential_pre_activation(model, windows):
     """The table rows of each window added one slot at a time, word slots
-    first: the loop predict_logits runs on long batches."""
-    table, offsets = model._projection()
+    first: the loop the table sum runs on long batches."""
+    table, offsets, _ = model._projection()
     rows = (windows + offsets).T
     pre = table[rows[0]]
     for r in rows[1:]:
@@ -560,7 +564,7 @@ def test_both_gather_forms_give_the_same_bits(tokens, hidden_dim):
     windows = model.windows(sentences)
     oracle = sequential_pre_activation(model, windows)
     assert np.array_equal(table_pre_activation(model, windows), oracle)
-    batched = model.predict_logits(windows)
+    batched, batched_ids = model.predict_logits(windows), model.predict_ids(windows)
     end = 0
     for sentence in sentences:
         first, end = end, end + len(sentence)
@@ -568,14 +572,23 @@ def test_both_gather_forms_give_the_same_bits(tokens, hidden_dim):
         assert np.array_equal(table_pre_activation(model, single), oracle[first:end])
         for name, z in model.predict_logits(single).items():
             assert np.array_equal(z, batched[name][first:end])
+            assert np.array_equal(z.argmax(axis=1), batched_ids[name][first:end])
 
 
 def assert_table_matches_params(model, windows):
+    # the float32 heads too, read by a batch of more than _SHORT_BATCH rows
     fresh = TaggerModel(model.vocab, model.config, model.scheme,
                         params={k: v.copy() for k, v in model.params.items()})
     expected = fresh.predict_logits(windows)
     for name, z in model.predict_logits(windows).items():
         assert np.array_equal(z, expected[name])
+    long = np.concatenate([windows] * (tagger._SHORT_BATCH // len(windows) + 1))
+    expected = fresh.predict_ids(long)
+    for name, ids in model.predict_ids(long).items():
+        assert np.array_equal(ids, expected[name])
+    for name, arrays in model._table[2].items():
+        for array, fresh_array in zip(arrays, fresh._table[2][name]):
+            assert array.tobytes() == fresh_array.tobytes()
 
 
 @pytest.mark.parametrize("change", ["train_step", "best_params", "pg_update", "reload"])
@@ -635,8 +648,109 @@ def test_large_vocabulary_predicts_through_the_table():
     batched = table_pre_activation(model, model.windows(sentences))
     single = [table_pre_activation(model, model.windows([s])) for s in sentences]
     assert np.array_equal(np.concatenate(single), batched)
-    table, _ = model._table
-    assert table.nbytes > 64 * 2**20
+    assert model._table[0].nbytes > 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# float32 head products of long batches
+
+def near_tie_model():
+    """A trained model and random sentences of more than _SHORT_BATCH tokens
+    in all.  The model's u columns 0 and 1 differ by less than float32
+    resolves, in a hidden unit whose sign varies over the sentences' rows,
+    and a bias makes one of the two every row's argmax."""
+    _, corpus = tiny_corpus()
+    model = train_mtl(corpus, tiny_config(epochs=2))
+    sentences = random_sentences(model, np.random.default_rng(6))
+    h = model.forward(model.windows(sentences))["h"]
+    unit = np.argmax(np.minimum((h > 0).sum(axis=0), (h < 0).sum(axis=0)))
+    W, b = model.params["W_u"], model.params["b_u"]
+    W[:, 1] = W[:, 0]
+    W[unit, 1] += 1e-9
+    b[:2] = b.max() + 20.0
+    assert sum(map(len, sentences)) > tagger._SHORT_BATCH
+    return model, sentences
+
+
+def test_a_near_tie_gets_the_float64_id_in_a_long_batch():
+    model, sentences = near_tie_model()
+    windows = model.windows(sentences)
+    ids = model.predict_ids(windows)
+    for name, z in model.predict_logits(windows).items():
+        assert np.array_equal(ids[name], z.argmax(axis=1))
+    assert set(ids["u"].tolist()) == {0, 1}
+    # the columns are closer than the margin: the tie is settled in float64
+    W = model.params["W_u"]
+    assert np.abs(W[:, 1] - W[:, 0]).sum() < model._table[2]["u"][2]
+    end = 0
+    for sentence in sentences:
+        first, end = end, end + len(sentence)
+        own = {name: i[first:end] for name, i in ids.items()}
+        assert predict_greedy(model, sentence) == encoded_from_ids(model, sentence, own)
+
+
+def test_a_row_within_the_margin_takes_the_float64_product():
+    # float32 sees columns 0 and 1 of u as equal and takes the first, so
+    # each row given column 1 was computed again in float64
+    model, sentences = near_tie_model()
+    windows = model.windows(sentences)
+    W32, b32, _ = model._projection()[2]["u"]
+    assert np.array_equal(W32[:, 0], W32[:, 1]) and b32[0] == b32[1]
+    h32 = np.tanh(model._pre_activations(windows)).astype(np.float32)
+    assert ((h32 @ W32 + b32).argmax(axis=1) == 0).all()
+    ids = model.predict_ids(windows)["u"]
+    assert 0 < np.count_nonzero(ids == 1) < len(ids)
+
+
+@pytest.mark.parametrize("hidden_dim", [1, 8, 128])
+@pytest.mark.parametrize("scale", [1e-42, 1e-20, 1e-3, 1.0, 1e3, 1e30])
+def test_the_margin_covers_float32_and_float64_rounding(hidden_dim, scale):
+    # any id whose float32 top two are more than the margin apart is the
+    # exact argmax and every float64 product's: each logit's float32 error
+    # plus its float64 error is at most half the margin, checked against
+    # extended precision on random hidden rows in [-1, 1] and on rows of
+    # one sign (the largest accumulated error), with weights of one sign too
+    _, corpus = tiny_corpus()
+    model = TaggerModel(Vocabularies.build(corpus), tiny_config(hidden_dim=hidden_dim), "dynamic")
+    rng = np.random.default_rng(hidden_dim)
+    for name in MAIN_TASKS:
+        W, b = model.params["W_" + name], model.params["b_" + name]
+        W[...] = scale * rng.uniform(-1, 1, W.shape)
+        W[:, 0] = scale * rng.uniform(0.5, 1, len(W))
+        b[...] = scale * rng.uniform(-1, 1, b.shape)
+    h = np.concatenate([rng.uniform(-1, 1, (200, hidden_dim)),
+                        rng.uniform(0.99, 1, (50, hidden_dim))])
+    for name, (W32, b32, margin) in model._projection()[2].items():
+        W, b = model.params["W_" + name], model.params["b_" + name]
+        exact = h.astype(np.longdouble) @ W.astype(np.longdouble) + b.astype(np.longdouble)
+        z32 = h.astype(np.float32) @ W32
+        z32 += b32
+        z64 = h @ W + b
+        error = np.abs(z32 - exact) + np.abs(z64 - exact)
+        assert np.isfinite(margin) and error.max() <= margin / 2
+
+
+@pytest.mark.parametrize("param, value", [("W_u", 1e39), ("W_u", 3e38), ("b_c", 1e39)])
+def test_weights_beyond_float32_predict_through_float64(param, value):
+    # an inf float32 weight, or a float32 product that overflows, sends a
+    # long batch through the float64 heads, without a warning; in float32
+    # columns 0 and 1 would both be inf, and column 0 every such row's id
+    _, corpus = tiny_corpus()
+    model = train_mtl(corpus, tiny_config(epochs=2))
+    model.params[param][..., :2] = [value, 1.1 * value]
+    sentences = random_sentences(model, np.random.default_rng(7))
+    windows = model.windows(sentences)
+    assert len(windows) > tagger._SHORT_BATCH
+    ids = model.predict_ids(windows)
+    for name, z in model.predict_logits(windows).items():
+        assert np.array_equal(ids[name], z.argmax(axis=1))
+    W32, b32, _ = model._table[2][param[2:]]
+    h32 = np.tanh(model._pre_activations(windows)).astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(h32 @ W32 + b32).all()
+    lines = predicted_lines(model, sentences)
+    assert [line for line, _ in lines] == [
+        serialize(decode(predict_greedy(model, s))) for s in sentences]
 
 
 def test_encoded_from_gold_ids_gives_the_gold_labels():

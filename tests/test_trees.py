@@ -180,6 +180,20 @@ def test_save_trees_refuses_a_lone_surrogate_and_writes_nothing(tmp_path, bad):
     assert old.read_bytes() == b"OLD CONTENT\n"
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_text_that_utf8_cannot_encode_is_named_by_file_and_line(tmp_path, k):
+    lines = ["(S (A caf\u00e9))"] * 3
+    lines[k - 1] = "(S (A caf\udce9))"
+    path = tmp_path / "out.trees"
+    with pytest.raises(ValueError) as err:
+        trees.write_text(path, "\n".join(lines) + "\n")
+    assert str(err.value) == "%s:%d: not UTF-8 encodable (surrogates not allowed)" % (path, k)
+    assert not path.exists()
+    with pytest.raises(ValueError, match="^%s:%d: " % (re.escape(str(path)), k)):
+        save_trees(path, [parse_bracketed(line)[0] for line in lines])
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_text_files_read_with_universal_newlines(tmp_path, newline):
     path = tmp_path / "crlf.trees"
